@@ -17,6 +17,13 @@ Four checks, each producing a verdict plus per-point records:
 Target-side point sets are found independently by the same multi-start
 solver, never trusted from the pushforward, which is what makes the checks
 non-circular.
+
+The point checks share work through one optional ``searches`` mapping
+whose only keys are ``(side, kind)``: side ``"f"`` is f searched over
+region ∩ h.domain, side ``"g"`` the transformed system searched over
+``image_region(h)``, kind is ``FIXED`` or ``PERPETUAL``. A check runs and
+stores a search only when its key is missing, so checks handed one mapping
+(as in :func:`run_verification`) run each search at most once.
 """
 
 from __future__ import annotations
@@ -31,9 +38,9 @@ from .expr import DomainError
 from .fields import (TransformationMap, VectorField, acceleration_map,
                      image_region, transformed_system)
 from .flows import BlowUpError, IntegratorConfig, StepUnderflowError, integrate
-from .linalg import eigenvalues, min_pivot, solve_linear, spectrum_distance
-from .points import (FIXED, PERPETUAL, CriticalPoint, PointSearch, SolverConfig,
-                     fixed_point_search, perpetual_point_search)
+from .linalg import eigenvalues, min_pivot, spectrum_distance
+from .points import (FIXED, PERPETUAL, SolverConfig, fixed_point_search,
+                     perpetual_point_search)
 from .region import AnalysisRegion, lattice_points
 
 __all__ = [
@@ -53,6 +60,11 @@ THEOREM_IDS = ("flow", "t1", "t2", "t3", "r1")
 #: states larger than this are excluded from flow-residual comparison;
 #: near escape, absolute residuals measure integrator noise, not conjugacy
 _COMPARE_CEILING = 1e6
+
+#: the flow check compares this many evenly spaced samples per trajectory,
+#: from this many initial points chosen by select_flow_points
+_FLOW_SAMPLES = 32
+_FLOW_POINTS = 5
 
 
 @dataclass(frozen=True)
@@ -113,9 +125,7 @@ def _scheduled_states(f, x0, cfg: IntegratorConfig):
 
 
 def verify_flow_conjugacy(f: VectorField, g: VectorField, h: TransformationMap,
-                          initial_points: Sequence, t_end: float, tol: float,
-                          sample_count: int = 32,
-                          integrator: IntegratorConfig | None = None) -> TheoremCheck:
+                          initial_points: Sequence, t_end: float, tol: float) -> TheoremCheck:
     """Check psi_t(h(x0)) = h(phi_t(x0)) over [0, t_end].
 
     The residual is the max norm difference over initial points and sample
@@ -123,8 +133,7 @@ def verify_flow_conjugacy(f: VectorField, g: VectorField, h: TransformationMap,
     either state norm passes the comparison ceiling are dropped (noted per
     point).
     """
-    base = integrator or IntegratorConfig()
-    cfg = replace(base, t_end=float(t_end), sample_count=sample_count)
+    cfg = IntegratorConfig(t_end=float(t_end), sample_count=_FLOW_SAMPLES)
     records: list[MatchRecord] = []
     worst = 0.0
     compared_any = False
@@ -161,8 +170,8 @@ def verify_flow_conjugacy(f: VectorField, g: VectorField, h: TransformationMap,
             worst = max(worst, point_worst)
         records.append(MatchRecord(
             source=tuple(x0), mapped=tuple(y0), residual=point_worst,
-            note=(f"compared {compared}/{sample_count} samples; {truncation}"
-                  if truncation else f"compared {compared}/{sample_count} samples")))
+            note=(f"compared {compared}/{_FLOW_SAMPLES} samples; {truncation}"
+                  if truncation else f"compared {compared}/{_FLOW_SAMPLES} samples")))
     if not compared_any:
         return TheoremCheck("flow", NOT_APPLICABLE, None, tuple(records), tol,
                             note="no comparable samples for any initial point")
@@ -199,16 +208,29 @@ def select_flow_points(f: VectorField, h: TransformationMap,
 # ---------------------------------------------------------------------------
 # Point mapping, spectra, new points
 
-def _search(f: VectorField, kind: str, region: AnalysisRegion,
-            cfg: SolverConfig) -> PointSearch:
-    if kind == FIXED:
-        return fixed_point_search(f, region, cfg)
-    return perpetual_point_search(f, region, cfg)
+def _match_tol(cfg: SolverConfig) -> float:
+    """Distance within which h(x*) counts as landing on a target point."""
+    return 10.0 * cfg.dedup_tol
 
 
-def _match_points(h: TransformationMap, f_points: Sequence[CriticalPoint],
-                  g_points: Sequence[CriticalPoint], match_tol: float):
-    """Greedily match h(x*) against discovered target points."""
+def _invertible_linear(h: TransformationMap) -> bool:
+    return h.declared_linear and h.linear_part.inverse is not None
+
+
+def _match_points(f, h, g, region, cfg, kind, searches: dict | None):
+    """Greedily match h(x*) for the critical points x* of f against the
+    independently discovered critical points of g; the two searches are
+    taken from ``searches`` or run and stored there. Returns the records,
+    the unmatched target points, the worst matched distance and whether
+    every source point was matched."""
+    searches = {} if searches is None else searches
+    search = fixed_point_search if kind == FIXED else perpetual_point_search
+    for side, fld in (("f", f), ("g", g)):
+        if (side, kind) not in searches:
+            sub = region.intersect(h.domain) if side == "f" else image_region(h)
+            searches[side, kind] = search(fld, sub, cfg)
+    f_points, g_points = searches["f", kind].points, searches["g", kind].points
+    match_tol = _match_tol(cfg)
     taken = [False] * len(g_points)
     records: list[MatchRecord] = []
     worst = 0.0
@@ -250,32 +272,16 @@ def _match_points(h: TransformationMap, f_points: Sequence[CriticalPoint],
     return records, unmatched_targets, worst, all_matched
 
 
-def _resolve_matching(f, h, g, region, cfg, kind, match_tol,
-                      f_search=None, g_search=None, g_region=None):
-    match_tol = 10.0 * cfg.dedup_tol if match_tol is None else match_tol
-    f_region = region.intersect(h.domain)
-    if f_search is None:
-        f_search = _search(f, kind, f_region, cfg)
-    if g_search is None:
-        g_search = _search(g, kind, g_region or image_region(h), cfg)
-    return (*_match_points(h, f_search.points, g_search.points, match_tol),
-            f_search, g_search, match_tol)
-
-
 def verify_point_mapping(f: VectorField, h: TransformationMap, g: VectorField,
                          region: AnalysisRegion, cfg: SolverConfig, kind: str,
-                         match_tol: float | None = None,
-                         f_search: PointSearch | None = None,
-                         g_search: PointSearch | None = None,
-                         g_region: AnalysisRegion | None = None) -> TheoremCheck:
+                         searches: dict | None = None) -> TheoremCheck:
     """Check that every critical point of f (of the given kind) inside
     region ∩ h.domain maps onto an independently discovered critical point
     of g. For perpetual points the verdict requires a linear map; nonlinear
     maps yield not-applicable with advisory details.
     """
-    records, unmatched, worst, all_matched, *_ = _resolve_matching(
-        f, h, g, region, cfg, kind, match_tol, f_search, g_search, g_region)
-    records = list(records)
+    records, unmatched, worst, all_matched = _match_points(f, h, g, region, cfg, kind,
+                                                           searches)
     for q in unmatched:
         records.append(MatchRecord(matched=tuple(q.location), kind=q.kind,
                                    note="target point has no preimage among mapped points"))
@@ -286,11 +292,6 @@ def verify_point_mapping(f: VectorField, h: TransformationMap, g: VectorField,
                                  "not guaranteed, details are advisory")
     verdict = HOLDS if all_matched else FAILS
     return TheoremCheck(theorem_id, verdict, worst, tuple(records))
-
-
-def _linear_jacobian(h: TransformationMap):
-    center = 0.5 * (h.domain.lower + h.domain.upper)
-    return h.jacobian(center)
 
 
 def _similarity(dh: np.ndarray, dh_inv: np.ndarray, j_src: np.ndarray,
@@ -305,9 +306,7 @@ def verify_spectrum_preservation(f: VectorField, h: TransformationMap,
                                  cfg: SolverConfig,
                                  spectrum_tol: float = 1e-6,
                                  similarity_tol: float = 1e-7,
-                                 match_tol: float | None = None,
-                                 searches: dict | None = None,
-                                 g_region: AnalysisRegion | None = None) -> TheoremCheck:
+                                 searches: dict | None = None) -> TheoremCheck:
     """Check eigenvalue preservation at matched critical points, plus the
     two similarity identities as relative matrix residuals.
 
@@ -318,32 +317,22 @@ def verify_spectrum_preservation(f: VectorField, h: TransformationMap,
         return TheoremCheck("t3", NOT_APPLICABLE, None, (),
                             note="map is nonlinear; eigenvalue preservation is "
                                  "not guaranteed")
-    dh = _linear_jacobian(h)
-    pivot = min_pivot(dh)
-    if pivot <= 1e-13 * max(1.0, float(np.linalg.norm(dh, np.inf))):
+    linear = h.linear_part
+    if linear.inverse is None:
         return TheoremCheck("t3", NOT_APPLICABLE, None, (),
-                            note=f"map Jacobian is singular (min pivot {pivot:.3e}); "
-                                 f"not a diffeomorphism")
-    n = dh.shape[0]
-    dh_inv = np.column_stack([solve_linear(dh, e) for e in np.eye(n)])
-
-    searches = searches if searches is not None else {}
+                            note=f"map Jacobian is singular (min pivot "
+                                 f"{min_pivot(linear.matrix):.3e}); not a diffeomorphism")
     records: list[MatchRecord] = []
     worst_sd = 0.0
     worst_sim = 0.0
     any_pair = False
     ok = True
     for kind in (FIXED, PERPETUAL):
-        matched, _, _, _, f_search, g_search, _ = _resolve_matching(
-            f, h, g, region, cfg, kind, match_tol,
-            searches.get(("f", kind)), searches.get(("g", kind)), g_region)
-        searches.setdefault(("f", kind), f_search)
-        searches.setdefault(("g", kind), g_search)
+        matched = _match_points(f, h, g, region, cfg, kind, searches)[0]
         if kind == FIXED:
             src_field, dst_field = f, g
         else:
-            src_field = searches.setdefault("f_accel", acceleration_map(f))
-            dst_field = searches.setdefault("g_accel", acceleration_map(g))
+            src_field, dst_field = acceleration_map(f), acceleration_map(g)
         for rec in matched:
             if rec.matched is None:
                 continue
@@ -352,7 +341,7 @@ def verify_spectrum_preservation(f: VectorField, h: TransformationMap,
                 j_src = src_field.jacobian(np.array(rec.source))
                 j_dst = dst_field.jacobian(np.array(rec.matched))
                 sd = spectrum_distance(eigenvalues(j_src), eigenvalues(j_dst))
-                sim = _similarity(dh, dh_inv, j_src, j_dst)
+                sim = _similarity(linear.matrix, linear.inverse, j_src, j_dst)
             except DomainError as err:
                 records.append(replace(rec, note=f"spectra not evaluable: {err}"))
                 ok = False
@@ -370,9 +359,7 @@ def verify_spectrum_preservation(f: VectorField, h: TransformationMap,
 
 def detect_new_points(f: VectorField, h: TransformationMap, g: VectorField,
                       region: AnalysisRegion, cfg: SolverConfig,
-                      match_tol: float | None = None,
-                      searches: dict | None = None,
-                      g_region: AnalysisRegion | None = None) -> TheoremCheck:
+                      searches: dict | None = None) -> TheoremCheck:
     """List critical points of the transformed system with no preimage
     among the mapped ones.
 
@@ -380,26 +367,16 @@ def detect_new_points(f: VectorField, h: TransformationMap, g: VectorField,
     invertible linear map is a failure, under anything else an advisory
     (creation is possible there, not forbidden).
     """
-    searches = searches if searches is not None else {}
     records: list[MatchRecord] = []
     new_found = False
     for kind in (FIXED, PERPETUAL):
-        _, unmatched, _, _, f_search, g_search, _ = _resolve_matching(
-            f, h, g, region, cfg, kind, match_tol,
-            searches.get(("f", kind)), searches.get(("g", kind)), g_region)
-        searches.setdefault(("f", kind), f_search)
-        searches.setdefault(("g", kind), g_search)
-        for q in unmatched:
+        for q in _match_points(f, h, g, region, cfg, kind, searches)[1]:
             new_found = True
             records.append(MatchRecord(matched=tuple(q.location), kind=q.kind,
                                        note=f"newly created {q.kind} point"))
     if not new_found:
         return TheoremCheck("r1", HOLDS, 0.0, ())
-    invertible = False
-    if h.declared_linear:
-        dh = _linear_jacobian(h)
-        invertible = min_pivot(dh) > 1e-13 * max(1.0, float(np.linalg.norm(dh, np.inf)))
-    if h.declared_linear and invertible:
+    if _invertible_linear(h):
         return TheoremCheck("r1", FAILS, None, tuple(records),
                             note="new critical points under an invertible linear map")
     return TheoremCheck("r1", NOT_APPLICABLE, None, tuple(records),
@@ -416,63 +393,39 @@ def run_verification(f: VectorField, h: TransformationMap,
                      flow_tol: float = 1e-6,
                      spectrum_tol: float = 1e-6,
                      similarity_tol: float = 1e-7,
-                     cfg: SolverConfig = SolverConfig(),
-                     initial_points: Sequence | None = None,
-                     flow_point_count: int = 5,
-                     g: VectorField | None = None) -> tuple[ConjugacyReport, VectorField]:
-    """Run the requested checks against the transformed system (built from
-    h's declared inverse unless ``g`` is supplied). Point searches are
-    shared across checks."""
+                     cfg: SolverConfig = SolverConfig()) -> tuple[ConjugacyReport, VectorField]:
+    """Run the requested checks against the transformed system built from
+    h's declared inverse. The checks share one ``searches`` mapping, so
+    each of the four point searches runs at most once."""
     unknown = set(theorems) - set(THEOREM_IDS)
     if unknown:
         raise ValueError(f"unknown theorem ids: {sorted(unknown)}")
-    if g is None:
-        g = transformed_system(f, h)
-    g_region = image_region(h)
-    f_region = region.intersect(h.domain)
+    g = transformed_system(f, h)
     searches: dict = {}
-
-    def shared(side: str, fld: VectorField, kind: str) -> PointSearch:
-        key = (side, kind)
-        if key not in searches:
-            sub = f_region if side == "f" else g_region
-            searches[key] = _search(fld, kind, sub, cfg)
-        return searches[key]
-
     checks: list[TheoremCheck] = []
     for tid in THEOREM_IDS:
         if tid not in theorems:
             continue
         if tid == "flow":
-            pts = initial_points
-            if pts is None:
-                pts = select_flow_points(f, h, region, flow_point_count, t_end)
+            pts = select_flow_points(f, h, region, _FLOW_POINTS, t_end)
             checks.append(verify_flow_conjugacy(f, g, h, pts, t_end, flow_tol))
         elif tid in ("t1", "t2"):
             kind = FIXED if tid == "t1" else PERPETUAL
-            checks.append(verify_point_mapping(
-                f, h, g, region, cfg, kind,
-                f_search=shared("f", f, kind),
-                g_search=shared("g", g, kind), g_region=g_region))
+            checks.append(verify_point_mapping(f, h, g, region, cfg, kind, searches))
         elif tid == "t3":
             checks.append(verify_spectrum_preservation(
-                f, h, g, region, cfg, spectrum_tol, similarity_tol,
-                searches=searches, g_region=g_region))
+                f, h, g, region, cfg, spectrum_tol, similarity_tol, searches))
         elif tid == "r1":
-            checks.append(detect_new_points(f, h, g, region, cfg,
-                                            searches=searches, g_region=g_region))
-    dh = _linear_jacobian(h) if h.declared_linear else None
-    diffeo = bool(dh is not None and
-                  min_pivot(dh) > 1e-13 * max(1.0, float(np.linalg.norm(dh, np.inf))))
+            checks.append(detect_new_points(f, h, g, region, cfg, searches))
     report = ConjugacyReport(
         system_name=f.name,
         transformed_name=g.name,
         map_sources=h.source_strings(),
         declared_linear=h.declared_linear,
-        diffeomorphic=diffeo,
+        diffeomorphic=_invertible_linear(h),
         checks=tuple(checks),
         tolerances={"flow": flow_tol, "spectrum": spectrum_tol,
                     "similarity": similarity_tol,
-                    "match": 10.0 * cfg.dedup_tol},
+                    "match": _match_tol(cfg)},
     )
     return report, g

@@ -25,7 +25,7 @@ __all__ = [
     "ExpressionError", "ExpressionSyntaxError", "UnknownIdentifierError",
     "DomainError", "FUNCTIONS",
     "parse_expression", "evaluate", "differentiate", "free_variables",
-    "to_source", "compile_scalar", "compile_array", "compile_kernel",
+    "to_source", "compile_array", "compile_kernel",
     "KERNEL_ERRORS",
     "SystemDefinition",
 ]
@@ -547,86 +547,12 @@ def differentiate(e: Expression, wrt: str, memo: dict | None = None) -> Expressi
 # ---------------------------------------------------------------------------
 # Compilation to Python callables
 
-_ARRAY_FUNCS = {}
+_SCALAR_NAMESPACE = {**_SCALAR_FUNCS, "_ipow": _k_ipow, "_gpow": _k_gpow}
 
-
-def _make_array_funcs():
-    def wrap(fn):
-        def call(*args):
-            with np.errstate(all="ignore"):
-                return fn(*args)
-        return call
-
-    _ARRAY_FUNCS.update({
-        "sqrt": wrap(np.sqrt),
-        "sin": np.sin,
-        "cos": np.cos,
-        "exp": wrap(np.exp),
-        "log": wrap(np.log),
-        "abs": np.abs,
-        "sign": np.sign,
-        "_div": wrap(np.divide),
-        "_ipow": wrap(lambda b, n: np.asarray(b, dtype=float) ** n),
-        "_gpow": wrap(lambda b, y: np.exp(y * np.log(b))),
-    })
-
-
-_make_array_funcs()
-
-_SCALAR_NAMESPACE = dict(_SCALAR_FUNCS)
-_SCALAR_NAMESPACE.update({"_div": _k_div, "_ipow": _k_ipow, "_gpow": _k_gpow})
-
-
-def _emit(e: Expression, slot: Mapping[str, str]) -> str:
-    if isinstance(e, Const):
-        return _fmt_const(e.value)
-    if isinstance(e, Name):
-        return slot[e.ident]
-    if isinstance(e, Unary):
-        if e.op == "neg":
-            return f"(-{_emit(e.arg, slot)})"
-        return f"{e.op}({_emit(e.arg, slot)})"
-    left = _emit(e.left, slot)
-    if e.op == "^":
-        if _is_integer_literal(e.right):
-            n = int(e.right.value)
-            # cheap bases inline without recomputation concerns
-            if n in (2, 3) and isinstance(e.left, (Name, Const)):
-                return "(" + " * ".join([left] * n) + ")"
-            return f"_ipow({left}, {n})"
-        return f"_gpow({left}, {_emit(e.right, slot)})"
-    right = _emit(e.right, slot)
-    if e.op == "/":
-        return f"_div({left}, {right})"
-    return f"({left} {e.op} {right})"
-
-
-def _compile(e: Expression, arg_names, namespace: dict) -> Callable:
-    # positional slots sidestep collisions with kernel names and keywords
-    slot = {name: f"v{i}" for i, name in enumerate(arg_names)}
-    missing = free_variables(e) - set(slot)
-    if missing:
-        raise ExpressionError(f"unbound identifiers: {sorted(missing)}")
-    src = f"def _compiled({', '.join(slot[n] for n in arg_names)}):\n    return {_emit(e, slot)}\n"
-    scope = dict(namespace)
-    exec(compile(src, "<critflow-expr>", "exec"), scope)
-    return scope["_compiled"]
-
-
-def compile_scalar(e: Expression, arg_names) -> Callable[..., float]:
-    """Compile to a positional-argument float function.
-
-    Produces bit-identical results to :func:`evaluate` (same kernels, same
-    operation order) and raises :class:`DomainError` on domain violations.
-    """
-    return _compile(e, tuple(arg_names), _SCALAR_NAMESPACE)
-
-
-def compile_array(e: Expression, arg_names) -> Callable[..., np.ndarray]:
-    """Compile to a numpy-broadcasting function; out-of-domain entries come
-    back as NaN/inf instead of raising."""
-    return _compile(e, tuple(arg_names), dict(_ARRAY_FUNCS))
-
+_ARRAY_NAMESPACE = {name: getattr(np, name) for name in FUNCTIONS}
+_ARRAY_NAMESPACE.update({"_div": np.divide,
+                         "_ipow": lambda b, n: np.asarray(b, dtype=float) ** n,
+                         "_gpow": lambda b, y: np.exp(y * np.log(b))})
 
 #: inline subexpressions nest at most this deep before they are spilled to a
 #: temporary, which keeps generated source inside the parser's nesting limit
@@ -649,10 +575,15 @@ class _KernelEmitter:
     subtrees at every lookup. A subtree used more than once becomes a
     temporary. Every node keeps its own operation and operands, so each
     entry rounds exactly as :func:`evaluate` does.
+
+    ``array`` code divides through ``_div`` so that a division of two
+    Python floats (parameters, unfolded literals) gives inf/NaN like the
+    array entries instead of raising.
     """
 
-    def __init__(self, slot: Mapping[str, str]):
+    def __init__(self, slot: Mapping[str, str], array: bool):
         self.slot = slot
+        self.array = array
         self.by_object: dict[int, int] = {}
         self.by_key: dict[tuple, int] = {}
         self.nodes: list[tuple] = []
@@ -718,7 +649,12 @@ class _KernelEmitter:
         else:
             (left, dl), (right, dr) = self.emit(operands[0]), self.emit(operands[1])
             depth = max(dl, dr)
-            text = f"_gpow({left}, {right})" if op == "^" else f"({left} {op} {right})"
+            if op == "^":
+                text = f"_gpow({left}, {right})"
+            elif op == "/" and self.array:
+                text = f"_div({left}, {right})"
+            else:
+                text = f"({left} {op} {right})"
         depth += 1
         if self.uses[num] > 1 or depth > _MAX_INLINE_DEPTH:
             name = f"t{len(self.lines)}"
@@ -726,6 +662,25 @@ class _KernelEmitter:
             self.done[num] = name
             return name, 0
         return text, depth
+
+
+def _generate(exprs, arg_names, namespace: dict, array: bool) -> Callable[..., tuple]:
+    arg_names = tuple(arg_names)
+    # positional slots sidestep collisions with kernel names and keywords
+    slot = {name: f"v{i}" for i, name in enumerate(arg_names)}
+    emitter = _KernelEmitter(slot, array)
+    try:
+        roots = [emitter.number(e) for e in exprs]
+    except KeyError as err:
+        raise ExpressionError(f"unbound identifier {err.args[0]!r}") from None
+    for num in roots:
+        emitter.uses[num] += 1
+    entries = [emitter.emit(num)[0] for num in roots]
+    body = "\n".join(emitter.lines + [f"    return ({''.join(e + ', ' for e in entries)})"])
+    src = f"def _kernel({', '.join(slot[n] for n in arg_names)}):\n{body}\n"
+    scope = dict(namespace)
+    exec(compile(src, "<critflow-kernel>", "exec"), scope)
+    return scope["_kernel"]
 
 
 def compile_kernel(exprs, arg_names) -> Callable[..., tuple]:
@@ -739,21 +694,20 @@ def compile_kernel(exprs, arg_names) -> Callable[..., tuple]:
     :func:`evaluate`'s guarantees check the tuple and re-evaluate entry by
     entry to name the offender.
     """
-    arg_names = tuple(arg_names)
-    slot = {name: f"v{i}" for i, name in enumerate(arg_names)}
-    emitter = _KernelEmitter(slot)
-    try:
-        roots = [emitter.number(e) for e in exprs]
-    except KeyError as err:
-        raise ExpressionError(f"unbound identifier {err.args[0]!r}") from None
-    for num in roots:
-        emitter.uses[num] += 1
-    entries = [emitter.emit(num)[0] for num in roots]
-    body = "\n".join(emitter.lines + [f"    return ({''.join(e + ', ' for e in entries)})"])
-    src = f"def _kernel({', '.join(slot[n] for n in arg_names)}):\n{body}\n"
-    scope = dict(_SCALAR_NAMESPACE)
-    exec(compile(src, "<critflow-kernel>", "exec"), scope)
-    return scope["_kernel"]
+    return _generate(exprs, arg_names, _SCALAR_NAMESPACE, array=False)
+
+
+def compile_array(exprs, arg_names) -> Callable[..., tuple]:
+    """Like :func:`compile_kernel`, but the function broadcasts over numpy
+    arrays and returns a tuple of arrays (or scalars, for entries that do
+    not depend on an array argument); out-of-domain entries come back as
+    NaN/inf instead of raising, without floating-point warnings."""
+    kernel = _generate(exprs, arg_names, _ARRAY_NAMESPACE, array=True)
+
+    def array_kernel(*args):
+        with np.errstate(all="ignore"):
+            return kernel(*args)
+    return array_kernel
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,12 @@ and derivative order (values, Jacobian, Hessian, or a fused jet of several)
 that returns every entry in one call as a flat tuple, with repeated
 subexpressions computed once (see :func:`~critflow.expr.compile_kernel`).
 ``value``/``jacobian``/``hessian``/``jet`` reshape slices of those tuples
-and give the same bits as evaluating each entry's tree.
+and give the same bits as evaluating each entry's tree; ``value_grid``
+uses one broadcasting kernel for all components.
+
+A coordinate map caches what the checks derive from it: the matrix, offset
+and inverse of a declared-linear map (``TransformationMap.linear_part``)
+and the bounding box of its image (:func:`image_region`).
 
 Root searches get the acceleration field from :func:`acceleration_map`,
 which builds it once per field and caches it there: symbolically, so its
@@ -20,6 +25,7 @@ contracting the base field's jets.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,10 +39,11 @@ from .expr import (
     e_add, e_div, e_func, e_mul, e_neg, e_pow, e_sub, evaluate,
     free_variables, to_source,
 )
+from .linalg import is_degenerate, solve_linear
 from .region import AnalysisRegion, lattice_points
 
 __all__ = [
-    "JetValue", "VectorMap", "VectorField", "TransformationMap",
+    "JetValue", "VectorMap", "VectorField", "TransformationMap", "LinearPart",
     "AffineConjugateField", "JetAccelerationMap",
     "InverseMismatchError", "jet", "acceleration_field", "acceleration_map",
     "pushforward_velocity", "pushforward_acceleration",
@@ -156,19 +163,17 @@ class VectorMap:
         self._kernels[orders] = kernel
         return kernel
 
-    @cached_property
-    def _value_fns_array(self):
-        return [compile_array(c, self._args) for c in self.components]
+    def _param_args(self, params: Mapping[str, float] | None) -> list[float]:
+        if params is None:
+            return list(self._param_values)
+        merged = {**self.parameters, **{k: float(v) for k, v in params.items()}}
+        return [merged[k] for k in self.parameters]
 
     def _call_args(self, point, params: Mapping[str, float] | None) -> list[float]:
         if len(point) != self.n_in:
             raise ValueError(f"point has {len(point)} coordinates, map expects {self.n_in}")
         coords = point.tolist() if isinstance(point, np.ndarray) else [float(v) for v in point]
-        if params is None:
-            return coords
-        merged = dict(self.parameters)
-        merged.update({k: float(v) for k, v in params.items()})
-        return coords + [merged[k] for k in self.parameters]
+        return coords if params is None else coords + self._param_args(params)
 
     def _evaluate(self, orders: tuple[int, ...], point,
                   params: Mapping[str, float] | None) -> tuple:
@@ -205,23 +210,20 @@ class VectorMap:
     def value(self, point, params: Mapping[str, float] | None = None) -> np.ndarray:
         return np.array(self._evaluate((0,), point, params))
 
+    @cached_property
+    def _grid_kernel(self):
+        return compile_array(self.components, self._args)
+
     def value_grid(self, points: np.ndarray,
                    params: Mapping[str, float] | None = None) -> np.ndarray:
-        """Vectorized evaluation over rows of ``points``; out-of-domain rows
-        come back NaN/inf rather than raising."""
+        """Vectorized evaluation over rows of ``points``, through one array
+        kernel for all components; out-of-domain rows come back NaN/inf
+        rather than raising."""
         pts = np.asarray(points, dtype=float)
         cols = [pts[:, d] for d in range(self.n_in)]
-        if params is None:
-            extra = list(self._param_values)
-        else:
-            merged = dict(self.parameters)
-            merged.update(params)
-            extra = [merged[k] for k in self.parameters]
         out = np.empty((pts.shape[0], self.n_out))
-        with np.errstate(all="ignore"):
-            for i, fn in enumerate(self._value_fns_array):
-                out[:, i] = np.broadcast_to(np.asarray(fn(*cols, *extra), dtype=float),
-                                            pts.shape[0])
+        for i, column in enumerate(self._grid_kernel(*cols, *self._param_args(params))):
+            out[:, i] = column  # a constant entry broadcasts
         return out
 
     def jacobian(self, point, params: Mapping[str, float] | None = None) -> np.ndarray:
@@ -349,6 +351,23 @@ def acceleration_map(f: VectorField):
     return f._acceleration
 
 
+@dataclass(frozen=True)
+class LinearPart:
+    """A declared-linear map as y = matrix x + offset. ``inverse`` is the
+    inverse matrix, or None when the matrix is singular by the one rule
+    ``linalg.is_degenerate(matrix, 1e-13)``."""
+
+    matrix: np.ndarray
+    offset: np.ndarray
+    inverse: np.ndarray | None
+
+
+#: image_region samples this many lattice points (plus the domain corners)
+#: and pads the box by this fraction of its span
+_IMAGE_SAMPLES = 200
+_IMAGE_INFLATE = 0.02
+
+
 class TransformationMap(VectorMap):
     """Coordinate map with a declared domain box and linearity flag.
 
@@ -379,6 +398,38 @@ class TransformationMap(VectorMap):
             if worst >= 1e-12:
                 raise ExpressionError(
                     f"map declared linear but has Hessian entries up to {worst:.3e}")
+
+    @cached_property
+    def linear_part(self) -> LinearPart | None:
+        """Matrix, offset and inverse of a declared-linear map, read off at
+        the domain centre; None for a map not declared linear. Raises
+        :class:`DomainError` if the map is not evaluable at the centre."""
+        if not self.declared_linear:
+            return None
+        center = 0.5 * (self.domain.lower + self.domain.upper)
+        matrix = self.jacobian(center)
+        offset = self.value(center) - matrix @ center
+        inverse = None
+        if not is_degenerate(matrix, 1e-13):
+            inverse = np.column_stack([solve_linear(matrix, e) for e in np.eye(self.n_in)])
+        return LinearPart(matrix, offset, inverse)
+
+    @cached_property
+    def _image_region(self) -> AnalysisRegion:
+        corners = list(itertools.product(*self.domain.bounds))
+        values = []
+        for p in np.vstack([lattice_points(self.domain, _IMAGE_SAMPLES, rng_seed=0), corners]):
+            try:
+                values.append(self.value(p))
+            except DomainError:
+                continue
+        if not values:
+            raise DomainError(f"map {self.name} not evaluable anywhere on its domain")
+        vals = np.array(values)
+        lo, hi = vals.min(axis=0), vals.max(axis=0)
+        pad = _IMAGE_INFLATE * np.maximum(hi - lo, 1e-9)
+        return AnalysisRegion(tuple((float(l - p), float(u + p))
+                                    for l, u, p in zip(lo, hi, pad)))
 
     def target_names(self) -> tuple[str, ...]:
         if self.inverse is not None:
@@ -421,14 +472,13 @@ class AffineConjugateField(VectorField):
     which avoids the cost of the large substituted trees.
     """
 
-    def __init__(self, system: SystemDefinition, base: VectorField,
-                 matrix: np.ndarray, offset: np.ndarray, inverse_matrix: np.ndarray):
+    def __init__(self, system: SystemDefinition, base: VectorField, linear: LinearPart):
         super().__init__(system)
         self.base = base
-        self._mat = matrix
-        self._inv = inverse_matrix
-        self._offset = offset
-        self._inv_offset = inverse_matrix @ offset
+        self._mat = linear.matrix
+        self._inv = linear.inverse
+        self._offset = linear.offset
+        self._inv_offset = linear.inverse @ linear.offset
 
     @cached_property
     def _acceleration(self):
@@ -560,49 +610,19 @@ def transformed_system(f: VectorField, h: TransformationMap,
         parameters=merged,
         components=tuple(comps),
     )
-    if h.declared_linear:
-        composed = _affine_conjugate(system, f, h)
-        if composed is not None:
-            return composed
+    try:
+        linear = h.linear_part
+    except DomainError:  # not evaluable at the domain centre
+        linear = None
+    if linear is not None and linear.inverse is not None:
+        return AffineConjugateField(system, f, linear)
     return VectorField(system)
 
 
-def _affine_conjugate(system: SystemDefinition, f: VectorField,
-                      h: TransformationMap) -> "AffineConjugateField | None":
-    """Composition-backed field for a verified-linear map; None if the map
-    Jacobian is singular (no composition possible)."""
-    from .linalg import SingularMatrixError, solve_linear
-
-    center = 0.5 * (h.domain.lower + h.domain.upper)
-    try:
-        mat = h.jacobian(center)
-        offset = h.value(center) - mat @ center
-        inv = np.column_stack([solve_linear(mat, e) for e in np.eye(h.n_in)])
-    except (DomainError, SingularMatrixError):
-        return None
-    return AffineConjugateField(system, f, mat, offset, inv)
-
-
-def image_region(h: TransformationMap, samples: int = 200,
-                 inflate: float = 0.02) -> AnalysisRegion:
+def image_region(h: TransformationMap) -> AnalysisRegion:
     """Bounding box of the sampled image of h's domain (lattice plus
-    corners), slightly inflated. A numerical stand-in for the exact image."""
-    n = h.n_in
-    pts = [lattice_points(h.domain, samples, rng_seed=0)]
-    lower, upper = h.domain.lower, h.domain.upper
-    corners = np.array([[(lower[d] if (mask >> d) & 1 == 0 else upper[d]) for d in range(n)]
-                        for mask in range(2 ** n)])
-    pts.append(corners)
-    values = []
-    for p in np.vstack(pts):
-        try:
-            values.append(h.value(p))
-        except DomainError:
-            continue
-    if not values:
-        raise DomainError(f"map {h.name} not evaluable anywhere on its domain")
-    vals = np.array(values)
-    lo, hi = vals.min(axis=0), vals.max(axis=0)
-    pad = inflate * np.maximum(hi - lo, 1e-9)
-    return AnalysisRegion(tuple((float(l - p), float(u + p))
-                                for l, u, p in zip(lo, hi, pad)))
+    corners), slightly inflated. A numerical stand-in for the exact image.
+
+    Computed on first use and cached on the map, which is immutable:
+    ``image_region(h) is image_region(h)``."""
+    return h._image_region

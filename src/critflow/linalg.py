@@ -137,11 +137,13 @@ def min_pivot(m) -> float:
 
 
 def is_degenerate(m, tol: float = 1e-10) -> bool:
-    """Singularity test used for degeneracy flags: smallest pivot below
-    ``tol`` relative to max(1, ||m||_inf)."""
+    """Singularity test used for degeneracy flags and map invertibility:
+    smallest pivot at or below ``tol`` relative to max(1, ||m||_inf). With
+    ``tol = 1e-13`` a matrix that passes is never rejected by
+    :func:`solve_linear`, whose threshold is ``1e-13 * ||m||_inf``."""
     a = _as_square(m)
     scale = max(1.0, float(np.linalg.norm(a, np.inf)))
-    return min_pivot(a) < tol * scale
+    return min_pivot(a) <= tol * scale
 
 
 def solve_linear(m, rhs) -> np.ndarray:

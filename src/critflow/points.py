@@ -218,19 +218,21 @@ def _collect_roots(fieldmap: VectorMap, region: AnalysisRegion, cfg: SolverConfi
     seeds = lattice_points(region, cfg.seed_count, cfg.rng_seed)
     box = region.cushioned_bounds(cfg.region_cushion)
     hits: list[tuple[np.ndarray, float]] = []
-    converged = 0
+    converged = singular = 0
     for seed in seeds:
         out = _newton(fieldmap, seed, box, cfg)
         if out.point is not None:
             hits.append((out.point, out.residual))
             converged += 1
+        elif out.reason == "singular-jacobian":
+            singular += 1
     # lowest-residual representative wins its dedup cluster
     hits.sort(key=lambda h: (h[1], tuple(h[0])))
     kept: list[tuple[np.ndarray, float]] = []
     for point, res in hits:
         if all(np.linalg.norm(point - q) > cfg.dedup_tol for q, _ in kept):
             kept.append((point, res))
-    return kept, len(seeds), converged
+    return kept, len(seeds), converged, singular
 
 
 def _spectrum_of(fieldmap: VectorMap, location) -> tuple[Spectrum | None, bool, str]:
@@ -247,7 +249,7 @@ def _spectrum_of(fieldmap: VectorMap, location) -> tuple[Spectrum | None, bool, 
 
 def _run_search(f: VectorField, solved: VectorMap, kind: str,
                 region: AnalysisRegion, cfg: SolverConfig) -> PointSearch:
-    roots, used, converged = _collect_roots(solved, region, cfg)
+    roots, used, converged, singular = _collect_roots(solved, region, cfg)
     points: list[CriticalPoint] = []
     for location, residual in roots:
         try:
@@ -276,6 +278,10 @@ def _run_search(f: VectorField, solved: VectorMap, kind: str,
             f"degenerate continuum suspected: {n_degenerate} mutually distinct "
             f"degenerate {kind}-point roots; the zero set of the solved field is "
             f"not isolated and this list is not exhaustive")
+    if converged == 0 and singular:
+        search.warnings.append(
+            f"no seed converged: {singular} of {used} seeds stopped on a singular Jacobian "
+            f"of the solved field, so its {kind}-point roots may not be isolated")
     return search
 
 

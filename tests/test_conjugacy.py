@@ -1,8 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
 import critflow as cf
+import critflow.conjugacy
+import critflow.fields
 
 from conftest import (affine_map_1d, identity_map, make_field,
                       random_affine_map, random_polynomial_field,
@@ -121,11 +124,7 @@ def test_spectrum_preservation_nonlinear_not_applicable(quad_field):
 
 
 def test_spectrum_preservation_singular_linear_map_not_applicable(quad_field):
-    comp = cf.parse_expression("0 * x", {"x"})
-    h = cf.TransformationMap("collapse", ["x"], {}, [comp],
-                             cf.AnalysisRegion.of((-3, 3)), True,
-                             inverse=cf.VectorMap("noinv", ["y"], {},
-                                                  [cf.parse_expression("y", {"y"})]))
+    h = _collapse_map()
     g = make_field("zero", ["y"], {}, ["0"])
     check = cf.verify_spectrum_preservation(quad_field, h, g, REGION, CFG)
     assert check.verdict == cf.NOT_APPLICABLE
@@ -218,3 +217,129 @@ def test_run_verification_selected_theorems(quad_field):
     assert {c.theorem_id for c in report.checks} == {"t1", "t3"}
     with pytest.raises(ValueError):
         cf.run_verification(quad_field, h, REGION, theorems=("bogus",))
+
+
+# ---------------------------------------------------------------------------
+# Sharing contract: one search per (side, kind), one image region per map
+
+def _counting_searches(monkeypatch, fail=False):
+    """Replace the search functions critflow.conjugacy holds with wrappers
+    that count calls per (searched field, kind); with ``fail`` any call
+    raises."""
+    calls = {}
+    for kind, name in ((cf.FIXED, "fixed_point_search"),
+                       (cf.PERPETUAL, "perpetual_point_search")):
+        original = getattr(critflow.conjugacy, name)
+
+        def counted(field, region, cfg, _kind=kind, _original=original):
+            if fail:
+                raise AssertionError(f"{_kind} search of {field.name} was rerun")
+            calls[field.name, _kind] = calls.get((field.name, _kind), 0) + 1
+            return _original(field, region, cfg)
+        monkeypatch.setattr(critflow.conjugacy, name, counted)
+    return calls
+
+
+def test_run_verification_runs_each_search_once(quad_field, monkeypatch):
+    h = affine_map_1d(2.0, 5.0)
+    calls = _counting_searches(monkeypatch)
+    report, g = cf.run_verification(quad_field, h, REGION)
+    assert report.all_accepted
+    assert calls == {(f.name, kind): 1 for f in (quad_field, g)
+                     for kind in (cf.FIXED, cf.PERPETUAL)}
+
+
+def test_image_region_is_computed_once_per_map(monkeypatch):
+    h = affine_map_1d(2.0, 5.0)
+    samples = []
+    original = critflow.fields.lattice_points
+    monkeypatch.setattr(critflow.fields, "lattice_points",
+                        lambda *args, **kw: samples.append(args) or original(*args, **kw))
+    first = cf.image_region(h)
+    assert cf.image_region(h) is first
+    assert len(samples) == 1
+    assert first.bounds[0] == pytest.approx((-15.8, 25.8))  # 2x + 5 on [-10, 10], 2 % pad
+    # a second map with the same sources has its own region
+    assert cf.image_region(affine_map_1d(2.0, 5.0)) is not first
+
+
+def test_spectrum_check_reuses_supplied_searches_and_adds_no_keys(affine_setup, monkeypatch):
+    f, h, g = affine_setup
+    f_region, g_region = REGION.intersect(h.domain), cf.image_region(h)
+    searches = {
+        ("f", cf.FIXED): cf.fixed_point_search(f, f_region, CFG),
+        ("f", cf.PERPETUAL): cf.perpetual_point_search(f, f_region, CFG),
+        ("g", cf.FIXED): cf.fixed_point_search(g, g_region, CFG),
+        ("g", cf.PERPETUAL): cf.perpetual_point_search(g, g_region, CFG),
+    }
+    supplied = dict(searches)
+    _counting_searches(monkeypatch, fail=True)
+    check = cf.verify_spectrum_preservation(f, h, g, REGION, CFG, searches=searches)
+    assert check.verdict == cf.HOLDS
+    assert searches.keys() == supplied.keys()
+    assert all(searches[k] is supplied[k] for k in supplied)
+    # the other point checks share the same mapping without rerunning
+    assert cf.verify_point_mapping(f, h, g, REGION, CFG, cf.FIXED, searches).verdict == cf.HOLDS
+    assert cf.detect_new_points(f, h, g, REGION, CFG, searches).verdict == cf.HOLDS
+    assert searches.keys() == supplied.keys()
+
+
+# ---------------------------------------------------------------------------
+# Linear part of a declared-linear map
+
+def test_linear_part_matches_numpy_inverse_on_random_affine_maps():
+    rng = random.Random(11)
+    for n in (1, 2, 3, 4):
+        region = cf.AnalysisRegion.of(*[(-2.5, 2.5)] * n)
+        for _ in range(5):
+            h = random_affine_map(rng, n, region, max_cond=50.0)
+            linear = h.linear_part
+            assert h.linear_part is linear
+            points = [np.array([rng.uniform(-2.5, 2.5) for _ in range(n)]) for _ in range(4)]
+            for x in points:
+                assert np.allclose(linear.matrix @ x + linear.offset, h.value(x),
+                                   rtol=1e-13, atol=1e-13)
+                assert np.array_equal(linear.matrix, h.jacobian(x))
+            oracle = np.linalg.inv(linear.matrix)
+            assert np.allclose(linear.inverse, oracle, rtol=1e-12, atol=1e-12)
+            assert np.allclose(linear.inverse @ linear.matrix, np.eye(n), atol=1e-12)
+
+
+def test_linear_part_absent_for_nonlinear_map():
+    assert square_map_1d().linear_part is None
+
+
+def _collapse_map():
+    comp = cf.parse_expression("0 * x", {"x"})
+    return cf.TransformationMap("collapse", ["x"], {}, [comp],
+                                cf.AnalysisRegion.of((-3, 3)), True,
+                                inverse=cf.VectorMap("noinv", ["y"], {},
+                                                     [cf.parse_expression("y", {"y"})]))
+
+
+def test_collapse_map_has_no_inverse_and_never_fails(quad_field):
+    h = _collapse_map()
+    assert h.linear_part.inverse is None
+    assert h.linear_part.matrix.tolist() == [[0.0]]
+    check = cf.verify_spectrum_preservation(quad_field, h, make_field("zero", ["y"], {}, ["0"]),
+                                            REGION, CFG)
+    assert check.verdict == cf.NOT_APPLICABLE
+    # g's points have no preimage under a map that is not invertible: advisory
+    for src in ("0", "y - 1", "y^2 - 4"):
+        g = make_field("target", ["y"], {}, [src])
+        r1 = cf.detect_new_points(quad_field, h, g, REGION, CFG)
+        assert r1.verdict != cf.FAILS
+
+
+def test_tiny_linear_map_counts_as_singular(quad_field):
+    # ||A|| < 1 with its pivot in (1e-13 ||A||, 1e-13]: singular by the one
+    # rule, so there is no composed transformed system and t3 does not apply
+    comp = cf.parse_expression("1e-14 * x", {"x"})
+    h = cf.TransformationMap("tiny", ["x"], {}, [comp], cf.AnalysisRegion.of((-3, 3)), True,
+                             inverse=cf.VectorMap("tiny_inv", ["y"], {},
+                                                  [cf.parse_expression("1e14 * y", {"y"})]))
+    assert h.linear_part.inverse is None
+    g = cf.transformed_system(quad_field, h)
+    assert not isinstance(g, critflow.fields.AffineConjugateField)
+    check = cf.verify_spectrum_preservation(quad_field, h, g, REGION, CFG)
+    assert check.verdict == cf.NOT_APPLICABLE and "singular" in check.note

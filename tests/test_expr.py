@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 import critflow as cf
-from critflow.expr import (Binary, Const, Name, compile_array, compile_kernel,
-                           compile_scalar)
+from critflow.expr import Binary, Const, Name, compile_array, compile_kernel
 
 from conftest import random_expression_source
 
@@ -186,16 +185,16 @@ def test_compiled_matches_tree_walk_bit_for_bit():
     for _ in range(60):
         src = random_expression_source(rng, names, depth=4)
         e = cf.parse_expression(src, set(names))
-        fn = compile_scalar(e, names)
-        fn_arr = compile_array(e, names)
+        fn = compile_kernel([e], names)
+        fn_arr = compile_array([e], names)
         for _ in range(3):
             env = {n: rng.uniform(-2.0, 2.0) for n in names}
             try:
                 expected = cf.evaluate(e, env)
             except cf.DomainError:
                 continue
-            assert fn(env["x"], env["y"]) == expected
-            arr = fn_arr(np.array([env["x"]]), np.array([env["y"]]))
+            assert fn(env["x"], env["y"]) == (expected,)
+            arr, = fn_arr(np.array([env["x"]]), np.array([env["y"]]))
             assert float(np.asarray(arr).reshape(-1)[0]) == pytest.approx(expected, rel=1e-15)
 
 
@@ -213,18 +212,42 @@ def test_kernel_matches_tree_walk_on_deep_and_shared_trees():
         compile_kernel([deep], ["x"])
 
 
+def test_array_kernel_and_value_grid_evaluate_deep_trees():
+    # the same 300 nested sums through the broadcasting kernel, alone and
+    # as one component of a map evaluated on a grid
+    deep = cf.parse_expression(" + ".join(f"{i}.25*x^3 - y/(x^2 + 1)" for i in range(300)),
+                               {"x", "y"})
+    pts = np.array([[0.3, -1.2], [-1.7, 0.4], [2.0, 0.0]])
+    expected = [cf.evaluate(deep, {"x": x, "y": y}) for x, y in pts]
+    out, = compile_array([deep], ["x", "y"])(pts[:, 0], pts[:, 1])
+    assert out.tolist() == expected
+    vmap = cf.VectorMap("deep", ["x", "y"], {}, [deep, cf.parse_expression("y", {"y"})])
+    grid = vmap.value_grid(pts)
+    assert grid[:, 0].tolist() == expected
+    assert grid[:, 1].tolist() == pts[:, 1].tolist()
+
+
 def test_compiled_array_returns_nan_out_of_domain():
     e = cf.parse_expression("sqrt(x)", {"x"})
-    fn = compile_array(e, ["x"])
-    out = fn(np.array([-1.0, 4.0]))
+    fn = compile_array([e], ["x"])
+    out, = fn(np.array([-1.0, 4.0]))
     assert math.isnan(out[0]) and out[1] == 2.0
+
+
+def test_value_grid_divides_scalar_operands_without_raising():
+    # a/b has no array operand; it must come back inf on every row, as the
+    # array entries do, rather than raise ZeroDivisionError
+    vmap = cf.VectorMap("ratio", ["x"], {"a": 1.0, "b": 0.0},
+                        [cf.parse_expression("x + a/b", {"x", "a", "b"})])
+    grid = vmap.value_grid(np.array([[0.0], [1.0]]))
+    assert np.isinf(grid).all()
 
 
 def test_keywordish_identifiers_compile():
     # identifiers that are Python keywords must not break code generation
     e = cf.parse_expression("if_ + lambda_x", {"if_", "lambda_x"})
-    fn = compile_scalar(e, ["if_", "lambda_x"])
-    assert fn(1.0, 2.0) == 3.0
+    fn = compile_kernel([e], ["if_", "lambda_x"])
+    assert fn(1.0, 2.0) == (3.0,)
 
 
 def test_system_definition_validation():

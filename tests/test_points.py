@@ -1,10 +1,13 @@
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import critflow as cf
+
+from critflow.io import load_system
 
 from conftest import grid_scan_roots, make_field, random_polynomial_field
 
@@ -180,3 +183,17 @@ def test_solver_config_validation():
         cf.SolverConfig(seed_count=0)
     with pytest.raises(ValueError):
         cf.SolverConfig(damping_factor=1.5)
+
+
+def test_fixed_search_warns_when_every_seed_meets_a_singular_jacobian():
+    # x' = y, y' = 0: every point of y = 0 is fixed and Df is singular
+    # everywhere, so each Newton run stops at once and nothing converges
+    loaded = load_system(Path(__file__).parent / "data" / "nilpotent.json")
+    search = cf.fixed_point_search(loaded.field, loaded.region, CFG)
+    assert search.points == [] and search.seeds_converged == 0
+    assert search.warnings == [
+        f"no seed converged: {search.seeds_used} of {search.seeds_used} seeds stopped on a "
+        f"singular Jacobian of the solved field, so its fixed-point roots may not be isolated"]
+    # a search that converges somewhere stays silent
+    assert cf.fixed_point_search(make_field("line", ["x"], {}, ["x - 1"]),
+                                 REGION_1D, CFG).warnings == []
