@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .conjugacy import THEOREM_IDS, run_verification
 from .expr import DomainError, ExpressionError
-from .fields import (InverseMismatchError, acceleration_field, image_region,
-                     transformed_system)
+from .fields import (InverseMismatchError, acceleration_field, acceleration_map,
+                     image_region, transformed_system)
 from .flows import BlowUpError, IntegratorConfig, StepUnderflowError, integrate
 from .io import (InputError, LoadedSystem, canonical_json,
                  format_float, load_map, load_system, parse_region_flag,
@@ -141,13 +142,12 @@ def _points_csv(records: dict, state_names) -> list[list[str]]:
 
 def _analysis_payload(field, region, cfg):
     fixed = fixed_point_search(field, region, cfg)
-    accel = acceleration_field(field)
-    perpetual = perpetual_point_search(field, region, cfg, accel=accel)
+    perpetual = perpetual_point_search(field, region, cfg)
     payload = {
         "system": {"name": field.name, "state": list(field.input_names),
                    "params": dict(field.parameters),
                    "field": list(field.source_strings()),
-                   "acceleration_field": list(accel.source_strings())},
+                   "acceleration_field": list(acceleration_field(field).source_strings())},
         "region": [[lo, hi] for lo, hi in region.bounds],
         "fixed_points": point_search_records(fixed),
         "perpetual_points": point_search_records(perpetual),
@@ -260,7 +260,12 @@ def cmd_portrait(args) -> int:
                          f"2-dimensional systems only")
     region = _resolve_region(args, loaded)
     shape = _parse_grid(args.grid, loaded.field.dimension)
-    accel = acceleration_field(loaded.field)
+    try:
+        # t_end is checked before it sizes the samples
+        cfg = IntegratorConfig(t_end=args.t_end)
+        cfg = replace(cfg, sample_count=max(2, int(50 * args.t_end)))
+    except ValueError as err:
+        raise InputError(f"--T: {err}") from err
 
     out = Path(args.out)
     grid_only = args.trajectories == 0 and out.suffix == ".csv"
@@ -270,11 +275,10 @@ def cmd_portrait(args) -> int:
     else:
         out.mkdir(parents=True, exist_ok=True)
         grid_path = out / "grid.csv"
-    rows = write_grid_csv(grid_path, loaded.field, accel, region, shape)
+    rows = write_grid_csv(grid_path, loaded.field, acceleration_map(loaded.field), region, shape)
 
     if args.trajectories > 0:
         starts = lattice_points(region, args.trajectories, args.rng_seed)[:args.trajectories]
-        cfg = IntegratorConfig(t_end=args.t_end, sample_count=max(2, int(50 * args.t_end)))
         for i, x0 in enumerate(starts):
             try:
                 traj = integrate(loaded.field, x0, cfg)

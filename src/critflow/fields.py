@@ -17,10 +17,14 @@ A coordinate map caches what the checks derive from it: the matrix, offset
 and inverse of a declared-linear map (``TransformationMap.linear_part``)
 and the bounding box of its image (:func:`image_region`).
 
-Root searches get the acceleration field from :func:`acceleration_map`,
-which builds it once per field and caches it there: symbolically, so its
-Jacobian uses exact first partials, or for composed and large fields by
-contracting the base field's jets.
+A field's parameters are fixed when it is built, and so is its
+acceleration. Root searches get it from :func:`acceleration_map`, which
+builds it once per field and caches it there. The field's type picks the
+construction: a plain :class:`VectorField` gets the symbolic field
+:func:`acceleration_field`, whose Jacobian uses exact first partials; an
+:class:`AffineConjugateField` gets a :class:`JetAccelerationMap`, which
+contracts the field's own jets and so never builds the large substituted
+trees.
 """
 
 from __future__ import annotations
@@ -163,28 +167,14 @@ class VectorMap:
         self._kernels[orders] = kernel
         return kernel
 
-    def _param_args(self, params: Mapping[str, float] | None) -> list[float]:
-        if params is None:
-            return list(self._param_values)
-        merged = {**self.parameters, **{k: float(v) for k, v in params.items()}}
-        return [merged[k] for k in self.parameters]
-
-    def _call_args(self, point, params: Mapping[str, float] | None) -> list[float]:
-        if len(point) != self.n_in:
-            raise ValueError(f"point has {len(point)} coordinates, map expects {self.n_in}")
-        coords = point.tolist() if isinstance(point, np.ndarray) else [float(v) for v in point]
-        return coords if params is None else coords + self._param_args(params)
-
-    def _evaluate(self, orders: tuple[int, ...], point,
-                  params: Mapping[str, float] | None) -> tuple:
+    def _evaluate(self, orders: tuple[int, ...], point) -> tuple:
         """The entries of ``orders`` from a single kernel call; raises
         :class:`DomainError` naming the first entry that
         :func:`~critflow.expr.evaluate` would reject."""
         kernel = self._kernels.get(orders) or self._compile_kernel(orders)
-        if params is None and isinstance(point, np.ndarray) and len(point) == self.n_in:
-            args = point.tolist()
-        else:
-            args = self._call_args(point, params)
+        if len(point) != self.n_in:
+            raise ValueError(f"point has {len(point)} coordinates, map expects {self.n_in}")
+        args = point.tolist() if isinstance(point, np.ndarray) else [float(v) for v in point]
         try:
             out = kernel(*args)
         except KERNEL_ERRORS:
@@ -195,66 +185,61 @@ class VectorMap:
         return out
 
     def _raise_domain_error(self, orders: tuple[int, ...], args: list[float]):
-        env = {**self.parameters, **dict(zip(self._args, args))}
-        where = args[:self.n_in]
+        env = {**self.parameters, **dict(zip(self.input_names, args))}
         for k, e in enumerate(self._entries(orders)):
             try:
                 evaluate(e, env)
             except DomainError as err:
                 raise DomainError(f"{self._label(orders, k)} of {self.name} is not "
-                                  f"evaluable at {where}: {err}") from None
-        raise DomainError(f"{self.name} is not evaluable at {where}")
+                                  f"evaluable at {args}: {err}") from None
+        raise DomainError(f"{self.name} is not evaluable at {args}")
 
     # -- evaluation ---------------------------------------------------------
 
-    def value(self, point, params: Mapping[str, float] | None = None) -> np.ndarray:
-        return np.array(self._evaluate((0,), point, params))
+    def value(self, point) -> np.ndarray:
+        return np.array(self._evaluate((0,), point))
 
     @cached_property
     def _grid_kernel(self):
         return compile_array(self.components, self._args)
 
-    def value_grid(self, points: np.ndarray,
-                   params: Mapping[str, float] | None = None) -> np.ndarray:
+    def value_grid(self, points: np.ndarray) -> np.ndarray:
         """Vectorized evaluation over rows of ``points``, through one array
         kernel for all components; out-of-domain rows come back NaN/inf
         rather than raising."""
         pts = np.asarray(points, dtype=float)
         cols = [pts[:, d] for d in range(self.n_in)]
         out = np.empty((pts.shape[0], self.n_out))
-        for i, column in enumerate(self._grid_kernel(*cols, *self._param_args(params))):
+        for i, column in enumerate(self._grid_kernel(*cols, *self._param_values)):
             out[:, i] = column  # a constant entry broadcasts
         return out
 
-    def jacobian(self, point, params: Mapping[str, float] | None = None) -> np.ndarray:
-        return np.array(self._evaluate((1,), point, params)).reshape(self.n_out, self.n_in)
+    def jacobian(self, point) -> np.ndarray:
+        return np.array(self._evaluate((1,), point)).reshape(self.n_out, self.n_in)
 
-    def hessian(self, point, params: Mapping[str, float] | None = None) -> np.ndarray:
+    def hessian(self, point) -> np.ndarray:
         n = self.n_in
-        return np.array(self._evaluate((2,), point, params)).reshape(self.n_out, n, n)
+        return np.array(self._evaluate((2,), point)).reshape(self.n_out, n, n)
 
-    def _jet_arrays(self, point, order: int,
-                    params: Mapping[str, float] | None = None) -> tuple[np.ndarray, ...]:
+    def _jet_arrays(self, point, order: int) -> tuple[np.ndarray, ...]:
         """(value, jacobian) or, for order 2, (value, jacobian, hessian)."""
-        out = self._evaluate((0, 1, 2)[:order + 1], point, params)
+        out = self._evaluate((0, 1, 2)[:order + 1], point)
         m, n = self.n_out, self.n_in
         parts = (np.array(out[:m]), np.array(out[m:m + m * n]).reshape(m, n))
         if order == 2:
             parts += (np.array(out[m + m * n:]).reshape(m, n, n),)
         return parts
 
-    def jet(self, point, order: int = 1,
-            params: Mapping[str, float] | None = None) -> JetValue:
+    def jet(self, point, order: int = 1) -> JetValue:
         if order not in (1, 2):
             raise ValueError("jet order must be 1 or 2")
-        return JetValue(*self._jet_arrays(point, order, params))
+        return JetValue(*self._jet_arrays(point, order))
 
 
-def jet(field_or_map: VectorMap, point, order: int = 1,
-        params: Mapping[str, float] | None = None) -> JetValue:
+def jet(field_or_map: VectorMap, point, order: int = 1) -> JetValue:
     """Value/Jacobian(/Hessian) of a field or map at a point, all from
     exact symbolic partials."""
-    return field_or_map.jet(point, order=order, params=params)
+    return field_or_map.jet(point, order=order)
 
 
 class VectorField(VectorMap):
@@ -271,8 +256,6 @@ class VectorField(VectorMap):
 
     @cached_property
     def _acceleration(self):
-        if sum(_tree_size(c) for c in self.components) > _SYMBOLIC_ACCEL_NODE_BUDGET:
-            return JetAccelerationMap(self)
         return acceleration_field(self)
 
 
@@ -280,9 +263,9 @@ class JetAccelerationMap:
     """Acceleration field of ``base`` evaluated through its jets.
 
     value = Df f and jacobian = (D2f . f) + Df Df, contracted numerically
-    from the base field's exact symbolic partials. Same values as the
-    symbolic construction, but the cost stays flat for fields whose
-    component trees are large (e.g. transformed systems).
+    from the base field's jets. Same values as the symbolic construction,
+    but it never builds or compiles the acceleration's trees, which for a
+    transformed system would be large.
     """
 
     def __init__(self, base: VectorField):
@@ -296,9 +279,7 @@ class JetAccelerationMap:
         # accepted, so the last first-order jet of the base is kept
         self._last: tuple[bytes, tuple[np.ndarray, np.ndarray]] | None = None
 
-    def _first_order(self, point, params) -> tuple[np.ndarray, np.ndarray]:
-        if params is not None:
-            return self.base._jet_arrays(point, 1, params)
+    def _first_order(self, point) -> tuple[np.ndarray, np.ndarray]:
         key = np.asarray(point, dtype=float).tobytes()
         if self._last is not None and self._last[0] == key:
             return self._last[1]
@@ -309,41 +290,21 @@ class JetAccelerationMap:
     # ``a.dot(b)`` reaches the same BLAS call as ``a @ b`` with less
     # dispatch overhead on these tiny operands
 
-    def value(self, point, params: Mapping[str, float] | None = None) -> np.ndarray:
-        value, jac = self._first_order(point, params)
+    def value(self, point) -> np.ndarray:
+        value, jac = self._first_order(point)
         return jac.dot(value)
 
-    def jacobian(self, point, params: Mapping[str, float] | None = None) -> np.ndarray:
-        value, jac = self._first_order(point, params)
-        hess = self.base.hessian(point, params)
+    def jacobian(self, point) -> np.ndarray:
+        value, jac = self._first_order(point)
+        hess = self.base.hessian(point)
         n = self.base.n_in
         curvature = hess.reshape(-1, n).dot(value).reshape(jac.shape[0], n)
         return curvature + jac.dot(jac)
 
-    def jet(self, point, order: int = 1,
-            params: Mapping[str, float] | None = None) -> JetValue:
-        if order != 1:
-            raise ValueError("jet-backed acceleration maps provide order-1 jets only")
-        return JetValue(value=self.value(point, params),
-                        jacobian=self.jacobian(point, params))
-
-
-#: component trees above this node count make the symbolic acceleration
-#: field slower than jet contraction
-_SYMBOLIC_ACCEL_NODE_BUDGET = 1500
-
-
-def _tree_size(e: Expression) -> int:
-    if isinstance(e, (Const, Name)):
-        return 1
-    if isinstance(e, Unary):
-        return 1 + _tree_size(e.arg)
-    return 1 + _tree_size(e.left) + _tree_size(e.right)
-
 
 def acceleration_map(f: VectorField):
-    """The acceleration-field implementation root searches should use:
-    symbolic for compact systems, jet-backed for large (composed) ones.
+    """The acceleration field root searches use: symbolic for a plain
+    :class:`VectorField`, jet-backed for an :class:`AffineConjugateField`.
 
     Built on first use and cached on the field, which is immutable, so
     every search, check and caller of one field shares one map and its
@@ -373,7 +334,10 @@ class TransformationMap(VectorMap):
 
     ``declared_linear`` is asserted by the caller and verified by sampling:
     the Hessian must vanish (|entry| < 1e-12) at 100 lattice points of the
-    domain.
+    domain. ``linear_part`` holds such a map's matrix, offset and inverse,
+    read off at the domain centre; it is None for a map not declared
+    linear. A declared-linear map that is not evaluable at those points
+    raises :class:`ExpressionError`.
     """
 
     def __init__(self, name: str, input_names: Sequence[str],
@@ -391,21 +355,22 @@ class TransformationMap(VectorMap):
         self.domain = domain
         self.declared_linear = bool(declared_linear)
         self.inverse = inverse
+        self.linear_part: LinearPart | None = None
         if self.declared_linear:
-            worst = 0.0
-            for p in lattice_points(domain, 100, rng_seed=0):
-                worst = max(worst, float(np.max(np.abs(self.hessian(p)))))
-            if worst >= 1e-12:
-                raise ExpressionError(
-                    f"map declared linear but has Hessian entries up to {worst:.3e}")
+            try:
+                self.linear_part = self._read_linear_part()
+            except DomainError as err:
+                raise ExpressionError(f"map declared linear but {err}") from err
 
-    @cached_property
-    def linear_part(self) -> LinearPart | None:
-        """Matrix, offset and inverse of a declared-linear map, read off at
-        the domain centre; None for a map not declared linear. Raises
-        :class:`DomainError` if the map is not evaluable at the centre."""
-        if not self.declared_linear:
-            return None
+    def _read_linear_part(self) -> LinearPart:
+        """Check the declared linearity, then read off matrix, offset and
+        inverse."""
+        worst = 0.0
+        for p in lattice_points(self.domain, 100, rng_seed=0):
+            worst = max(worst, float(np.max(np.abs(self.hessian(p)))))
+        if worst >= 1e-12:
+            raise ExpressionError(
+                f"map declared linear but has Hessian entries up to {worst:.3e}")
         center = 0.5 * (self.domain.lower + self.domain.upper)
         matrix = self.jacobian(center)
         offset = self.value(center) - matrix @ center
@@ -492,34 +457,22 @@ class AffineConjugateField(VectorField):
     def _push_hessian(self, hb: np.ndarray) -> np.ndarray:
         return np.einsum("ip,pqr,qj,rk->ijk", self._mat, hb, self._inv, self._inv)
 
-    def value(self, point, params: Mapping[str, float] | None = None) -> np.ndarray:
-        if params is not None:
-            return super().value(point, params)
+    def value(self, point) -> np.ndarray:
         return self._mat.dot(self.base.value(self._pull_back(point)))
 
-    def jacobian(self, point, params: Mapping[str, float] | None = None) -> np.ndarray:
-        if params is not None:
-            return super().jacobian(point, params)
+    def jacobian(self, point) -> np.ndarray:
         return self._mat.dot(self.base.jacobian(self._pull_back(point))).dot(self._inv)
 
-    def hessian(self, point, params: Mapping[str, float] | None = None) -> np.ndarray:
-        if params is not None:
-            return super().hessian(point, params)
+    def hessian(self, point) -> np.ndarray:
         return self._push_hessian(self.base.hessian(self._pull_back(point)))
 
-    def _jet_arrays(self, point, order: int,
-                    params: Mapping[str, float] | None = None) -> tuple[np.ndarray, ...]:
-        if params is not None:
-            return super()._jet_arrays(point, order, params)
+    def _jet_arrays(self, point, order: int) -> tuple[np.ndarray, ...]:
         # a mis-sized point fails in the matrix product, so no length check
         value, jac, *hess = self.base._jet_arrays(self._inv.dot(point) - self._inv_offset, order)
         parts = (self._mat.dot(value), self._mat.dot(jac).dot(self._inv))
         return parts + (self._push_hessian(hess[0]),) if hess else parts
 
-    def value_grid(self, points: np.ndarray,
-                   params: Mapping[str, float] | None = None) -> np.ndarray:
-        if params is not None:
-            return super().value_grid(points, params)
+    def value_grid(self, points: np.ndarray) -> np.ndarray:
         pulled = (np.asarray(points, dtype=float) - self._offset) @ self._inv.T
         return self.base.value_grid(pulled) @ self._mat.T
 
@@ -560,17 +513,14 @@ def pushforward_acceleration(f: VectorField, h: TransformationMap, point) -> np.
     return curvature + jh.jacobian @ accel
 
 
-def transformed_system(f: VectorField, h: TransformationMap,
-                       h_inverse: VectorMap | None = None,
-                       name: str | None = None) -> VectorField:
+def transformed_system(f: VectorField, h: TransformationMap) -> VectorField:
     """Symbolic velocity field of the transformed system.
 
     Builds Dh f in source coordinates and substitutes the declared inverse,
     after verifying on 100 sampled domain points that the inverse actually
     inverts the map (worst residual below 1e-9).
     """
-    if h_inverse is None:
-        h_inverse = h.inverse
+    h_inverse = h.inverse
     if h_inverse is None:
         raise InverseMismatchError(math.inf, "no inverse supplied")
     if h_inverse.n_in != h.n_in or h_inverse.n_out != h.n_in:
@@ -605,15 +555,12 @@ def transformed_system(f: VectorField, h: TransformationMap,
         comps.append(substitute(pushed, inverse_map))
 
     system = SystemDefinition(
-        name=name or f"{f.name}_via_{h.name}",
+        name=f"{f.name}_via_{h.name}",
         state_names=targets,
         parameters=merged,
         components=tuple(comps),
     )
-    try:
-        linear = h.linear_part
-    except DomainError:  # not evaluable at the domain centre
-        linear = None
+    linear = h.linear_part
     if linear is not None and linear.inverse is not None:
         return AffineConjugateField(system, f, linear)
     return VectorField(system)

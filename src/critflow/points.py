@@ -36,6 +36,13 @@ PERPETUAL = "perpetual"
 #: is almost surely a continuum, not isolated points
 _CONTINUUM_THRESHOLD = 10
 
+#: the line search scales its step by this factor after a rejected trial
+#: and gives up below the smallest step
+_DAMPING = 0.5
+_MIN_STEP = 1e-12
+#: trial points may leave the region by this fraction of each span
+_REGION_CUSHION = 0.1
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -44,20 +51,16 @@ class SolverConfig:
     root_tol: float = 1e-10
     dedup_tol: float = 1e-6
     velocity_floor: float = 1e-6
-    damping_factor: float = 0.5
-    min_step: float = 1e-12
     rng_seed: int = 0
-    region_cushion: float = 0.1
 
     def __post_init__(self):
-        if min(self.root_tol, self.dedup_tol, self.velocity_floor, self.min_step) <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(0.0 < t < math.inf for t in (self.root_tol, self.dedup_tol,
+                                               self.velocity_floor)):
+            raise ValueError("tolerances must be finite and positive")
         if not self.root_tol < self.dedup_tol:
             raise ValueError("root_tol must be smaller than dedup_tol")
         if self.seed_count < 1 or self.max_newton_iters < 1:
             raise ValueError("seed_count and max_newton_iters must be >= 1")
-        if not 0.0 < self.damping_factor < 1.0:
-            raise ValueError("damping_factor must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -173,16 +176,16 @@ def _newton(fieldmap: VectorMap, seed, box: tuple, cfg: SolverConfig) -> _Outcom
         # out-of-cushion or out-of-domain trials count as infinitely bad.
         # Valid trials that still fail below t = 1e-6 prove the direction is
         # no descent (the merit is smooth), so bail out early there; only
-        # invalid trials (domain/region walls) justify halving to min_step.
+        # invalid trials (domain/region walls) justify halving to _MIN_STEP.
         t = 1.0
         accepted = False
         exited = False
         xs, ss = x.tolist(), step.tolist()
-        while t >= cfg.min_step:
+        while t >= _MIN_STEP:
             trial_x = _trial_point(lo, hi, xs, ss, t)
             if trial_x is None:
                 exited = exited or t == 1.0
-                t *= cfg.damping_factor
+                t *= _DAMPING
                 continue
             trial = _residual(fieldmap, trial_x)
             if trial is not None:
@@ -192,7 +195,7 @@ def _newton(fieldmap: VectorMap, seed, box: tuple, cfg: SolverConfig) -> _Outcom
                     break
                 if t < 1e-6:
                     break
-            t *= cfg.damping_factor
+            t *= _DAMPING
         if not accepted:
             return _Outcome(None, r, it, "region-exit" if exited else "no-descent")
 
@@ -205,7 +208,7 @@ def newton_root(fieldmap: VectorMap, seed, region: AnalysisRegion,
                 cfg: SolverConfig = SolverConfig()) -> np.ndarray:
     """Damped Newton from ``seed``; returns a point with ||field|| <= root_tol
     or raises :class:`NoConvergenceError` with diagnostics."""
-    out = _newton(fieldmap, seed, region.cushioned_bounds(cfg.region_cushion), cfg)
+    out = _newton(fieldmap, seed, region.cushioned_bounds(_REGION_CUSHION), cfg)
     if out.point is None:
         raise NoConvergenceError(out.reason, out.iterations, out.residual)
     return out.point
@@ -216,7 +219,7 @@ def newton_root(fieldmap: VectorMap, seed, region: AnalysisRegion,
 
 def _collect_roots(fieldmap: VectorMap, region: AnalysisRegion, cfg: SolverConfig):
     seeds = lattice_points(region, cfg.seed_count, cfg.rng_seed)
-    box = region.cushioned_bounds(cfg.region_cushion)
+    box = region.cushioned_bounds(_REGION_CUSHION)
     hits: list[tuple[np.ndarray, float]] = []
     converged = singular = 0
     for seed in seeds:
@@ -291,10 +294,8 @@ def fixed_point_search(f: VectorField, region: AnalysisRegion,
 
 
 def perpetual_point_search(f: VectorField, region: AnalysisRegion,
-                           cfg: SolverConfig = SolverConfig(),
-                           accel=None) -> PointSearch:
-    return _run_search(f, accel if accel is not None else acceleration_map(f),
-                       PERPETUAL, region, cfg)
+                           cfg: SolverConfig = SolverConfig()) -> PointSearch:
+    return _run_search(f, acceleration_map(f), PERPETUAL, region, cfg)
 
 
 def find_fixed_points(f: VectorField, region: AnalysisRegion,

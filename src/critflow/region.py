@@ -11,6 +11,9 @@ import numpy as np
 
 __all__ = ["AnalysisRegion", "lattice_points"]
 
+#: lattice points sit up to this many cell widths off their cell centres
+_JITTER = 0.4
+
 
 @dataclass(frozen=True)
 class AnalysisRegion:
@@ -54,11 +57,8 @@ class AnalysisRegion:
         hi = tuple(hi + cushion * span for hi, span in zip(self._hi, self._spans))
         return lo, hi
 
-    def contains(self, point, cushion: float = 0.0) -> bool:
-        """Membership test, optionally inflated by ``cushion`` (a fraction
-        of each dimension's span) on both sides."""
-        lo, hi = self.cushioned_bounds(cushion) if cushion else (self._lo, self._hi)
-        return all(l <= v <= h for v, l, h in zip(point, lo, hi))
+    def contains(self, point) -> bool:
+        return all(l <= v <= h for v, l, h in zip(point, self._lo, self._hi))
 
     def intersect(self, other: "AnalysisRegion") -> "AnalysisRegion":
         if other.dimension != self.dimension:
@@ -72,14 +72,13 @@ class AnalysisRegion:
         return AnalysisRegion(tuple(bounds))
 
 
-def lattice_points(region: AnalysisRegion, count: int, rng_seed: int = 0,
-                   jitter: float = 0.4) -> np.ndarray:
+def lattice_points(region: AnalysisRegion, count: int, rng_seed: int = 0) -> np.ndarray:
     """Stratified sample lattice inside ``region``.
 
     Each dimension is split into ceil(count**(1/n)) cells; one point is
-    placed per cell at its center plus a jitter of up to ``jitter`` cell
-    half-widths, drawn from a private RNG seeded with ``rng_seed``. The
-    result is fully determined by (region, count, rng_seed, jitter).
+    placed per cell at its center plus a jitter of up to ``_JITTER`` cell
+    widths, drawn from a private RNG seeded with ``rng_seed``. The result
+    is fully determined by (region, count, rng_seed).
     """
     n = region.dimension
     cells = max(1, math.ceil(count ** (1.0 / n)))
@@ -92,6 +91,6 @@ def lattice_points(region: AnalysisRegion, count: int, rng_seed: int = 0,
         row = []
         for d in range(n):
             center = lower[d] + (idx[d] + 0.5) * cell[d]
-            row.append(center + (rng.uniform(-jitter, jitter)) * cell[d])
+            row.append(center + rng.uniform(-_JITTER, _JITTER) * cell[d])
         rows.append(row)
     return np.array(rows)

@@ -361,20 +361,6 @@ def test_kernels_match_tree_walk_bit_for_bit_and_name_failing_entry():
     assert checked > 500 and failed > 20
 
 
-def test_kernel_parameter_override_matches_tree_walk():
-    m = cf.VectorMap("p", ["x", "y"], {"A": 2.0, "B": -1.0},
-                     [cf.parse_expression("A*x^2*y - B*y^3", {"x", "y", "A", "B"}),
-                      cf.parse_expression("sin(A*x) + B", {"x", "y", "A", "B"})])
-    point = [0.3, -1.7]
-    env = {"x": 0.3, "y": -1.7, "A": 2.0, "B": 3.5}
-    got = m.jacobian(point, params={"B": 3.5})
-    want = [cf.evaluate(e, env) for row in m.jacobian_exprs for e in row]
-    assert _bits(got.ravel()) == _bits(want)
-    # the override does not stick
-    env["B"] = -1.0
-    assert _bits(m.value(point)) == _bits([cf.evaluate(c, env) for c in m.components])
-
-
 # ---------------------------------------------------------------------------
 # The acceleration map is built once per field
 

@@ -105,3 +105,12 @@ def test_initial_state_validation():
         cf.IntegratorConfig(method="euler")
     with pytest.raises(ValueError):
         cf.flow_map(f, [1.0], -1.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("t_end", -1.0), ("t_end", math.nan), ("t_end", math.inf),
+    ("step", math.nan), ("abs_tol", -1e-9), ("abs_tol", math.nan),
+    ("rel_tol", math.inf)])
+def test_integrator_config_rejects_non_finite_or_negative_settings(field, value):
+    with pytest.raises(ValueError):
+        cf.IntegratorConfig(**{field: value})

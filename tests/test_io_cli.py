@@ -1,12 +1,17 @@
 import json
 import math
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import critflow as cf
 from critflow.cli import main
-from critflow.io import InputError, load_map, load_system
+from critflow.io import (InputError, canonical_json, load_map, load_system,
+                         point_search_records)
+
+from conftest import random_affine_map, random_polynomial_field
 
 DATA = Path(__file__).parent / "data"
 
@@ -137,6 +142,9 @@ def test_cli_analyze_input_errors(tmp_path):
     assert run_cli("analyze", p) == 2
     assert run_cli("analyze", p, "--region", "0:1") == 0
     assert run_cli("analyze", p, "--region", "0:1,0:1") == 2
+    # the velocity floor must be finite and positive
+    for floor in ("nan", "inf", "-1"):
+        assert run_cli("analyze", DATA / "example1.json", "--eps-v", floor) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +189,30 @@ def test_cli_transform_square_map(tmp_path):
     g = load_system(gfile).field
     for y in (0.25, 1.0, 2.25):
         assert g.value([y])[0] == pytest.approx(2 * math.sqrt(y) * (y - 1), rel=1e-12)
+
+
+def test_cli_transform_finds_the_perpetual_points_verify_finds(tmp_path):
+    # a 2-D random cubic under a random affine map (random.Random(1)): the
+    # report lists, bit for bit, the perpetual points of the transformed
+    # system that verify builds from the same files
+    rng = random.Random(1)
+    region = cf.AnalysisRegion.of((-2.5, 2.5), (-2.5, 2.5))
+    f = random_polynomial_field(rng, 2)
+    h = random_affine_map(rng, 2, region)
+    sysf, mapf, out = tmp_path / "system.json", tmp_path / "map.json", tmp_path / "r.json"
+    sysf.write_text(json.dumps({"name": "poly", "state": list(f.input_names), "params": {},
+                                "field": list(f.source_strings())}))
+    mapf.write_text(json.dumps({"map": list(h.source_strings()),
+                                "inverse": list(h.inverse.source_strings()), "params": {},
+                                "domain": [list(b) for b in region.bounds], "linear": True}))
+    assert run_cli("transform", sysf, mapf, "--out", out) == 0
+    field = load_system(sysf).field
+    tmap = load_map(mapf, field).map
+    search = cf.perpetual_point_search(cf.transformed_system(field, tmap),
+                                       cf.image_region(tmap), cf.SolverConfig())
+    assert len(search.points) == 2
+    want = json.loads(canonical_json(point_search_records(search)))
+    assert read_json(out)["perpetual_points"] == want
 
 
 def test_cli_transform_requires_inverse(tmp_path):
@@ -228,6 +260,27 @@ def test_cli_verify_exit_one_on_failure(tmp_path):
     code = run_cli("verify", DATA / "example1.json", DATA / "affine_map.json",
                    "--tol", "1e-18", "--theorems", "flow")
     assert code == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tol", "nan"], ["--tol", "-1"], ["--tol", "inf"], ["--T", "nan"]])
+def test_cli_verify_rejects_bad_tolerances(flags, capsys):
+    assert run_cli("verify", DATA / "example1.json", DATA / "affine_map.json", *flags) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("source, inverse", [
+    # the Hessian check meets sqrt's domain wall
+    ("sqrt(x)", "y^2"),
+    # passes the Hessian check, but is not evaluable at the domain centre
+    ("2*x + 0*(1/x)", "y/2")])
+def test_cli_verify_rejects_declared_linear_map_off_its_domain(tmp_path, capsys, source, inverse):
+    mapf = tmp_path / "map.json"
+    mapf.write_text(json.dumps({"map": [source], "inverse": [inverse], "params": {},
+                                "domain": [[-1, 1]], "linear": True}))
+    assert run_cli("verify", DATA / "example1.json", mapf) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {mapf}: map declared linear but ") and "not evaluable" in err
 
 
 def test_cli_verify_theorem_selection(tmp_path):
@@ -291,6 +344,15 @@ def test_cli_portrait_rejects_3d(tmp_path):
         "name": "three", "state": ["x", "y", "z"], "params": {},
         "field": ["y", "z", "-x"], "region": [[-1, 1], [-1, 1], [-1, 1]]}))
     assert run_cli("portrait", sys3) == 2
+
+
+@pytest.mark.parametrize("horizon", ["-1", "nan", "inf"])
+def test_cli_portrait_rejects_bad_horizon_before_writing(tmp_path, capsys, horizon):
+    out = tmp_path / "portrait"
+    assert run_cli("portrait", DATA / "planar.json", "--trajectories", "2",
+                   "--T", horizon, "--out", out) == 2
+    assert capsys.readouterr().err.startswith("error: --T: ")
+    assert not out.exists()
 
 
 def test_cli_portrait_deterministic(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import random
 from pathlib import Path
 
@@ -181,8 +182,10 @@ def test_solver_config_validation():
         cf.SolverConfig(root_tol=-1.0)
     with pytest.raises(ValueError):
         cf.SolverConfig(seed_count=0)
-    with pytest.raises(ValueError):
-        cf.SolverConfig(damping_factor=1.5)
+    for field in ("root_tol", "dedup_tol", "velocity_floor"):
+        for value in (math.nan, math.inf, 0.0):
+            with pytest.raises(ValueError):
+                cf.SolverConfig(**{field: value})
 
 
 def test_fixed_search_warns_when_every_seed_meets_a_singular_jacobian():
