@@ -149,12 +149,12 @@ def is_degenerate(m, tol: float = 1e-10) -> bool:
 def solve_linear(m, rhs) -> np.ndarray:
     """Solve m @ x = rhs by partially pivoted Gaussian elimination.
 
-    Float 2x2 and 3x3 arrays, the Newton case, go straight to scalar
+    Float 1x1, 2x2 and 3x3 arrays, the Newton case, go straight to scalar
     elimination on Python floats without copying or re-validating the
     array; non-finite entries still raise ``ValueError``.
     """
     if (isinstance(m, np.ndarray) and m.dtype == np.float64
-            and m.shape in ((2, 2), (3, 3))):
+            and m.shape in ((1, 1), (2, 2), (3, 3))):
         rows = m.tolist()
         if not math.isfinite(sum(map(sum, rows))) and not all(
                 math.isfinite(v) for row in rows for v in row):
@@ -163,18 +163,12 @@ def solve_linear(m, rhs) -> np.ndarray:
             b = rhs.tolist()
         else:
             b = np.array(rhs, dtype=float).reshape(len(rows)).tolist()
-        return _solve_2x2(rows, b) if len(rows) == 2 else _solve_3x3(rows, b)
+        return _SMALL_SOLVES[len(rows)](rows, b)
     a = _as_square(m).copy()
     n = a.shape[0]
     b = np.array(rhs, dtype=float).reshape(n).copy()
-    if n == 1:
-        if a[0, 0] == 0.0:
-            raise SingularMatrixError(0.0, 0.0)
-        return np.array([float(b[0]) / float(a[0, 0])])
-    if n == 2:
-        return _solve_2x2(a.tolist(), b.tolist())
-    if n == 3:
-        return _solve_3x3(a.tolist(), b.tolist())
+    if n <= 3:
+        return _SMALL_SOLVES[n](a.tolist(), b.tolist())
     norm = float(np.linalg.norm(a, np.inf))
     threshold = 1e-13 * norm
     pivots = _eliminate(a, b)
@@ -185,6 +179,13 @@ def solve_linear(m, rhs) -> np.ndarray:
     for row in range(n - 1, -1, -1):
         x[row] = (b[row] - a[row, row + 1:] @ x[row + 1:]) / a[row, row]
     return x
+
+
+def _solve_1x1(a: list[list[float]], b: list[float]) -> np.ndarray:
+    ((a00,),), (b0,) = a, b
+    if a00 == 0.0:
+        raise SingularMatrixError(0.0, 0.0)
+    return np.array([b0 / a00])
 
 
 def _solve_2x2(a: list[list[float]], b: list[float]) -> np.ndarray:
@@ -248,6 +249,9 @@ def _solve_3x3(a: list[list[float]], b: list[float]) -> np.ndarray:
     x1 = (p13 - p12 * x2) / p11
     x0 = (p03 - p01 * x1 - p02 * x2) / p00
     return np.array([x0, x1, x2])
+
+
+_SMALL_SOLVES = {1: _solve_1x1, 2: _solve_2x2, 3: _solve_3x3}
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,55 @@ def test_flow_conjugacy_truncates_blowups(quad_field):
     assert truncated
 
 
+def _whole_horizon_flow_points(f, h, region, count, t_end):
+    """The selection rule integrating every candidate over the whole
+    horizon: keep a candidate when the integration reaches t_end and all
+    its samples lie in h.domain. Returns (points, how many were kept)."""
+    candidates = cf.lattice_points(region.intersect(h.domain), 4 * count, rng_seed=0)
+    quick = cf.IntegratorConfig(abs_tol=1e-6, rel_tol=1e-6, t_end=float(t_end), sample_count=17)
+    good, rest = [], []
+    for c in candidates:
+        if len(good) >= count:
+            break
+        try:
+            states = cf.integrate(f, c, quick).states
+        except (cf.BlowUpError, cf.StepUnderflowError, cf.DomainError):
+            rest.append(c)
+            continue
+        (good if all(h.domain.contains(s) for s in states) else rest).append(c)
+    return (good + rest)[:count], len(good)
+
+
+def _counting_values(f):
+    calls = [0]
+    value = f.value
+
+    def counted(point):
+        calls[0] += 1
+        return value(point)
+
+    f.value = counted
+    return calls
+
+
+# kept: candidates whose samples all stay in h.domain; at n = 4, builder
+# seed 1 keeps none, as every candidate blows up or fails
+@pytest.mark.parametrize("n, seed, kept", [(2, 1, 5), (2, 5, 3), (3, 1, 5), (3, 3, 2), (4, 1, 0)])
+def test_flow_points_stop_early_and_match_whole_horizon_rule(n, seed, kept):
+    rng = random.Random(seed)
+    region = cf.AnalysisRegion.of(*[(-2.5, 2.5)] * n)
+    f = random_polynomial_field(rng, n, degree=3)
+    h = random_affine_map(rng, n, region)
+    calls = _counting_values(f)
+    want, kept_whole_horizon = _whole_horizon_flow_points(f, h, region, 5, 1.0)
+    assert kept_whole_horizon == kept
+    whole_horizon_calls, calls[0] = calls[0], 0
+    got = cf.select_flow_points(f, h, region, 5, 1.0)
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert calls[0] < whole_horizon_calls
+
+
 def test_point_mapping_affine(affine_setup):
     f, h, g = affine_setup
     t1 = cf.verify_point_mapping(f, h, g, REGION, CFG, cf.FIXED)

@@ -1,12 +1,15 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import critflow as cf
+from critflow import flows
+from critflow.fields import AffineConjugateField
 
-from conftest import make_field
+from conftest import affine_map_1d, make_field, random_affine_map, random_polynomial_field
 
 
 def test_exponential_decay_endpoint():
@@ -114,3 +117,124 @@ def test_initial_state_validation():
 def test_integrator_config_rejects_non_finite_or_negative_settings(field, value):
     with pytest.raises(ValueError):
         cf.IntegratorConfig(**{field: value})
+
+
+# ---------------------------------------------------------------------------
+# The RKF45 step on Python floats against its array form
+
+# Fehlberg 4(5) tableau and step as numpy arrays: the reference that the
+# library's step on Python floats must match bit for bit
+_A = (
+    (),
+    (1 / 4,),
+    (3 / 32, 9 / 32),
+    (1932 / 2197, -7200 / 2197, 7296 / 2197),
+    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
+    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
+)
+_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
+_ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
+
+
+def _array_rkf45_segment(f, x, t0, t1, cfg, h_start):
+    t = t0
+    h = min(h_start, t1 - t0)
+    while t < t1:
+        h = min(h, t1 - t)
+        if h < flows._MIN_STEP:
+            if float(np.linalg.norm(x)) > 1e-3 * flows._BLOWUP_NORM:
+                return x, h, t
+            raise cf.StepUnderflowError(t, h)
+        ks = []
+        try:
+            ks.append(f.value(x))
+            for row in _A[1:]:
+                xi = x + h * sum(a * k for a, k in zip(row, ks))
+                ks.append(f.value(xi))
+            x4 = x + h * sum(b * k for b, k in zip(_B4, ks) if b != 0.0)
+            err = h * sum(e * k for e, k in zip(_ERR, ks) if e != 0.0)
+        except cf.DomainError:
+            h *= 0.5
+            continue
+        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(x), np.abs(x4))
+        ratio = float(np.max(np.abs(err) / scale))
+        if ratio <= 1.0:
+            t += h
+            x = x4
+            grow = 0.9 * ratio ** -0.2 if ratio > 0.0 else 5.0
+            h *= min(5.0, max(0.2, grow))
+            if float(np.linalg.norm(x)) > flows._BLOWUP_NORM:
+                return x, h, t
+        else:
+            h *= max(0.2, 0.9 * ratio ** -0.2)
+    return x, h, None
+
+
+def _bits(*arrays):
+    return [(a.shape, np.asarray(a, dtype=float).tobytes()) for a in arrays]
+
+
+def _outcome(f, x0, cfg):
+    """What integrate gives, as comparable bits."""
+    try:
+        traj = cf.integrate(f, x0, cfg)
+    except cf.BlowUpError as err:
+        return "blow-up", _bits(np.array([err.escape_time]), err.partial.times,
+                                err.partial.states)
+    except cf.StepUnderflowError as err:
+        return "underflow", _bits(np.array([err.t, err.step]))
+    return "ok", _bits(traj.times, traj.states)
+
+
+def _assert_step_matches_array_form(monkeypatch, f, x0, cfg):
+    got = _outcome(f, x0, cfg)
+    with monkeypatch.context() as m:
+        m.setattr(flows, "_rkf45_segment", _array_rkf45_segment)
+        want = _outcome(f, x0, cfg)
+    assert got == want
+    return got[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_float_step_is_bit_identical_to_array_form(monkeypatch, n):
+    rng = random.Random(100 + n)
+    region = cf.AnalysisRegion.of(*[(-2.5, 2.5)] * n)
+    f = random_polynomial_field(rng, n, degree=3)
+    g = cf.transformed_system(f, random_affine_map(rng, n, region))
+    assert isinstance(g, AffineConjugateField)
+    kinds = set()
+    for cfg in (cf.IntegratorConfig(t_end=1.0),
+                cf.IntegratorConfig(abs_tol=1e-6, rel_tol=1e-6, t_end=1.0, sample_count=17)):
+        for field in (f, g):
+            for _ in range(3):
+                x0 = [rng.uniform(-1.5, 1.5) for _ in range(n)]
+                kinds.add(_assert_step_matches_array_form(monkeypatch, field, x0, cfg))
+    assert "ok" in kinds
+
+
+def test_float_step_matches_array_form_on_blow_up(monkeypatch):
+    f = make_field("grow", ["x"], {}, ["x^2"])
+    kind = _assert_step_matches_array_form(monkeypatch, f, [1.0], cf.IntegratorConfig(t_end=2.0))
+    assert kind == "blow-up"
+
+
+def test_float_step_matches_array_form_on_domain_wall(monkeypatch):
+    f = make_field("wall", ["x"], {}, ["-sqrt(x) - 1"])
+    kind = _assert_step_matches_array_form(monkeypatch, f, [0.5], cf.IntegratorConfig(t_end=2.0))
+    assert kind == "underflow"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_float_step_matches_array_form_when_stage_values_overflow(monkeypatch):
+    # past x = 0.5 the base value is 1e308, which the map's factor 4
+    # overflows to inf in the composed field, while the base stays finite
+    # at -inf. A fifth stage landing there makes x4 -inf and the error
+    # estimate inf, so |err| / scale is NaN: the step must be rejected, as
+    # np.max rejects it, not accepted
+    base = make_field("step", ["x"], {}, ["1 + 5e307 * (1 + sign(x - 0.5))"])
+    g = cf.transformed_system(base, affine_map_1d(4.0, 0.0, domain=(-1e3, 1e3)))
+    assert isinstance(g, AffineConjugateField)
+    for y0 in (0.0, 0.8, 1.8):
+        kind = _assert_step_matches_array_form(monkeypatch, g, [y0], cf.IntegratorConfig(t_end=1.0))
+        assert kind == "underflow"

@@ -151,7 +151,7 @@ def test_min_pivot_and_degeneracy():
     assert is_degenerate([[1.0, 1.0], [1.0, 1.0]])
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_solve_linear_rejects_non_finite_small_matrices(n, bad):
     rng = np.random.default_rng(n)
@@ -197,3 +197,25 @@ def test_solve_linear_small_arrays_match_general_elimination():
         fast = cf.solve_linear(m, rhs)
         slow = cf.solve_linear(m.tolist(), rhs.tolist())
         assert fast.tobytes() == slow.tobytes()
+
+
+def test_solve_linear_1x1_arrays_match_general_path():
+    # a float64 (1, 1) array skips validation; lists and float32 arrays take
+    # the general path, and both divide on Python floats
+    rng = np.random.default_rng(11)
+    pivots = rng.uniform(-5, 5, size=100).tolist() + [5e-324, -1e-300, 1e-13, 1e300]
+    for a in pivots:
+        for b in (float(rng.uniform(-5, 5)), 0.0, -0.0, 1e308):
+            want = np.array([b / a]).tobytes()
+            assert cf.solve_linear(np.array([[a]]), np.array([b])).tobytes() == want
+            assert cf.solve_linear(np.array([[a]]), [b]).tobytes() == want
+            assert cf.solve_linear([[a]], [b]).tobytes() == want
+        if abs(a) < 1e30 and np.float32(a) != 0.0:
+            m32 = np.array([[a]], dtype=np.float32)
+            x = cf.solve_linear(m32, [1.5])
+            assert x.dtype == np.float64 and x[0] == 1.5 / float(m32[0, 0])
+    for form in (np.zeros((1, 1)), np.array([[-0.0]]), [[0.0]], np.zeros((1, 1), np.float32)):
+        with pytest.raises(cf.SingularMatrixError) as exc:
+            cf.solve_linear(form, [1.0])
+        assert exc.value.pivot == 0.0
+        assert str(exc.value) == str(cf.SingularMatrixError(0.0, 0.0))
