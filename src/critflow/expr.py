@@ -436,7 +436,11 @@ def _eval(e: Expression, env: Mapping[str, float]) -> float:
         if isinstance(e, Unary):
             if e.op == "neg":
                 return -_eval(e.arg, env)
-            return _SCALAR_FUNCS[e.op](_eval(e.arg, env))
+            arg = _eval(e.arg, env)
+            try:
+                return _SCALAR_FUNCS[e.op](arg)
+            except ValueError:  # sin or cos of an infinity
+                raise DomainError(f"{e.op} of {arg!r}") from None
         left = _eval(e.left, env)
         if e.op == "^":
             if _is_integer_literal(e.right):
@@ -558,8 +562,9 @@ _ARRAY_NAMESPACE.update({"_div": np.divide,
 #: temporary, which keeps generated source inside the parser's nesting limit
 _MAX_INLINE_DEPTH = 32
 
-#: what a compiled kernel may raise at a point outside its real domain
-KERNEL_ERRORS = (DomainError, OverflowError, ZeroDivisionError)
+#: what a compiled kernel may raise at a point outside its real domain;
+#: ``math.sin`` and ``math.cos`` of an infinity raise ValueError
+KERNEL_ERRORS = (DomainError, OverflowError, ZeroDivisionError, ValueError)
 
 
 def _kernel_const(v: float) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -262,16 +262,7 @@ def critical_point_record(p: CriticalPoint) -> dict:
 
 
 def _match_record_json(r: MatchRecord) -> dict:
-    return {
-        "source": _jsonable(r.source),
-        "mapped": _jsonable(r.mapped),
-        "matched": _jsonable(r.matched),
-        "kind": r.kind,
-        "residual": _jsonable(r.residual),
-        "spectrum_distance": _jsonable(r.spectrum_distance),
-        "similarity_residual": _jsonable(r.similarity_residual),
-        "note": r.note,
-    }
+    return _jsonable(asdict(r))
 
 
 def theorem_check_record(c: TheoremCheck) -> dict:
@@ -297,14 +288,7 @@ def point_search_records(search: PointSearch) -> dict:
 
 
 def solver_record(cfg: SolverConfig) -> dict:
-    return {
-        "seed_count": cfg.seed_count,
-        "max_newton_iters": cfg.max_newton_iters,
-        "root_tol": cfg.root_tol,
-        "dedup_tol": cfg.dedup_tol,
-        "velocity_floor": cfg.velocity_floor,
-        "rng_seed": cfg.rng_seed,
-    }
+    return _jsonable(asdict(cfg))
 
 
 def report_envelope(command: str, inputs: Sequence[tuple[str, str, str]],

@@ -53,7 +53,10 @@ def _as_square(m) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Multiset of eigenvalues, sorted by (re, im)."""
+    """Multiset of eigenvalues, sorted by (re, |im|, im). The two members
+    of a conjugate pair share the smaller of their real parts and of their
+    |im| as the first two, so the member with negative imaginary part comes
+    first even where rounding splits them."""
 
     values: tuple[complex, ...]
 
@@ -64,7 +67,15 @@ class Spectrum:
         # drop iteration noise in imaginary parts so real spectra stay real
         cleaned = [v if abs(v.imag) > 1e-12 * scale else complex(v.real, 0.0)
                    for v in vals]
-        return cls(tuple(sorted(cleaned, key=lambda z: (z.real, z.imag))))
+        keys = [(v.real, abs(v.imag)) for v in cleaned]
+        upper = [j for j, v in enumerate(cleaned) if v.imag > 0]
+        for i, v in enumerate(cleaned):
+            if v.imag < 0 and upper:
+                j = min(upper, key=lambda k: abs(cleaned[k] - v.conjugate()))
+                upper.remove(j)
+                keys[i] = keys[j] = (min(v.real, cleaned[j].real), min(-v.imag, cleaned[j].imag))
+        order = sorted(range(len(cleaned)), key=lambda i: (*keys[i], cleaned[i].imag))
+        return cls(tuple(cleaned[i] for i in order))
 
     @property
     def order(self) -> int:

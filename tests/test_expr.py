@@ -75,6 +75,23 @@ def test_evaluate_domain_errors():
         cf.evaluate(cf.parse_expression("exp(x)", {"x"}), {"x": 1e4})
 
 
+@pytest.mark.parametrize("source", ["sin(x)", "cos(2 * x) + 1"])
+def test_sin_and_cos_of_an_infinity_raise_domain_error(source):
+    # math.sin and math.cos raise ValueError there, which must not escape
+    e = cf.parse_expression(source, {"x"})
+    for x in (math.inf, -math.inf):
+        with pytest.raises(cf.DomainError):
+            cf.evaluate(e, {"x": x})
+        with pytest.raises(cf.DomainError, match="component 0 of s is not evaluable"):
+            cf.VectorMap("s", ["x"], {}, [e]).value([x])
+
+
+def test_unknown_identifier_inside_a_function_is_not_a_domain_error():
+    e = cf.parse_expression("sin(x + z)", {"x", "z"})
+    with pytest.raises(cf.UnknownIdentifierError):
+        cf.evaluate(e, {"x": 1.0})
+
+
 def test_pow_semantics():
     # integer-literal exponents allow negative bases
     assert cf.evaluate(cf.parse_expression("x^2", {"x"}), {"x": -3.0}) == 9.0

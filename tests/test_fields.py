@@ -53,6 +53,37 @@ def test_jet_domain_error_propagates():
         cf.jet(f, [-1.0])
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_affine_conjugate_overflow_raises_domain_error():
+    # y = 4x: the symbolic field 4 * (1e308 * x) overflows at y = 4, and so
+    # must the composed evaluation, where the base alone is still finite
+    g = cf.transformed_system(make_field("big", ["x"], {}, ["1e308 * x"]),
+                              affine_map_1d(4.0, 0.0))
+    assert isinstance(g, AffineConjugateField)
+    assert g.base.value([1.0])[0] == 1e308
+    with pytest.raises(cf.DomainError):
+        cf.VectorField(g.system).value([4.0])
+    with pytest.raises(cf.DomainError, match="big_via_affine is not evaluable at"):
+        g.value([4.0])
+    with pytest.raises(cf.DomainError):
+        g.jacobian([0.0])  # 4 * 1e308 before the factor 1/4
+    with pytest.raises(cf.DomainError):
+        g.jet([4.0])
+    # y = x / 4: the pushed Hessian is 4 * 1e308
+    g = cf.transformed_system(make_field("bend", ["x"], {}, ["5e307 * x^2"]),
+                              affine_map_1d(0.25, 0.0))
+    with pytest.raises(cf.DomainError):
+        g.hessian([0.0])
+    # acceleration 1e308 x of the base, pushed by 4
+    accel = acceleration_map(cf.transformed_system(
+        make_field("fast", ["x"], {}, ["1e154 * x"]), affine_map_1d(4.0, 0.0)))
+    assert accel.value([1.0])[0] == pytest.approx(1e308, rel=1e-12)
+    with pytest.raises(cf.DomainError, match="_accel is not evaluable at"):
+        accel.value([4.0])
+    with pytest.raises(cf.DomainError):
+        accel.jacobian([0.0])
+
+
 def test_acceleration_field_quadratic(quad_field):
     F = cf.acceleration_field(quad_field)
     # 2x(x^2 - A^2)
@@ -377,30 +408,45 @@ def test_acceleration_map_is_cached_and_matches_fresh_symbolic_field():
             assert _bits(accel.jacobian(x).ravel()) == _bits(fresh.jacobian(x).ravel())
 
 
-def test_affine_acceleration_map_matches_jet_contraction_exactly():
-    # the jet-backed acceleration of a transformed system is
-    # value = Dg g and jacobian = D2g[g] + Dg Dg, contracted with numpy
-    # from g's own value, Jacobian and Hessian
+def test_affine_acceleration_map_is_the_conjugated_base_acceleration(monkeypatch):
+    # under y = A x + b the curvature term vanishes: g's acceleration is
+    # A F(x) with Jacobian A DF(x) A^-1, F being the base's own symbolic map
+    compiled = []
+    compile_kernel = cf.fields.compile_kernel
+    monkeypatch.setattr(cf.fields, "compile_kernel",
+                        lambda *args: compiled.append(args) or compile_kernel(*args))
     rng = random.Random(1729)
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         region = cf.AnalysisRegion.of(*[(-2.5, 2.5)] * n)
         f = random_polynomial_field(rng, n)
-        g = cf.transformed_system(f, random_affine_map(rng, n, region))
+        h = random_affine_map(rng, n, region)
+        g = cf.transformed_system(f, h)
         assert isinstance(g, AffineConjugateField)
+        a, a_inv, b = h.linear_part.matrix, h.linear_part.inverse, h.linear_part.offset
+        base_accel = acceleration_map(f)
+        base_accel.value(np.zeros(n)), base_accel.jacobian(np.zeros(n))
+        points = [np.array([rng.uniform(-2.0, 2.0) for _ in range(n)]) for _ in range(6)]
+
+        # building and calling g's map compiles nothing once the base's ran
+        before = len(compiled)
         accel = acceleration_map(g)
         assert acceleration_map(g) is accel
-        points = [np.array([rng.uniform(-2.0, 2.0) for _ in range(n)]) for _ in range(6)]
-        # revisit points in both call orders, so cached jets are exercised
-        for y in points + points[::-1]:
+        got = [(accel.value(y), accel.jacobian(y)) for y in points]
+        assert len(compiled) == before, n
+
+        for y, (got_value, got_jac) in zip(points, got):
+            x = a_inv @ y - a_inv @ b
+            assert _bits(got_value) == _bits(a @ base_accel.value(x))
+            assert _bits(got_jac.ravel()) == _bits((a @ base_accel.jacobian(x) @ a_inv).ravel())
+            # the identity itself: D2g[g] + Dg Dg from g's own partials
             v, jac, hess = g.value(y), g.jacobian(y), g.hessian(y)
-            want_value = jac @ v
-            want_jac = (hess.reshape(-1, n) @ v).reshape(n, n) + jac @ jac
-            if rng.random() < 0.5:
-                got_value, got_jac = accel.value(y), accel.jacobian(y)
-            else:
-                got_jac, got_value = accel.jacobian(y), accel.value(y)
-            assert _bits(got_value) == _bits(want_value)
-            assert _bits(got_jac.ravel()) == _bits(want_jac.ravel())
+            for have, want in ((got_value, jac @ v),
+                               (got_jac, (hess.reshape(-1, n) @ v).reshape(n, n) + jac @ jac)):
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert float(np.max(np.abs(have - want))) <= 1e-12 * scale, (n, y)
             j = g.jet(y, order=2)
             assert _bits([*j.value, *j.jacobian.ravel(), *j.hessian.ravel()]) == _bits(
                 [*v, *jac.ravel(), *hess.ravel()])
+            j = g.jet(y)
+            assert j.hessian is None
+            assert _bits([*j.value, *j.jacobian.ravel()]) == _bits([*v, *jac.ravel()])

@@ -91,6 +91,17 @@ def test_step_underflow_on_domain_wall():
         cf.integrate(f, [0.5], cfg)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_conjugate_field_underflows_instead_of_escaping():
+    # sin of the overflowed state and the overflowed product A f both read
+    # as leaving the domain, so the step halves down to the floor
+    base = make_field("big_sin", ["x"], {}, ["1e308 * sin(x)"])
+    g = cf.transformed_system(base, affine_map_1d(4.0, 0.0))
+    assert isinstance(g, AffineConjugateField)
+    with pytest.raises(cf.StepUnderflowError):
+        cf.integrate(g, [1.2])
+
+
 def test_sample_times_hit_exact_midpoint():
     from critflow.flows import sample_times
     times = sample_times(2.0, 5)

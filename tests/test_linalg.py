@@ -219,3 +219,16 @@ def test_solve_linear_1x1_arrays_match_general_path():
             cf.solve_linear(form, [1.0])
         assert exc.value.pivot == 0.0
         assert str(exc.value) == str(cf.SingularMatrixError(0.0, 0.0))
+
+
+def test_spectrum_lists_negative_imaginary_member_of_a_pair_first():
+    # rounding may put either member's real part lower; the order must not follow it
+    eps = 2.0 ** -52
+    for vals in ([-1 + 2j, (-1 - eps) - 2j, 3.0], [(-1 - eps) + 2j, -1 - 2j, 3.0],
+                 [3.0, -1 + (2 + 4 * eps) * 1j, -1 - 2j]):
+        values = Spectrum.of(vals).values
+        assert [v.imag for v in values] == pytest.approx([-2.0, 2.0, 0.0]), vals
+        assert values[2] == 3.0
+    # pairs that share a real part stay together, after the real value there
+    values = Spectrum.of([1 + 5j, 1 - 2j, 1.0, 1 - 5j, 1 + 2j]).values
+    assert values == (1 + 0j, 1 - 2j, 1 + 2j, 1 - 5j, 1 + 5j)
