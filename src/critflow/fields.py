@@ -27,6 +27,13 @@ under an affine map the curvature term of the pushforward vanishes, so g's
 acceleration is A F(x) with Jacobian A DF(x) A^-1
 (:class:`JetAccelerationMap`), and g's large substituted trees are never
 differentiated.
+
+An :class:`AffineConjugateField` compiles one plain-float conjugation when
+it is built: the pull-back x = A^-1 y - A^-1 b and the push-forward A v,
+two small kernels with each sum in index order. Its values and its
+acceleration map's values go through them, and so do Newton's residuals
+and the RKF45 stages, which call those values. Jacobians and Hessians stay
+numpy products.
 """
 
 from __future__ import annotations
@@ -40,8 +47,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expr import (
-    KERNEL_ERRORS, Const, DomainError, Expression, ExpressionError, Name,
-    Unary, SystemDefinition, compile_array, compile_kernel, differentiate,
+    KERNEL_ERRORS, Binary, Const, DomainError, Expression, ExpressionError,
+    Name, Unary, SystemDefinition, compile_array, compile_kernel, differentiate,
     e_add, e_div, e_func, e_mul, e_neg, e_pow, e_sub, evaluate,
     free_variables, to_source,
 )
@@ -169,14 +176,21 @@ class VectorMap:
         self._kernels[orders] = kernel
         return kernel
 
-    def _evaluate(self, orders: tuple[int, ...], point) -> tuple:
-        """The entries of ``orders`` from a single kernel call; raises
-        :class:`DomainError` naming the first entry that
-        :func:`~critflow.expr.evaluate` would reject."""
-        kernel = self._kernels.get(orders) or self._compile_kernel(orders)
+    def _floats(self, point) -> list[float]:
+        """``point`` as a list of Python floats, the kernels' arguments."""
         if len(point) != self.n_in:
             raise ValueError(f"point has {len(point)} coordinates, map expects {self.n_in}")
-        args = point.tolist() if isinstance(point, np.ndarray) else [float(v) for v in point]
+        return point.tolist() if isinstance(point, np.ndarray) else [float(v) for v in point]
+
+    def _evaluate(self, orders: tuple[int, ...], point) -> tuple:
+        return self._call(orders, self._floats(point))
+
+    def _call(self, orders: tuple[int, ...], args) -> tuple:
+        """The entries of ``orders`` at ``args``, a sequence of Python
+        floats, from a single kernel call; raises :class:`DomainError`
+        naming the first entry that :func:`~critflow.expr.evaluate` would
+        reject."""
+        kernel = self._kernels.get(orders) or self._compile_kernel(orders)
         try:
             out = kernel(*args)
         except KERNEL_ERRORS:
@@ -186,7 +200,8 @@ class VectorMap:
             self._raise_domain_error(orders, args)
         return out
 
-    def _raise_domain_error(self, orders: tuple[int, ...], args: list[float]):
+    def _raise_domain_error(self, orders: tuple[int, ...], args):
+        args = list(args)
         env = {**self.parameters, **dict(zip(self.input_names, args))}
         for k, e in enumerate(self._entries(orders)):
             try:
@@ -200,6 +215,16 @@ class VectorMap:
 
     def value(self, point) -> np.ndarray:
         return np.array(self._evaluate((0,), point))
+
+    # Newton's float interface: values as a tuple and Jacobian rows, at a
+    # sequence of Python floats of the right length
+
+    def _values(self, args) -> tuple:
+        return self._call((0,), args)
+
+    def _jacobian_rows(self, args) -> list:
+        out, n = self._call((1,), args), self.n_in
+        return [out[k:k + n] for k in range(0, len(out), n)]
 
     @cached_property
     def _grid_kernel(self):
@@ -258,12 +283,14 @@ class VectorField(VectorMap):
 class JetAccelerationMap:
     """Acceleration field of an :class:`AffineConjugateField` g.
 
-    With x = A^-1 (y - b), value = A F(x) and jacobian = A DF(x) A^-1,
+    With x = A^-1 y - A^-1 b, value = A F(x) and jacobian = A DF(x) A^-1,
     where F is ``acceleration_map(g.base)``: the symbolic map, with the
-    kernels that the base's own perpetual search compiles. No Hessian is
-    evaluated and nothing is cached per point. The name dates from an
-    earlier construction that contracted g's jets; it stays because the
-    benchmark's layer tracer patches this class and its methods by name.
+    kernels that the base's own perpetual search compiles. The value goes
+    through g's plain-float conjugation kernels, the Jacobian through numpy
+    products, as for g itself. No Hessian is evaluated, nothing is compiled
+    and nothing is cached per point. The name dates from an earlier
+    construction that contracted g's jets; it stays because the benchmark's
+    layer tracer patches this class and its methods by name.
     """
 
     def __init__(self, field: AffineConjugateField):
@@ -271,9 +298,15 @@ class JetAccelerationMap:
         self.accel = acceleration_map(field.base)
         self.name = f"{field.name}_accel"
 
-    def value(self, point) -> np.ndarray:
+    def _values(self, ys) -> tuple:
         g = self.field
-        return _finite(g._mat.dot(self.accel.value(g._pull_back(point))), self.name, point)
+        return _finite(g._push(*self.accel._values(g._pull(*ys))), self.name, ys)
+
+    def _jacobian_rows(self, ys) -> list:
+        return self.jacobian(ys).tolist()
+
+    def value(self, point) -> np.ndarray:
+        return np.array(self._values(self.field._floats(point)))
 
     def jacobian(self, point) -> np.ndarray:
         g = self.field
@@ -344,13 +377,16 @@ class TransformationMap(VectorMap):
 
     def _read_linear_part(self) -> LinearPart:
         """Check the declared linearity, then read off matrix, offset and
-        inverse."""
-        worst = 0.0
-        for p in lattice_points(self.domain, 100, rng_seed=0):
-            worst = max(worst, float(np.max(np.abs(self.hessian(p)))))
-        if worst >= 1e-12:
-            raise ExpressionError(
-                f"map declared linear but has Hessian entries up to {worst:.3e}")
+        inverse. Symbolic Hessian entries that all fold to zero prove the
+        linearity exactly; otherwise the Hessian is sampled."""
+        if not all(isinstance(e, Const) and e.value == 0.0
+                   for plane in self.hessian_exprs for row in plane for e in row):
+            worst = 0.0
+            for p in lattice_points(self.domain, 100, rng_seed=0):
+                worst = max(worst, float(np.max(np.abs(self.hessian(p)))))
+            if worst >= 1e-12:
+                raise ExpressionError(
+                    f"map declared linear but has Hessian entries up to {worst:.3e}")
         center = 0.5 * (self.domain.lower + self.domain.upper)
         matrix = self.jacobian(center)
         offset = self.value(center) - matrix @ center
@@ -408,10 +444,11 @@ def substitute(e: Expression, mapping: Mapping[str, Expression]) -> Expression:
     return builders[e.op](substitute(e.left, mapping), substitute(e.right, mapping))
 
 
-def _finite(out: np.ndarray, name: str, point) -> np.ndarray:
-    """``out``, or :class:`DomainError` when a product with the map's
-    matrices overflowed, as for a non-finite kernel entry."""
-    flat = out.ravel().tolist()
+def _finite(out, name: str, point):
+    """``out``, an array or a flat tuple of floats, or :class:`DomainError`
+    when a product with the map's matrices overflowed, as for a non-finite
+    kernel entry."""
+    flat = out.ravel().tolist() if isinstance(out, np.ndarray) else out
     # a finite sum proves every entry finite; otherwise look closer
     if not math.isfinite(sum(flat)) and not all(map(math.isfinite, flat)):
         raise DomainError(f"{name} is not evaluable at {[float(v) for v in point]}: "
@@ -419,13 +456,33 @@ def _finite(out: np.ndarray, name: str, point) -> np.ndarray:
     return out
 
 
+def _affine_kernel(matrix: np.ndarray, offset: np.ndarray | None, names):
+    """One compiled kernel for ``matrix @ v`` (minus ``offset``) on Python
+    floats: entry i is ``((m_i0 * v_0 + m_i1 * v_1) + ...) - offset_i``,
+    summed in index order. The nodes are built unfolded, so a zero or unit
+    coefficient keeps its operation."""
+    entries = []
+    for i, row in enumerate(matrix.tolist()):
+        total = None
+        for m, name in zip(row, names):
+            term = Binary("*", Const(m), Name(name))
+            total = term if total is None else Binary("+", total, term)
+        if offset is not None:
+            total = Binary("-", total, Const(float(offset[i])))
+        entries.append(total)
+    return compile_kernel(entries, names)
+
+
 class AffineConjugateField(VectorField):
     """Transformed system under an affine map, evaluated by composition.
 
     Carries the substituted symbolic components (so serialization and the
     symbolic API behave like any other field) but computes values and
-    partials as A f(A^-1 (y - b)) with exact chain-rule contractions,
+    partials as A f(A^-1 y - A^-1 b) with exact chain-rule contractions,
     which avoids the cost of the large substituted trees.
+
+    Values, its own and its acceleration map's, go through the pull-back
+    and push-forward kernels (:func:`_affine_kernel`) compiled here once.
     """
 
     def __init__(self, system: SystemDefinition, base: VectorField, linear: LinearPart):
@@ -435,6 +492,8 @@ class AffineConjugateField(VectorField):
         self._inv = linear.inverse
         self._offset = linear.offset
         self._inv_offset = linear.inverse @ linear.offset
+        self._pull = _affine_kernel(self._inv, self._inv_offset, self.input_names)
+        self._push = _affine_kernel(self._mat, None, base.input_names)
 
     @cached_property
     def _acceleration(self):
@@ -445,11 +504,17 @@ class AffineConjugateField(VectorField):
             raise ValueError(f"point has {len(point)} coordinates, map expects {self.n_in}")
         return self._inv.dot(np.asarray(point, dtype=float)) - self._inv_offset
 
-    # ``a.dot(b)`` reaches the same BLAS call as ``a @ b`` with less
-    # dispatch overhead on these tiny operands
+    def _values(self, ys) -> tuple:
+        return _finite(self._push(*self.base._values(self._pull(*ys))), self.name, ys)
+
+    def _jacobian_rows(self, ys) -> list:
+        return self.jacobian(ys).tolist()
 
     def value(self, point) -> np.ndarray:
-        return _finite(self._mat.dot(self.base.value(self._pull_back(point))), self.name, point)
+        return np.array(self._values(self._floats(point)))
+
+    # ``a.dot(b)`` reaches the same BLAS call as ``a @ b`` with less
+    # dispatch overhead on these tiny operands
 
     def jacobian(self, point) -> np.ndarray:
         pushed = self._mat.dot(self.base.jacobian(self._pull_back(point))).dot(self._inv)

@@ -3,8 +3,11 @@
 Eigenvalues are computed by closed form for orders 1 and 2 and by
 Hessenberg reduction followed by Wilkinson-shifted QR iteration (complex
 arithmetic, Givens rotations) for order >= 3. Linear systems go through
-partially pivoted elimination. Spectra are compared as multisets via a
-matching distance, never element-wise by index.
+partially pivoted elimination on Python floats for every size: written
+out on scalars for orders 1 to 3, and one list elimination
+(:func:`_eliminate`) for larger orders and for :func:`min_pivot`. Spectra
+are compared as multisets via a matching distance, never element-wise by
+index.
 """
 
 from __future__ import annotations
@@ -119,32 +122,47 @@ def spectrum_distance(a: Spectrum, b: Spectrum) -> float:
 # ---------------------------------------------------------------------------
 # Linear solve
 
-def _eliminate(a: np.ndarray, b: np.ndarray | None):
-    """In-place partially pivoted elimination; returns pivot magnitudes."""
-    n = a.shape[0]
-    pivots = np.empty(n)
+def _eliminate(a: list[list[float]], b: list[float] | None) -> list[float]:
+    """In-place partially pivoted elimination on Python floats; returns the
+    pivot magnitudes. The first of equal magnitudes wins the pivot (a NaN,
+    once met, as for ``np.argmax``), zero factors skip their update, and
+    entries below the diagonal are left as they are: nothing reads them."""
+    n = len(a)
+    pivots = []
     for col in range(n):
-        p = col + int(np.argmax(np.abs(a[col:, col])))
-        pivots[col] = abs(a[p, col])
+        p, best = col, abs(a[col][col])
+        for row in range(col + 1, n):
+            v = abs(a[row][col])
+            if v > best or (v != v and best == best):
+                p, best = row, v
+        pivots.append(best)
         if p != col:
-            a[[col, p]] = a[[p, col]]
+            a[col], a[p] = a[p], a[col]
             if b is not None:
-                b[[col, p]] = b[[p, col]]
-        if a[col, col] == 0.0:
+                b[col], b[p] = b[p], b[col]
+        top = a[col]
+        diag = top[col]
+        if diag == 0.0:
             continue
         for row in range(col + 1, n):
-            factor = a[row, col] / a[col, col]
+            cur = a[row]
+            factor = cur[col] / diag
             if factor != 0.0:
-                a[row, col:] -= factor * a[col, col:]
+                for k in range(col + 1, n):
+                    cur[k] -= factor * top[k]
                 if b is not None:
                     b[row] -= factor * b[col]
     return pivots
 
 
+def _smallest(pivots: list[float]) -> float:
+    # np.min's rule: a NaN anywhere is the minimum
+    return math.nan if any(v != v for v in pivots) else min(pivots)
+
+
 def min_pivot(m) -> float:
     """Smallest pivot magnitude met during pivoted elimination."""
-    a = _as_square(m).copy()
-    return float(np.min(_eliminate(a, None)))
+    return _smallest(_eliminate(_as_square(m).tolist(), None))
 
 
 def is_degenerate(m, tol: float = 1e-10) -> bool:
@@ -160,7 +178,7 @@ def is_degenerate(m, tol: float = 1e-10) -> bool:
 def solve_linear(m, rhs) -> np.ndarray:
     """Solve m @ x = rhs by partially pivoted Gaussian elimination.
 
-    Float 1x1, 2x2 and 3x3 arrays, the Newton case, go straight to scalar
+    Float 1x1, 2x2 and 3x3 arrays, the common case, go straight to scalar
     elimination on Python floats without copying or re-validating the
     array; non-finite entries still raise ``ValueError``.
     """
@@ -174,32 +192,55 @@ def solve_linear(m, rhs) -> np.ndarray:
             b = rhs.tolist()
         else:
             b = np.array(rhs, dtype=float).reshape(len(rows)).tolist()
-        return _SMALL_SOLVES[len(rows)](rows, b)
-    a = _as_square(m).copy()
-    n = a.shape[0]
-    b = np.array(rhs, dtype=float).reshape(n).copy()
-    if n <= 3:
-        return _SMALL_SOLVES[n](a.tolist(), b.tolist())
-    norm = float(np.linalg.norm(a, np.inf))
+    else:
+        a = _as_square(m)
+        rows = a.tolist()
+        b = np.array(rhs, dtype=float).reshape(a.shape[0]).tolist()
+    return np.array(_solve_rows(rows, b))
+
+
+def _solve_rows(rows, b: list[float]) -> list[float]:
+    """:func:`solve_linear` on Python floats, without validation: ``rows``
+    are the n rows of a square matrix of finite floats (lists or tuples,
+    left unchanged) and ``b`` the right-hand side, a list of n floats. The
+    unrolled solvers take n <= 3, and :func:`_eliminate` every larger n."""
+    small = _SMALL_SOLVES.get(len(rows))
+    return small(rows, b) if small else _solve_general(rows, b)
+
+
+def _solve_general(rows, b: list[float]) -> list[float]:
+    a = [list(row) for row in rows]
+    b = list(b)
+    n = len(a)
+    norm = 0.0
+    for row in a:
+        total = 0.0
+        for v in row:
+            total += abs(v)
+        if total > norm:
+            norm = total
     threshold = 1e-13 * norm
-    pivots = _eliminate(a, b)
-    worst = float(np.min(pivots))
+    worst = _smallest(_eliminate(a, b))
     if worst <= threshold or worst == 0.0:
         raise SingularMatrixError(worst, threshold)
-    x = np.empty(n)
+    x = [0.0] * n
     for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1:] @ x[row + 1:]) / a[row, row]
+        cur = a[row]
+        total = b[row]
+        for k in range(row + 1, n):
+            total -= cur[k] * x[k]
+        x[row] = total / cur[row]
     return x
 
 
-def _solve_1x1(a: list[list[float]], b: list[float]) -> np.ndarray:
+def _solve_1x1(a, b: list[float]) -> list[float]:
     ((a00,),), (b0,) = a, b
     if a00 == 0.0:
         raise SingularMatrixError(0.0, 0.0)
-    return np.array([b0 / a00])
+    return [b0 / a00]
 
 
-def _solve_2x2(a: list[list[float]], b: list[float]) -> np.ndarray:
+def _solve_2x2(a, b: list[float]) -> list[float]:
     (a00, a01), (a10, a11) = a
     b0, b1 = b
     norm = max(abs(a00) + abs(a01), abs(a10) + abs(a11))
@@ -216,10 +257,10 @@ def _solve_2x2(a: list[list[float]], b: list[float]) -> np.ndarray:
     if pivot1 <= threshold or pivot1 == 0.0:
         raise SingularMatrixError(pivot1, threshold)
     x1 = b1 / a11
-    return np.array([(b0 - a01 * x1) / a00, x1])
+    return [(b0 - a01 * x1) / a00, x1]
 
 
-def _solve_3x3(a: list[list[float]], b: list[float]) -> np.ndarray:
+def _solve_3x3(a, b: list[float]) -> list[float]:
     # partially pivoted elimination written out on scalars; the first of
     # equal magnitudes wins the pivot, and zero factors skip their update
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
@@ -259,7 +300,7 @@ def _solve_3x3(a: list[list[float]], b: list[float]) -> np.ndarray:
     x2 = q13 / q12
     x1 = (p13 - p12 * x2) / p11
     x0 = (p03 - p01 * x1 - p02 * x2) / p00
-    return np.array([x0, x1, x2])
+    return [x0, x1, x2]
 
 
 _SMALL_SOLVES = {1: _solve_1x1, 2: _solve_2x2, 3: _solve_3x3}

@@ -8,6 +8,15 @@ seeded on a deterministic stratified lattice, then deduplicated.
 Newton iterates may wander slightly outside the search region (a cushion
 of 10% of each dimension's span); converged roots outside the region
 proper are kept but flagged ``boundary``.
+
+Newton runs on Python floats from end to end. The solved map's kernel
+tuples (``_values``, ``_jacobian_rows``) feed a ``math.hypot`` residual and
+the scalar solvers of :mod:`critflow.linalg`, trial points stay lists, and
+an array is built only for a returned root. The sufficient-decrease test
+compares products, ``rt * rt <= r * r * (1 - 1e-4 t)``: a float ``** 2``
+raises ``OverflowError`` above 1.34e154, where a product gives inf, and a
+steep field's residual norm can pass that. Each search counts its seeds'
+outcomes and its evaluations on the :class:`PointSearch`.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ import numpy as np
 from .expr import DomainError
 from .fields import VectorField, VectorMap, acceleration_map
 from .linalg import (EigenConvergenceError, SingularMatrixError, Spectrum,
-                     eigenvalues, is_degenerate, solve_linear)
+                     _solve_rows, eigenvalues, is_degenerate)
 from .region import AnalysisRegion, lattice_points
 
 __all__ = [
@@ -84,11 +93,22 @@ class CriticalPoint:
 
 @dataclass
 class PointSearch:
-    """A critical-point search with its side diagnostics."""
+    """A critical-point search with its side diagnostics.
+
+    The counters are deterministic: ``reasons`` counts the seeds' Newton
+    outcomes ("converged", "singular-jacobian", "no-descent", ...; they
+    sum to ``seeds_used``), and ``residual_evals``, ``jacobian_evals`` and
+    ``solves`` count the solved field's evaluations and the linear solves
+    of every Newton run, polishing included. They are not in the report.
+    """
     points: list[CriticalPoint]
     warnings: list[str] = field(default_factory=list)
     seeds_used: int = 0
     seeds_converged: int = 0
+    reasons: dict[str, int] = field(default_factory=dict)
+    residual_evals: int = 0
+    jacobian_evals: int = 0
+    solves: int = 0
 
     @property
     def clean_points(self) -> list[CriticalPoint]:
@@ -115,60 +135,69 @@ class _Outcome:
     reason: str
 
 
-def _residual(fieldmap: VectorMap, x: np.ndarray) -> tuple[np.ndarray, float] | None:
+def _residual(fieldmap: VectorMap, x: list[float], work: PointSearch):
+    """(field values, their 2-norm) at ``x``, or None outside the domain;
+    ``work`` counts the evaluation."""
+    work.residual_evals += 1
     try:
-        v = fieldmap.value(x)
+        fx = fieldmap._values(x)
     except DomainError:
         return None
-    return v, math.sqrt(v.dot(v))
+    return fx, math.hypot(*fx)
 
 
-def _polish(fieldmap: VectorMap, x, fx, r):
+def _step(fieldmap: VectorMap, x: list[float], fx, work: PointSearch) -> list[float]:
+    """The Newton step at ``x``: raises DomainError or SingularMatrixError."""
+    work.jacobian_evals += 1
+    jac = fieldmap._jacobian_rows(x)
+    work.solves += 1
+    return _solve_rows(jac, [-v for v in fx])
+
+
+def _polish(fieldmap: VectorMap, x, fx, r, work: PointSearch):
     # a few extra full steps push the residual toward machine precision
     for _ in range(3):
         try:
-            step = solve_linear(fieldmap.jacobian(x), -fx)
+            step = _step(fieldmap, x, fx, work)
         except (SingularMatrixError, DomainError):
             break
-        trial = _residual(fieldmap, x + step)
+        trial_x = [xi + si for xi, si in zip(x, step)]
+        trial = _residual(fieldmap, trial_x, work)
         if trial is None or trial[1] >= r:
             break
-        x = x + step
-        fx, r = trial
+        x, (fx, r) = trial_x, trial
     return x, r
 
 
-def _trial_point(lo, hi, xs: list[float], ss: list[float], t: float) -> np.ndarray | None:
-    """``x + t * step``, or None when that leaves the box [lo, hi]. Worked
-    out on scalars with the same float operations as the array expression,
-    so a rejected trial builds no array."""
+def _trial_point(lo, hi, xs: list[float], ss: list[float], t: float) -> list[float] | None:
+    """``x + t * step``, or None when that leaves the box [lo, hi]."""
     trial = [xi + t * si for xi, si in zip(xs, ss)]
     for v, l, h in zip(trial, lo, hi):
         if not l <= v <= h:
             return None
-    return np.array(trial)
+    return trial
 
 
-def _newton(fieldmap: VectorMap, seed, box: tuple, cfg: SolverConfig) -> _Outcome:
+def _newton(fieldmap: VectorMap, seed, box: tuple, cfg: SolverConfig,
+            work: PointSearch) -> _Outcome:
     """Damped Newton from ``seed``; ``box`` is the (lower, upper) pair of
-    the cushioned search region that trial points must stay in."""
+    the cushioned search region that trial points must stay in, and
+    ``work`` counts the evaluations and solves."""
     lo, hi = box
-    x = np.array(seed, dtype=float)
-    state = _residual(fieldmap, x)
+    x = [float(v) for v in seed]
+    state = _residual(fieldmap, x, work)
     if state is None:
         return _Outcome(None, math.inf, 0, "domain-error-at-seed")
     fx, r = state
 
     for it in range(cfg.max_newton_iters):
         if r <= cfg.root_tol:
-            x, r = _polish(fieldmap, x, fx, r)
-            return _Outcome(x, r, it, "converged")
+            x, r = _polish(fieldmap, x, fx, r, work)
+            return _Outcome(np.array(x), r, it, "converged")
         try:
-            jac = fieldmap.jacobian(x)
+            step = _step(fieldmap, x, fx, work)
         except DomainError:
             return _Outcome(None, r, it, "domain-error")
-        try:
-            step = solve_linear(jac, -fx)
         except SingularMatrixError:
             return _Outcome(None, r, it, "singular-jacobian")
 
@@ -177,19 +206,21 @@ def _newton(fieldmap: VectorMap, seed, box: tuple, cfg: SolverConfig) -> _Outcom
         # Valid trials that still fail below t = 1e-6 prove the direction is
         # no descent (the merit is smooth), so bail out early there; only
         # invalid trials (domain/region walls) justify halving to _MIN_STEP.
+        # The squares are products: a float ``** 2`` raises OverflowError
+        # above 1.34e154, where a product gives inf.
         t = 1.0
         accepted = False
         exited = False
-        xs, ss = x.tolist(), step.tolist()
         while t >= _MIN_STEP:
-            trial_x = _trial_point(lo, hi, xs, ss, t)
+            trial_x = _trial_point(lo, hi, x, step, t)
             if trial_x is None:
                 exited = exited or t == 1.0
                 t *= _DAMPING
                 continue
-            trial = _residual(fieldmap, trial_x)
+            trial = _residual(fieldmap, trial_x, work)
             if trial is not None:
-                if trial[1] ** 2 <= r * r * (1.0 - 1e-4 * t):
+                rt = trial[1]
+                if rt * rt <= r * r * (1.0 - 1e-4 * t):
                     x, (fx, r) = trial_x, trial
                     accepted = True
                     break
@@ -200,7 +231,7 @@ def _newton(fieldmap: VectorMap, seed, box: tuple, cfg: SolverConfig) -> _Outcom
             return _Outcome(None, r, it, "region-exit" if exited else "no-descent")
 
     if r <= cfg.root_tol:
-        return _Outcome(x, r, cfg.max_newton_iters, "converged")
+        return _Outcome(np.array(x), r, cfg.max_newton_iters, "converged")
     return _Outcome(None, r, cfg.max_newton_iters, "iteration-cap")
 
 
@@ -208,7 +239,9 @@ def newton_root(fieldmap: VectorMap, seed, region: AnalysisRegion,
                 cfg: SolverConfig = SolverConfig()) -> np.ndarray:
     """Damped Newton from ``seed``; returns a point with ||field|| <= root_tol
     or raises :class:`NoConvergenceError` with diagnostics."""
-    out = _newton(fieldmap, seed, region.cushioned_bounds(_REGION_CUSHION), cfg)
+    if len(seed) != region.dimension:
+        raise ValueError(f"seed has {len(seed)} coordinates, region has {region.dimension}")
+    out = _newton(fieldmap, seed, region.cushioned_bounds(_REGION_CUSHION), cfg, PointSearch(points=[]))
     if out.point is None:
         raise NoConvergenceError(out.reason, out.iterations, out.residual)
     return out.point
@@ -217,25 +250,29 @@ def newton_root(fieldmap: VectorMap, seed, region: AnalysisRegion,
 # ---------------------------------------------------------------------------
 # Multi-start search
 
-def _collect_roots(fieldmap: VectorMap, region: AnalysisRegion, cfg: SolverConfig):
-    seeds = lattice_points(region, cfg.seed_count, cfg.rng_seed)
+def _collect_roots(fieldmap: VectorMap, region: AnalysisRegion, cfg: SolverConfig,
+                   search: PointSearch):
+    """Deduplicated roots as (location, residual); ``search`` receives the
+    seed counts, the outcome reasons and the evaluation counts."""
+    seeds = lattice_points(region, cfg.seed_count, cfg.rng_seed).tolist()
     box = region.cushioned_bounds(_REGION_CUSHION)
     hits: list[tuple[np.ndarray, float]] = []
-    converged = singular = 0
+    reasons: dict[str, int] = {}
     for seed in seeds:
-        out = _newton(fieldmap, seed, box, cfg)
+        out = _newton(fieldmap, seed, box, cfg, search)
+        reasons[out.reason] = reasons.get(out.reason, 0) + 1
         if out.point is not None:
             hits.append((out.point, out.residual))
-            converged += 1
-        elif out.reason == "singular-jacobian":
-            singular += 1
     # lowest-residual representative wins its dedup cluster
     hits.sort(key=lambda h: (h[1], tuple(h[0])))
     kept: list[tuple[np.ndarray, float]] = []
     for point, res in hits:
         if all(np.linalg.norm(point - q) > cfg.dedup_tol for q, _ in kept):
             kept.append((point, res))
-    return kept, len(seeds), converged, singular
+    search.seeds_used = len(seeds)
+    search.seeds_converged = len(hits)
+    search.reasons = dict(sorted(reasons.items()))
+    return kept
 
 
 def _spectrum_of(fieldmap: VectorMap, location) -> tuple[Spectrum | None, bool, str]:
@@ -252,8 +289,9 @@ def _spectrum_of(fieldmap: VectorMap, location) -> tuple[Spectrum | None, bool, 
 
 def _run_search(f: VectorField, solved: VectorMap, kind: str,
                 region: AnalysisRegion, cfg: SolverConfig) -> PointSearch:
-    roots, used, converged, singular = _collect_roots(solved, region, cfg)
-    points: list[CriticalPoint] = []
+    search = PointSearch(points=[])
+    roots = _collect_roots(solved, region, cfg, search)
+    points = search.points
     for location, residual in roots:
         try:
             velocity = f.value(location)
@@ -274,17 +312,18 @@ def _run_search(f: VectorField, solved: VectorMap, kind: str,
             note=note,
         ))
     points.sort(key=CriticalPoint.sort_key)
-    search = PointSearch(points=points, seeds_used=used, seeds_converged=converged)
     n_degenerate = sum(1 for p in points if p.degenerate)
     if n_degenerate > _CONTINUUM_THRESHOLD:
         search.warnings.append(
             f"degenerate continuum suspected: {n_degenerate} mutually distinct "
             f"degenerate {kind}-point roots; the zero set of the solved field is "
             f"not isolated and this list is not exhaustive")
-    if converged == 0 and singular:
+    singular = search.reasons.get("singular-jacobian", 0)
+    if search.seeds_converged == 0 and singular:
         search.warnings.append(
-            f"no seed converged: {singular} of {used} seeds stopped on a singular Jacobian "
-            f"of the solved field, so its {kind}-point roots may not be isolated")
+            f"no seed converged: {singular} of {search.seeds_used} seeds stopped on a "
+            f"singular Jacobian of the solved field, so its {kind}-point roots may not "
+            f"be isolated")
     return search
 
 

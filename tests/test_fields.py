@@ -341,6 +341,73 @@ def _bits(values) -> list[str]:
     return [float(v).hex() for v in values]
 
 
+def _plain_dot(row, v):
+    total = row[0] * v[0]
+    for m, w in zip(row[1:], v[1:]):
+        total = total + m * w
+    return total
+
+
+def _plain_conjugated(linear, base, y) -> list[float]:
+    """A base(A^-1 y - A^-1 b) on Python floats, each sum in index order."""
+    offset = (linear.inverse @ linear.offset).tolist()
+    x = [_plain_dot(row, list(y)) - c for row, c in zip(linear.inverse.tolist(), offset)]
+    v = base.value(x).tolist()
+    return [_plain_dot(row, v) for row in linear.matrix.tolist()]
+
+
+def test_affine_conjugated_values_are_the_plain_float_product():
+    # g and g's acceleration map share one plain-float conjugation: bit for
+    # bit the product in index order, and within rounding of numpy's
+    rng = random.Random(4242)
+    for n in (1, 2, 3, 4):
+        region = cf.AnalysisRegion.of(*[(-2.5, 2.5)] * n)
+        f = random_polynomial_field(rng, n)
+        h = random_affine_map(rng, n, region)
+        g = cf.transformed_system(f, h)
+        assert isinstance(g, AffineConjugateField)
+        lin = h.linear_part
+        for mapping, base in ((g, f), (acceleration_map(g), acceleration_map(f))):
+            for _ in range(8):
+                y = [rng.uniform(-2.0, 2.0) for _ in range(n)]
+                got = mapping.value(y)
+                assert _bits(got) == _bits(_plain_conjugated(lin, base, y)), (n, y)
+                assert _bits(mapping.value(np.array(y))) == _bits(got)
+                want = lin.matrix @ base.value(lin.inverse @ (np.array(y) - lin.offset))
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert float(np.max(np.abs(got - want))) <= 1e-13 * scale, (n, y)
+        # y = 4 x pushes 1e308 to inf on every side
+        xs, ys = [f"x{i + 1}" for i in range(n)], [f"y{i + 1}" for i in range(n)]
+        h = cf.TransformationMap(
+            "scale", xs, {}, [cf.parse_expression(f"4.0 * {x}", set(xs)) for x in xs],
+            region, True,
+            inverse=cf.VectorMap("unscale", ys, {},
+                                 [cf.parse_expression(f"0.25 * {y}", set(ys)) for y in ys]))
+        for source, mapping in (("1e308 * {}", lambda g: g),
+                                ("1e154 * {}", acceleration_map)):
+            g = mapping(cf.transformed_system(
+                make_field("big", xs, {}, [source.format(x) for x in xs]), h))
+            assert math.isfinite(g.value([1.0] * n)[0])
+            with pytest.raises(cf.DomainError, match="is not evaluable at"):
+                g.value([4.0] * n)
+
+
+def test_declared_affine_map_reads_its_linear_part_without_a_hessian(monkeypatch):
+    # its symbolic Hessian entries all fold to zero, which proves linearity
+    compiled = []
+    compile_kernel = cf.fields.compile_kernel
+    monkeypatch.setattr(cf.fields, "compile_kernel",
+                        lambda exprs, names: compiled.append(len(exprs)) or compile_kernel(
+                            exprs, names))
+    monkeypatch.setattr(cf.TransformationMap, "hessian",
+                        lambda self, point: pytest.fail("Hessian evaluated"))
+    region = cf.AnalysisRegion.of((-2, 2), (-1, 3), (0, 1))
+    h = random_affine_map(random.Random(7), 3, region)
+    assert (2,) not in h._kernels
+    assert sorted(compiled) == [3, 9]  # the value and Jacobian kernels only
+    assert h.linear_part is not None and h.linear_part.inverse is not None
+
+
 def _kernel_probe_maps(rng):
     maps = []
     for n in (1, 2, 3):
@@ -436,7 +503,7 @@ def test_affine_acceleration_map_is_the_conjugated_base_acceleration(monkeypatch
 
         for y, (got_value, got_jac) in zip(points, got):
             x = a_inv @ y - a_inv @ b
-            assert _bits(got_value) == _bits(a @ base_accel.value(x))
+            assert _bits(got_value) == _bits(_plain_conjugated(h.linear_part, base_accel, y))
             assert _bits(got_jac.ravel()) == _bits((a @ base_accel.jacobian(x) @ a_inv).ravel())
             # the identity itself: D2g[g] + Dg Dg from g's own partials
             v, jac, hess = g.value(y), g.jacobian(y), g.hessian(y)

@@ -221,6 +221,96 @@ def test_solve_linear_1x1_arrays_match_general_path():
         assert str(exc.value) == str(cf.SingularMatrixError(0.0, 0.0))
 
 
+
+def _array_eliminate(a: np.ndarray, b):
+    """The numpy elimination the list form replaced, kept as its reference."""
+    n = a.shape[0]
+    pivots = np.empty(n)
+    for col in range(n):
+        p = col + int(np.argmax(np.abs(a[col:, col])))
+        pivots[col] = abs(a[p, col])
+        if p != col:
+            a[[col, p]] = a[[p, col]]
+            if b is not None:
+                b[[col, p]] = b[[p, col]]
+        if a[col, col] == 0.0:
+            continue
+        for row in range(col + 1, n):
+            factor = a[row, col] / a[col, col]
+            if factor != 0.0:
+                a[row, col:] -= factor * a[col, col:]
+                if b is not None:
+                    b[row] -= factor * b[col]
+    return pivots
+
+
+def _array_solve(m, rhs):
+    a = np.array(m, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    b = np.array(rhs, dtype=float)
+    threshold = 1e-13 * float(np.linalg.norm(a, np.inf))
+    worst = float(np.min(_array_eliminate(a, b)))
+    if worst <= threshold or worst == 0.0:
+        raise cf.SingularMatrixError(worst, threshold)
+    x = np.empty(len(b))
+    for row in range(len(b) - 1, -1, -1):
+        x[row] = (b[row] - a[row, row + 1:] @ x[row + 1:]) / a[row, row]
+    return x
+
+
+def _awkward_matrices(rng, n):
+    """Small-integer entries (ties everywhere), a zero column, a repeated
+    row, both, a near-singular perturbation and a plain random matrix."""
+    ties = rng.integers(-2, 3, size=(n, n)).astype(float) * rng.choice([1.0, 0.5, 3.0])
+    zero_col = ties.copy()
+    zero_col[:, rng.integers(n)] = 0.0
+    repeated = rng.uniform(-4, 4, size=(n, n))
+    repeated[rng.integers(1, n)] = repeated[0]
+    both = repeated.copy()
+    both[:, rng.integers(n)] = 0.0
+    near = repeated.copy()
+    near[-1, -1] += 1e-15
+    return [ties, zero_col, repeated, both, near, rng.normal(size=(n, n))]
+
+
+def test_list_elimination_keeps_the_array_pivots_for_every_size():
+    rng = np.random.default_rng(2024)
+    solved = raised = 0
+    for _ in range(60):
+        n = int(rng.integers(4, 7))
+        for m in _awkward_matrices(rng, n):
+            want = _array_eliminate(m.copy(), None)
+            assert min_pivot(m) == float(np.min(want))
+            assert min_pivot(m.tolist()) == float(np.min(want))
+            scale = max(1.0, float(np.linalg.norm(m, np.inf)))
+            for tol in (1e-10, 1e-13):
+                assert is_degenerate(m, tol) == bool(np.min(want) <= tol * scale)
+            rhs = rng.uniform(-3, 3, size=n)
+            try:
+                ref = _array_solve(m, rhs)
+            except cf.SingularMatrixError as err:
+                with pytest.raises(cf.SingularMatrixError) as exc:
+                    cf.solve_linear(m, rhs)
+                assert exc.value.pivot == err.pivot and str(exc.value) == str(err)
+                raised += 1
+                continue
+            got = cf.solve_linear(m, rhs)
+            oracle = np.linalg.solve(m, rhs)
+            bound = 1e-12 * np.linalg.cond(m) * max(1.0, float(np.linalg.norm(oracle)))
+            assert float(np.linalg.norm(got - oracle)) <= bound
+            assert float(np.linalg.norm(got - ref)) <= bound
+            solved += 1
+    assert solved > 100 and raised > 100
+    for bad in (np.inf, -np.inf, np.nan):
+        m = np.eye(5)
+        m[2, 3] = bad
+        with pytest.raises(ValueError):
+            _array_solve(m, np.ones(5))
+        with pytest.raises(ValueError):
+            cf.solve_linear(m, np.ones(5))
+
+
 def test_spectrum_lists_negative_imaginary_member_of_a_pair_first():
     # rounding may put either member's real part lower; the order must not follow it
     eps = 2.0 ** -52

@@ -10,7 +10,7 @@ import critflow as cf
 
 from critflow.io import load_system
 
-from conftest import grid_scan_roots, make_field, random_polynomial_field
+from conftest import grid_scan_roots, make_field, random_affine_map, random_polynomial_field
 
 
 REGION_1D = cf.AnalysisRegion.of((-3, 3))
@@ -200,3 +200,36 @@ def test_fixed_search_warns_when_every_seed_meets_a_singular_jacobian():
     # a search that converges somewhere stays silent
     assert cf.fixed_point_search(make_field("line", ["x"], {}, ["x - 1"]),
                                  REGION_1D, CFG).warnings == []
+
+
+def test_search_counts_outcomes_and_evaluations():
+    rng = random.Random(21)
+    region = cf.AnalysisRegion.of((-2, 2), (-2, 2))
+    for f in (random_polynomial_field(rng, 2),
+              cf.transformed_system(random_polynomial_field(rng, 2),
+                                    random_affine_map(rng, 2, region))):
+        for search_fn in (cf.fixed_point_search, cf.perpetual_point_search):
+            first, again = search_fn(f, region, CFG), search_fn(f, region, CFG)
+            assert sum(first.reasons.values()) == first.seeds_used > 0
+            assert first.reasons.get("converged", 0) == first.seeds_converged
+            assert set(first.reasons) <= {"converged", "domain-error-at-seed", "domain-error",
+                                          "singular-jacobian", "no-descent", "region-exit",
+                                          "iteration-cap"}
+            # every seed is evaluated once; every solve follows a Jacobian
+            assert first.residual_evals >= first.seeds_used
+            assert first.jacobian_evals >= first.solves >= first.seeds_converged
+            counts = [(s.reasons, s.residual_evals, s.jacobian_evals, s.solves)
+                      for s in (first, again)]
+            assert counts[0] == counts[1]
+    nilpotent = load_system(Path(__file__).parent / "data" / "nilpotent.json")
+    search = cf.fixed_point_search(nilpotent.field, nilpotent.region, CFG)
+    assert search.reasons == {"singular-jacobian": search.seeds_used}
+    assert search.jacobian_evals == search.solves == search.seeds_used
+
+
+def test_fixed_search_survives_residuals_whose_square_overflows():
+    # residual norms reach 8e200, far above the 1.34e154 where a float
+    # square overflows
+    f = make_field("steep", ["x"], {}, ["1e200*(x^2 - 1)"])
+    points = cf.fixed_point_search(f, REGION_1D, CFG).points
+    assert [p.location[0] for p in points] == [-1.0, 1.0]
