@@ -12,7 +12,9 @@ Every component goes through the same operations, in the same order, as
 the array form ``x + h * sum(a * k for ...)``, so states, step sizes and
 exceptions are the array form's to the bit; on the 2- to 4-element states
 of the flow checks the step costs less than half as much as numpy calls
-on small arrays.
+on small arrays. Each stage reads the field's kernel tuple (``_values``)
+at a list of floats, with no array built or taken apart; the tuple holds
+the floats that ``value`` would put into its array.
 """
 
 from __future__ import annotations
@@ -135,7 +137,7 @@ def _rkf45_segment(f, x, t0, t1, cfg, h_start):
     t, t1 = float(t0), float(t1)
     h = min(h_start, t1 - t)
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
-    value = f.value
+    values = f._values
     while t < t1:
         h = min(h, t1 - t)
         if h < _MIN_STEP:
@@ -146,16 +148,16 @@ def _rkf45_segment(f, x, t0, t1, cfg, h_start):
                 return np.array(x), h, t
             raise StepUnderflowError(t, h)
         try:
-            k1 = value(x).tolist()
-            k2 = value([v + h * (0 + _A21 * a) for v, a in zip(x, k1)]).tolist()
-            k3 = value([v + h * (0 + _A31 * a + _A32 * b)
-                        for v, a, b in zip(x, k1, k2)]).tolist()
-            k4 = value([v + h * (0 + _A41 * a + _A42 * b + _A43 * c)
-                        for v, a, b, c in zip(x, k1, k2, k3)]).tolist()
-            k5 = value([v + h * (0 + _A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                        for v, a, b, c, d in zip(x, k1, k2, k3, k4)]).tolist()
-            k6 = value([v + h * (0 + _A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-                        for v, a, b, c, d, e in zip(x, k1, k2, k3, k4, k5)]).tolist()
+            k1 = values(x)
+            k2 = values([v + h * (0 + _A21 * a) for v, a in zip(x, k1)])
+            k3 = values([v + h * (0 + _A31 * a + _A32 * b)
+                         for v, a, b in zip(x, k1, k2)])
+            k4 = values([v + h * (0 + _A41 * a + _A42 * b + _A43 * c)
+                         for v, a, b, c in zip(x, k1, k2, k3)])
+            k5 = values([v + h * (0 + _A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                         for v, a, b, c, d in zip(x, k1, k2, k3, k4)])
+            k6 = values([v + h * (0 + _A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+                         for v, a, b, c, d, e in zip(x, k1, k2, k3, k4, k5)])
         except DomainError:
             h *= 0.5
             continue

@@ -15,7 +15,10 @@ the scalar solvers of :mod:`critflow.linalg`, trial points stay lists, and
 an array is built only for a returned root. The sufficient-decrease test
 compares products, ``rt * rt <= r * r * (1 - 1e-4 t)``: a float ``** 2``
 raises ``OverflowError`` above 1.34e154, where a product gives inf, and a
-steep field's residual norm can pass that. Each search counts its seeds'
+steep field's residual norm can pass that. Where ``r * r`` is inf the
+products would accept any finite trial, so the test compares the ratio
+``(rt / r) * (rt / r) <= 1 - 1e-4 t`` instead; the search then takes the
+same steps at every scale c of a field c·f. Each search counts its seeds'
 outcomes and its evaluations on the :class:`PointSearch`.
 """
 
@@ -207,7 +210,8 @@ def _newton(fieldmap: VectorMap, seed, box: tuple, cfg: SolverConfig,
         # no descent (the merit is smooth), so bail out early there; only
         # invalid trials (domain/region walls) justify halving to _MIN_STEP.
         # The squares are products: a float ``** 2`` raises OverflowError
-        # above 1.34e154, where a product gives inf.
+        # above 1.34e154, where a product gives inf. Past that r * r is inf
+        # and accepts anything finite, so the test divides by r first.
         t = 1.0
         accepted = False
         exited = False
@@ -219,8 +223,9 @@ def _newton(fieldmap: VectorMap, seed, box: tuple, cfg: SolverConfig,
                 continue
             trial = _residual(fieldmap, trial_x, work)
             if trial is not None:
-                rt = trial[1]
-                if rt * rt <= r * r * (1.0 - 1e-4 * t):
+                rt, rr = trial[1], r * r
+                if (rt * rt <= rr * (1.0 - 1e-4 * t) if rr != math.inf
+                        else (rt / r) * (rt / r) <= 1.0 - 1e-4 * t):
                     x, (fx, r) = trial_x, trial
                     accepted = True
                     break

@@ -1,7 +1,7 @@
 """Acceptance suite.
 
 One test per criterion, each at its stated tolerance, printing a
-``criterion N: PASS`` line on success (run with ``pytest -s`` to see the
+``criterion N: PASS`` line on success (run with ``pytest -rP`` to see the
 lines; a failing criterion fails its test). Criterion 4's run is cached so
 criterion 8 can compare a byte-identical rerun.
 """

@@ -64,7 +64,8 @@ def _whole_horizon_flow_points(f, h, region, count, t_end):
     horizon: keep a candidate when the integration reaches t_end and all
     its samples lie in h.domain. Returns (points, how many were kept)."""
     candidates = cf.lattice_points(region.intersect(h.domain), 4 * count, rng_seed=0)
-    quick = cf.IntegratorConfig(abs_tol=1e-6, rel_tol=1e-6, t_end=float(t_end), sample_count=17)
+    quick = cf.IntegratorConfig(abs_tol=1e-6, rel_tol=1e-6, t_end=float(t_end),
+                                sample_count=critflow.conjugacy._FLOW_SAMPLES)
     good, rest = [], []
     for c in candidates:
         if len(good) >= count:
@@ -79,25 +80,30 @@ def _whole_horizon_flow_points(f, h, region, count, t_end):
 
 
 def _counting_values(f):
+    """Count the calls of f's kernel tuple, the integrator's right-hand side."""
     calls = [0]
-    value = f.value
+    values = f._values
 
-    def counted(point):
+    def counted(args):
         calls[0] += 1
-        return value(point)
+        return values(args)
 
-    f.value = counted
+    f._values = counted
     return calls
+
+
+def _builder_case(n, seed):
+    rng = random.Random(seed)
+    region = cf.AnalysisRegion.of(*[(-2.5, 2.5)] * n)
+    f = random_polynomial_field(rng, n, degree=3)
+    return f, random_affine_map(rng, n, region), region
 
 
 # kept: candidates whose samples all stay in h.domain; at n = 4, builder
 # seed 1 keeps none, as every candidate blows up or fails
 @pytest.mark.parametrize("n, seed, kept", [(2, 1, 5), (2, 5, 3), (3, 1, 5), (3, 3, 2), (4, 1, 0)])
 def test_flow_points_stop_early_and_match_whole_horizon_rule(n, seed, kept):
-    rng = random.Random(seed)
-    region = cf.AnalysisRegion.of(*[(-2.5, 2.5)] * n)
-    f = random_polynomial_field(rng, n, degree=3)
-    h = random_affine_map(rng, n, region)
+    f, h, region = _builder_case(n, seed)
     calls = _counting_values(f)
     want, kept_whole_horizon = _whole_horizon_flow_points(f, h, region, 5, 1.0)
     assert kept_whole_horizon == kept
@@ -106,6 +112,38 @@ def test_flow_points_stop_early_and_match_whole_horizon_rule(n, seed, kept):
     assert len(got) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert calls[0] < whole_horizon_calls
+
+
+@pytest.mark.parametrize("n, seed", [(2, 1), (2, 5), (3, 1), (3, 3), (4, 1)])
+def test_flow_points_reject_escaping_candidates_on_the_check_grid(n, seed):
+    # on the flow check's grid a candidate heading for a blow-up is mostly
+    # rejected at a sample outside h.domain, not integrated until its step
+    # collapses; on a 17-sample grid three of these cases spend over 40 %
+    f, h, region = _builder_case(n, seed)
+    calls = _counting_values(f)
+    _whole_horizon_flow_points(f, h, region, 5, 1.0)
+    whole_horizon_calls, calls[0] = calls[0], 0
+    cf.select_flow_points(f, h, region, 5, 1.0)
+    assert 0 < 4 * calls[0] < whole_horizon_calls
+
+
+def test_flow_check_skips_g_where_f_fails():
+    # x' = x^3 from 1 collapses its step at t = 1/2; only x0 is compared
+    # there, so g's states would go unread
+    f = make_field("cubic", ["x"], {}, ["x^3"])
+    h = affine_map_1d(2.0, 1.0)
+    g = cf.transformed_system(f, h)
+    calls = _counting_values(g)
+    failing = cf.verify_flow_conjugacy(f, g, h, [[1.0]], t_end=1.0, tol=1e-6)
+    assert calls[0] == 0
+    (record,) = failing.details
+    assert record.residual == 0.0 and failing.verdict == cf.HOLDS
+    assert record.note.startswith("compared 1/32 samples; integration failed: step size underflow")
+    assert record.note.count("integration failed") == 1
+    both = cf.verify_flow_conjugacy(f, g, h, [[1.0], [0.5]], t_end=1.0, tol=1e-6)
+    assert calls[0] > 0  # x0 = 0.5 blows up only at t = 2
+    assert both.details[0] == record and both.verdict == cf.HOLDS
+    assert both.details[1].note == "compared 32/32 samples"
 
 
 def test_point_mapping_affine(affine_setup):

@@ -233,3 +233,13 @@ def test_fixed_search_survives_residuals_whose_square_overflows():
     f = make_field("steep", ["x"], {}, ["1e200*(x^2 - 1)"])
     points = cf.fixed_point_search(f, REGION_1D, CFG).points
     assert [p.location[0] for p in points] == [-1.0, 1.0]
+
+
+@pytest.mark.parametrize("c", ["1", "1e100", "1e160", "1e200", "1e300"])
+def test_fixed_search_takes_the_same_steps_at_every_scale(c):
+    # past r = 1.34e154, r * r is inf; the decrease test must still reject
+    # a trial that raises the residual, so c*f searches exactly as f does
+    f = make_field("scaled", ["x"], {}, [f"{c}*(x^3 - 2*x + 2)"])
+    search = cf.fixed_point_search(f, REGION_1D, CFG)
+    assert search.reasons == {"converged": 59, "region-exit": 41}
+    assert [p.location[0] for p in search.points] == [-1.7692923542386314]
