@@ -204,14 +204,12 @@ def cmd_verify(args) -> int:
     if unknown:
         raise InputError(f"--theorems: unknown ids {sorted(unknown)}")
     cfg = _solver_config(args)
-    flow_tol = args.tol if args.tol is not None else 1e-6
-    spectrum_tol = args.tol if args.tol is not None else 1e-6
-    similarity_tol = args.tol / 10.0 if args.tol is not None else 1e-7
+    # --tol overrides run_verification's defaults
+    tols = {} if args.tol is None else {
+        "flow_tol": args.tol, "spectrum_tol": args.tol, "similarity_tol": args.tol / 10.0}
     try:
-        report, g = run_verification(
-            loaded.field, lmap.map, region, theorems=theorems,
-            t_end=args.t_end, flow_tol=flow_tol, spectrum_tol=spectrum_tol,
-            similarity_tol=similarity_tol, cfg=cfg)
+        report, g = run_verification(loaded.field, lmap.map, region, theorems=theorems,
+                                     t_end=args.t_end, cfg=cfg, **tols)
     except (InverseMismatchError, ExpressionError) as err:
         raise InputError(f"{lmap.path}: {err}") from err
     except ValueError as err:

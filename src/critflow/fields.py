@@ -6,12 +6,12 @@ acceleration field (Jacobian contracted with the velocity), and the
 pushforwards of velocity and acceleration under a coordinate map.
 
 Evaluation runs through compiled kernels: one generated function per map
-and derivative order (values, Jacobian, Hessian, or a fused jet of several)
-that returns every entry in one call as a flat tuple, with repeated
-subexpressions computed once (see :func:`~critflow.expr.compile_kernel`).
-``value``/``jacobian``/``hessian``/``jet`` reshape slices of those tuples
-and give the same bits as evaluating each entry's tree; ``value_grid``
-uses one broadcasting kernel for all components.
+and derivative order (values, Jacobian or Hessian) that returns every
+entry in one call as a flat tuple, with repeated subexpressions computed
+once (see :func:`~critflow.expr.compile_kernel`). ``value``/``jacobian``/
+``hessian`` reshape those tuples and give the same bits as evaluating each
+entry's tree, and ``jet`` gathers their results; ``value_grid`` uses one
+broadcasting kernel for all components.
 
 A coordinate map caches what the checks derive from it: the matrix, offset
 and inverse of a declared-linear map (``TransformationMap.linear_part``)
@@ -88,9 +88,9 @@ class VectorMap:
     partials. Immutable once constructed.
 
     Each derivative order is compiled on first use into one kernel that
-    returns all of its entries; ``value``, ``jacobian``, ``hessian`` and
-    ``jet`` are reshaped slices of those kernels, bit-identical to
-    :func:`~critflow.expr.evaluate` on each entry. A point outside the
+    returns all of its entries; ``value``, ``jacobian`` and ``hessian``
+    reshape those entries, bit-identical to :func:`~critflow.expr.evaluate`
+    on each, and ``jet`` calls them in that order. A point outside the
     domain raises :class:`~critflow.expr.DomainError` naming the first
     entry (row-major) that is not evaluable there.
     """
@@ -110,7 +110,7 @@ class VectorMap:
         self._param_values = tuple(self.parameters[k] for k in self.parameters)
         self.n_in = len(self.input_names)
         self.n_out = len(self.components)
-        self._kernels: dict = {}  # compiled on first use, keyed by derivative orders
+        self._kernels: dict = {}  # compiled on first use, keyed by derivative order
 
     def source_strings(self) -> tuple[str, ...]:
         return tuple(to_source(c) for c in self.components)
@@ -139,41 +139,30 @@ class VectorMap:
 
     # -- compiled kernels ---------------------------------------------------
     #
-    # A kernel covers one or more derivative orders (0 value, 1 Jacobian,
-    # 2 Hessian) and returns their entries flat, order by order, row-major.
-    # value/jacobian/hessian each use their own order alone, so each raises
-    # exactly where its own entries are not evaluable; jets use one fused
-    # kernel, which also shares subexpressions between the orders.
+    # One kernel per derivative order (0 value, 1 Jacobian, 2 Hessian)
+    # returns that order's entries flat, row-major, so each method raises
+    # exactly where its own entries are not evaluable.
 
-    def _entries(self, orders: tuple[int, ...]) -> list[Expression]:
-        entries: list[Expression] = []
-        for order in orders:
-            if order == 0:
-                entries.extend(self.components)
-            elif order == 1:
-                entries.extend(e for row in self.jacobian_exprs for e in row)
-            else:
-                entries.extend(e for plane in self.hessian_exprs for row in plane for e in row)
-        return entries
+    def _entries(self, order: int) -> list[Expression]:
+        if order == 0:
+            return list(self.components)
+        if order == 1:
+            return [e for row in self.jacobian_exprs for e in row]
+        return [e for plane in self.hessian_exprs for row in plane for e in row]
 
-    def _label(self, orders: tuple[int, ...], k: int) -> str:
+    def _label(self, order: int, k: int) -> str:
         n = self.n_in
-        for order in orders:
-            size = self.n_out * n ** order
-            if k < size:
-                break
-            k -= size
         if order == 0:
             return f"component {k}"
         if order == 1:
             return f"jacobian[{k // n},{k % n}]"
         return f"hessian[{k // (n * n)},{k // n % n},{k % n}]"
 
-    def _compile_kernel(self, orders: tuple[int, ...]):
-        kernel = compile_kernel(self._entries(orders), self._args)
+    def _compile_kernel(self, order: int):
+        kernel = compile_kernel(self._entries(order), self._args)
         # parameters ride along as defaults, so plain calls pass coordinates only
         kernel.__defaults__ = self._param_values
-        self._kernels[orders] = kernel
+        self._kernels[order] = kernel
         return kernel
 
     def _floats(self, point) -> list[float]:
@@ -182,48 +171,45 @@ class VectorMap:
             raise ValueError(f"point has {len(point)} coordinates, map expects {self.n_in}")
         return point.tolist() if isinstance(point, np.ndarray) else [float(v) for v in point]
 
-    def _evaluate(self, orders: tuple[int, ...], point) -> tuple:
-        return self._call(orders, self._floats(point))
-
-    def _call(self, orders: tuple[int, ...], args) -> tuple:
-        """The entries of ``orders`` at ``args``, a sequence of Python
+    def _call(self, order: int, args) -> tuple:
+        """The entries of ``order`` at ``args``, a sequence of Python
         floats, from a single kernel call; raises :class:`DomainError`
         naming the first entry that :func:`~critflow.expr.evaluate` would
         reject."""
-        kernel = self._kernels.get(orders) or self._compile_kernel(orders)
+        kernel = self._kernels.get(order) or self._compile_kernel(order)
         try:
             out = kernel(*args)
         except KERNEL_ERRORS:
-            self._raise_domain_error(orders, args)
+            self._raise_domain_error(order, args)
         # a finite sum proves every entry finite; otherwise look closer
         if not math.isfinite(sum(out)) and not all(map(math.isfinite, out)):
-            self._raise_domain_error(orders, args)
+            self._raise_domain_error(order, args)
         return out
 
-    def _raise_domain_error(self, orders: tuple[int, ...], args):
+    def _raise_domain_error(self, order: int, args):
         args = list(args)
         env = {**self.parameters, **dict(zip(self.input_names, args))}
-        for k, e in enumerate(self._entries(orders)):
+        for k, e in enumerate(self._entries(order)):
             try:
                 evaluate(e, env)
             except DomainError as err:
-                raise DomainError(f"{self._label(orders, k)} of {self.name} is not "
+                raise DomainError(f"{self._label(order, k)} of {self.name} is not "
                                   f"evaluable at {args}: {err}") from None
         raise DomainError(f"{self.name} is not evaluable at {args}")
 
     # -- evaluation ---------------------------------------------------------
 
     def value(self, point) -> np.ndarray:
-        return np.array(self._evaluate((0,), point))
+        return np.array(self._call(0, self._floats(point)))
 
     # Newton's float interface: values as a tuple and Jacobian rows, at a
     # sequence of Python floats of the right length
 
     def _values(self, args) -> tuple:
-        return self._call((0,), args)
+        return self._call(0, args)
 
     def _jacobian_rows(self, args) -> list:
-        out, n = self._call((1,), args), self.n_in
+        out, n = self._call(1, args), self.n_in
         return [out[k:k + n] for k in range(0, len(out), n)]
 
     @cached_property
@@ -242,19 +228,17 @@ class VectorMap:
         return out
 
     def jacobian(self, point) -> np.ndarray:
-        return np.array(self._evaluate((1,), point)).reshape(self.n_out, self.n_in)
+        return np.array(self._call(1, self._floats(point))).reshape(self.n_out, self.n_in)
 
     def hessian(self, point) -> np.ndarray:
         n = self.n_in
-        return np.array(self._evaluate((2,), point)).reshape(self.n_out, n, n)
+        return np.array(self._call(2, self._floats(point))).reshape(self.n_out, n, n)
 
     def jet(self, point, order: int = 1) -> JetValue:
         if order not in (1, 2):
             raise ValueError("jet order must be 1 or 2")
-        out = self._evaluate((0, 1, 2)[:order + 1], point)
-        m, n = self.n_out, self.n_in
-        hessian = np.array(out[m + m * n:]).reshape(m, n, n) if order == 2 else None
-        return JetValue(np.array(out[:m]), np.array(out[m:m + m * n]).reshape(m, n), hessian)
+        return JetValue(self.value(point), self.jacobian(point),
+                        self.hessian(point) if order == 2 else None)
 
 
 def jet(field_or_map: VectorMap, point, order: int = 1) -> JetValue:
@@ -500,9 +484,7 @@ class AffineConjugateField(VectorField):
         return JetAccelerationMap(self)
 
     def _pull_back(self, point) -> np.ndarray:
-        if len(point) != self.n_in:
-            raise ValueError(f"point has {len(point)} coordinates, map expects {self.n_in}")
-        return self._inv.dot(np.asarray(point, dtype=float)) - self._inv_offset
+        return self._inv.dot(self._floats(point)) - self._inv_offset
 
     def _values(self, ys) -> tuple:
         return _finite(self._push(*self.base._values(self._pull(*ys))), self.name, ys)
@@ -524,12 +506,6 @@ class AffineConjugateField(VectorField):
         pushed = np.einsum("ip,pqr,qj,rk->ijk", self._mat,
                            self.base.hessian(self._pull_back(point)), self._inv, self._inv)
         return _finite(pushed, self.name, point)
-
-    def jet(self, point, order: int = 1) -> JetValue:
-        if order not in (1, 2):
-            raise ValueError("jet order must be 1 or 2")
-        return JetValue(self.value(point), self.jacobian(point),
-                        self.hessian(point) if order == 2 else None)
 
     def value_grid(self, points: np.ndarray) -> np.ndarray:
         pulled = (np.asarray(points, dtype=float) - self._offset) @ self._inv.T

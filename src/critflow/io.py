@@ -63,7 +63,7 @@ def _read_json(path: str | Path):
     digest = hashlib.sha256(raw).hexdigest()
     try:
         doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+    except ValueError as err:  # also a bad encoding or an integer of too many digits
         raise InputError(f"{path}: not valid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be a JSON object")
@@ -88,22 +88,32 @@ def _name_list(value, path: str, key: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _number(value, message: str) -> float:
+    """The rule for every number of a definition file: a JSON number that is
+    finite as a float, else ``InputError(message)``. Python's json also reads
+    NaN, Infinity and integers beyond the float range."""
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise InputError(message)
+
+
 def _param_map(value, path: str) -> dict[str, float]:
-    out = {}
-    for k, v in value.items():
-        if not isinstance(k, str) or isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise InputError(f"{path}: params must map names to numbers (bad entry {k!r})")
-        out[k] = float(v)
-    return out
+    return {k: _number(v, f"{path}: params must map names to finite numbers (bad entry {k!r})")
+            for k, v in value.items()}
 
 
 def region_from_json(value, dimension: int, path: str, key: str = "region") -> AnalysisRegion:
     if (not isinstance(value, list) or len(value) != dimension
             or not all(isinstance(b, list) and len(b) == 2 for b in value)):
         raise InputError(f"{path}: '{key}' must be a list of {dimension} [lo, hi] pairs")
+    bad = f"{path}: '{key}' bounds must be finite numbers"
+    bounds = [(_number(lo, bad), _number(hi, bad)) for lo, hi in value]
     try:
-        return AnalysisRegion.of(*[(b[0], b[1]) for b in value])
-    except (TypeError, ValueError) as err:
+        return AnalysisRegion.of(*bounds)
+    except ValueError as err:
         raise InputError(f"{path}: '{key}': {err}") from err
 
 

@@ -176,27 +176,11 @@ def is_degenerate(m, tol: float = 1e-10) -> bool:
 
 
 def solve_linear(m, rhs) -> np.ndarray:
-    """Solve m @ x = rhs by partially pivoted Gaussian elimination.
-
-    Float 1x1, 2x2 and 3x3 arrays, the common case, go straight to scalar
-    elimination on Python floats without copying or re-validating the
-    array; non-finite entries still raise ``ValueError``.
-    """
-    if (isinstance(m, np.ndarray) and m.dtype == np.float64
-            and m.shape in ((1, 1), (2, 2), (3, 3))):
-        rows = m.tolist()
-        if not math.isfinite(sum(map(sum, rows))) and not all(
-                math.isfinite(v) for row in rows for v in row):
-            raise ValueError("matrix entries must be finite")
-        if isinstance(rhs, np.ndarray) and rhs.dtype == np.float64 and rhs.shape == (len(rows),):
-            b = rhs.tolist()
-        else:
-            b = np.array(rhs, dtype=float).reshape(len(rows)).tolist()
-    else:
-        a = _as_square(m)
-        rows = a.tolist()
-        b = np.array(rhs, dtype=float).reshape(a.shape[0]).tolist()
-    return np.array(_solve_rows(rows, b))
+    """Solve m @ x = rhs by partially pivoted Gaussian elimination on Python
+    floats. Raises ``ValueError`` unless m is square and finite, and
+    :class:`SingularMatrixError` for a pivot at or below 1e-13 ||m||_inf."""
+    a = _as_square(m)
+    return np.array(_solve_rows(a.tolist(), np.array(rhs, dtype=float).reshape(len(a)).tolist()))
 
 
 def _solve_rows(rows, b: list[float]) -> list[float]:

@@ -403,9 +403,43 @@ def test_declared_affine_map_reads_its_linear_part_without_a_hessian(monkeypatch
                         lambda self, point: pytest.fail("Hessian evaluated"))
     region = cf.AnalysisRegion.of((-2, 2), (-1, 3), (0, 1))
     h = random_affine_map(random.Random(7), 3, region)
-    assert (2,) not in h._kernels
+    assert 2 not in h._kernels
     assert sorted(compiled) == [3, 9]  # the value and Jacobian kernels only
     assert h.linear_part is not None and h.linear_part.inverse is not None
+
+
+def test_jets_reuse_the_kernel_of_each_derivative_order(monkeypatch):
+    # a map compiles one kernel per order however it is asked: its jets
+    # are its value, Jacobian and Hessian, bit for bit
+    compiled = []
+    compile_kernel = cf.fields.compile_kernel
+    monkeypatch.setattr(cf.fields, "compile_kernel",
+                        lambda *args: compiled.append(args) or compile_kernel(*args))
+    rng = random.Random(2718)
+    region = cf.AnalysisRegion.of((-2.5, 2.5), (-2.5, 2.5))
+    f = random_polynomial_field(rng, 2)
+    bend = cf.TransformationMap(
+        "bend", ["x1", "x2"], {"c": 0.3},
+        [cf.parse_expression(s, {"x1", "x2", "c"}) for s in ("x1 + c * x2^2", "x2 - x1^3")],
+        region, False)
+    g = cf.transformed_system(f, random_affine_map(rng, 2, region))
+    assert isinstance(g, AffineConjugateField)
+    for m in (f, bend, g):
+        before = len(compiled)
+        for _ in range(5):
+            x = np.array([rng.uniform(-2.0, 2.0) for _ in range(2)])
+            v, jac, hess = m.value(x), m.jacobian(x), m.hessian(x)
+            j = m.jet(x, order=2)
+            assert _bits([*j.value, *j.jacobian.ravel(), *j.hessian.ravel()]) == _bits(
+                [*v, *jac.ravel(), *hess.ravel()]), (m.name, x)
+            j = m.jet(x)
+            assert j.hessian is None
+            assert _bits([*j.value, *j.jacobian.ravel()]) == _bits([*v, *jac.ravel()])
+        if m is g:
+            # g composes its base's kernels, which f compiled above
+            assert len(compiled) == before and not g._kernels
+        else:
+            assert len(compiled) - before == 3 and sorted(m._kernels) == [0, 1, 2], m.name
 
 
 def _kernel_probe_maps(rng):

@@ -62,6 +62,39 @@ def test_load_system_validation_errors(tmp_path, mutation, fragment):
         load_system(p)
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+                         ids=["nan", "inf", "-inf", "1e400", "400-digits"])
+@pytest.mark.parametrize("role, where", [
+    ("system", ("params", "A")), ("system", ("region", 0, 1)),
+    ("map", ("params", "beta")), ("map", ("domain", 0, 0)),
+], ids=["system-params", "system-region", "map-params", "map-domain"])
+def test_cli_rejects_numbers_that_are_not_finite_floats(tmp_path, capsys, role, where, token):
+    # Python's json reads these tokens, though they are not JSON numbers
+    files = {"system": DATA / "example1.json", "map": DATA / "affine_map.json"}
+    doc = read_json(files[role])
+    parent = doc
+    for step in where[:-1]:
+        parent = parent[step]
+    parent[where[-1]] = "@"
+    files[role] = tmp_path / f"{role}.json"
+    files[role].write_text(json.dumps(doc).replace('"@"', token))
+    assert run_cli("transform", files["system"], files["map"], "--out", tmp_path / "out") == 2
+    if where[0] == "params":
+        detail = f"params must map names to finite numbers (bad entry {where[1]!r})"
+    else:
+        detail = f"'{where[0]}' bounds must be finite numbers"
+    assert capsys.readouterr().err == f"error: {files[role]}: {detail}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_integers_of_more_digits_than_python_converts(tmp_path, capsys):
+    # json.loads raises a plain ValueError here, not a JSONDecodeError
+    p = tmp_path / "system.json"
+    p.write_text((DATA / "example1.json").read_text().replace('"A": 1.0', '"A": ' + "9" * 5000))
+    assert run_cli("analyze", p) == 2
+    assert capsys.readouterr().err.startswith(f"error: {p}: ")
+
+
 def test_load_system_missing_key(tmp_path):
     doc = read_json(DATA / "example1.json")
     del doc["field"]

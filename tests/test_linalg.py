@@ -188,20 +188,20 @@ def test_solve_linear_singularity_threshold_on_small_matrices(n):
 
 
 def test_solve_linear_small_arrays_match_general_elimination():
-    # float64 2x2/3x3 arrays skip validation; lists and other dtypes do not
+    # arrays and lists are validated alike and reach the same elimination
     rng = np.random.default_rng(99)
     for _ in range(300):
         n = int(rng.integers(2, 4))
         m = rng.uniform(-5, 5, size=(n, n))
         rhs = rng.uniform(-5, 5, size=n)
-        fast = cf.solve_linear(m, rhs)
-        slow = cf.solve_linear(m.tolist(), rhs.tolist())
-        assert fast.tobytes() == slow.tobytes()
+        from_arrays = cf.solve_linear(m, rhs)
+        from_lists = cf.solve_linear(m.tolist(), rhs.tolist())
+        assert from_arrays.tobytes() == from_lists.tobytes()
 
 
 def test_solve_linear_1x1_arrays_match_general_path():
-    # a float64 (1, 1) array skips validation; lists and float32 arrays take
-    # the general path, and both divide on Python floats
+    # float64 and float32 arrays and lists are validated alike, and each
+    # divides on Python floats
     rng = np.random.default_rng(11)
     pivots = rng.uniform(-5, 5, size=100).tolist() + [5e-324, -1e-300, 1e-13, 1e300]
     for a in pivots:
