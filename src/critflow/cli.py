@@ -301,6 +301,9 @@ def main(argv=None) -> int:
     except InputError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_INPUT_ERROR
+    except RecursionError:  # an input whose expressions nest past the recursion limit
+        sys.stderr.write("error: an input is nested too deeply to process\n")
+        return EXIT_INPUT_ERROR
 
 
 def run() -> None:

@@ -39,7 +39,7 @@ from .fields import (TransformationMap, VectorField, acceleration_map,
                      image_region, transformed_system)
 from .flows import (BlowUpError, IntegratorConfig, StepUnderflowError, _sampled_states,
                     integrate)
-from .linalg import eigenvalues, min_pivot, spectrum_distance
+from .linalg import EigenConvergenceError, eigenvalues, min_pivot, spectrum_distance
 from .points import (FIXED, PERPETUAL, SolverConfig, fixed_point_search,
                      perpetual_point_search)
 from .region import AnalysisRegion, lattice_points
@@ -363,7 +363,7 @@ def verify_spectrum_preservation(f: VectorField, h: TransformationMap,
                 j_dst = dst_field.jacobian(np.array(rec.matched))
                 sd = spectrum_distance(eigenvalues(j_src), eigenvalues(j_dst))
                 sim = _similarity(linear.matrix, linear.inverse, j_src, j_dst)
-            except DomainError as err:
+            except (DomainError, EigenConvergenceError) as err:
                 records.append(replace(rec, note=f"spectra not evaluable: {err}"))
                 ok = False
                 continue

@@ -355,10 +355,15 @@ def parse_expression(source: str, allowed_names) -> Expression:
 
     Free identifiers must be members of ``allowed_names``; violations raise
     :class:`UnknownIdentifierError` with the byte offset of the offender.
+    Nesting deep enough to exhaust the recursion limit raises
+    :class:`ExpressionSyntaxError`.
     """
     if not source or not source.strip():
         raise ExpressionSyntaxError("empty expression", 0)
-    return _Parser(source, frozenset(allowed_names)).parse()
+    try:
+        return _Parser(source, frozenset(allowed_names)).parse()
+    except RecursionError:
+        raise ExpressionSyntaxError("expression nested too deeply", 0) from None
 
 
 # ---------------------------------------------------------------------------

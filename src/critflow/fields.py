@@ -101,6 +101,9 @@ class VectorMap:
         self.input_names = tuple(input_names)
         self.parameters = {k: float(v) for k, v in sorted(parameters.items())}
         self.components = tuple(components)
+        overlap = set(self.input_names) & set(self.parameters)
+        if overlap:
+            raise ExpressionError(f"names declared as both input and parameter: {sorted(overlap)}")
         declared = set(self.input_names) | set(self.parameters)
         for i, comp in enumerate(self.components):
             stray = free_variables(comp) - declared

@@ -65,6 +65,8 @@ def _read_json(path: str | Path):
         doc = json.loads(raw.decode("utf-8"))
     except ValueError as err:  # also a bad encoding or an integer of too many digits
         raise InputError(f"{path}: not valid JSON: {err}") from err
+    except RecursionError:
+        raise InputError(f"{path}: not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be a JSON object")
     return doc, digest

@@ -1,10 +1,9 @@
 """Dense linear algebra for small real matrices.
 
-Eigenvalues are computed by closed form for orders 1 and 2 and by
-Hessenberg reduction followed by Wilkinson-shifted QR iteration (complex
-arithmetic, Givens rotations) for order >= 3. Linear systems go through
-partially pivoted elimination on Python floats for every size: written
-out on scalars for orders 1 to 3, and one list elimination
+Eigenvalues are computed by closed form for orders 1 and 2 and by LAPACK,
+through ``numpy.linalg.eigvals``, for order >= 3. Linear systems go
+through partially pivoted elimination on Python floats for every size:
+written out on scalars for orders 1 to 3, and one list elimination
 (:func:`_eliminate`) for larger orders and for :func:`min_pivot`. Spectra
 are compared as multisets via a matching distance, never element-wise by
 index.
@@ -12,7 +11,6 @@ index.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from itertools import permutations
@@ -25,8 +23,6 @@ __all__ = [
     "is_degenerate",
 ]
 
-_EPS = float(np.finfo(float).eps)
-
 
 class SingularMatrixError(ValueError):
     def __init__(self, pivot: float, threshold: float):
@@ -35,11 +31,12 @@ class SingularMatrixError(ValueError):
 
 
 class EigenConvergenceError(RuntimeError):
-    def __init__(self, matrix: np.ndarray, iterations: int):
-        super().__init__(f"QR iteration did not converge after {iterations} sweeps "
-                         f"on a {matrix.shape[0]}x{matrix.shape[0]} matrix")
+    """The eigenvalue computation did not converge on ``matrix``."""
+
+    def __init__(self, matrix: np.ndarray):
+        super().__init__(f"eigenvalue computation did not converge on a "
+                         f"{matrix.shape[0]}x{matrix.shape[0]} matrix")
         self.matrix = matrix
-        self.iterations = iterations
 
 
 def _as_square(m) -> np.ndarray:
@@ -303,73 +300,12 @@ def _eig2(a: float, b: float, c: float, d: float) -> list[complex]:
     return [complex(mid, -s), complex(mid, s)]
 
 
-def _eig2_complex(block: np.ndarray) -> list[complex]:
-    a, b = block[0, 0], block[0, 1]
-    c, d = block[1, 0], block[1, 1]
-    mid = 0.5 * (a + d)
-    s = cmath.sqrt(0.25 * (a - d) ** 2 + b * c)
-    return [mid - s, mid + s]
+def eigenvalues(m) -> Spectrum:
+    """All eigenvalues of a small dense real matrix: closed forms for
+    orders 1 and 2, ``numpy.linalg.eigvals`` (LAPACK) above.
 
-
-def _wilkinson_shift(block: np.ndarray) -> complex:
-    lam1, lam2 = _eig2_complex(block)
-    corner = block[1, 1]
-    return lam1 if abs(lam1 - corner) <= abs(lam2 - corner) else lam2
-
-
-def _hessenberg(a: np.ndarray) -> np.ndarray:
-    h = a.copy()
-    n = h.shape[0]
-    for k in range(n - 2):
-        x = h[k + 1:, k]
-        normx = float(np.linalg.norm(x))
-        if normx == 0.0:
-            continue
-        v = x.copy()
-        v[0] += math.copysign(normx, x[0]) if x[0] != 0.0 else normx
-        vnorm = float(np.linalg.norm(v))
-        if vnorm == 0.0:
-            continue
-        v /= vnorm
-        h[k + 1:, k:] -= 2.0 * np.outer(v, v @ h[k + 1:, k:])
-        h[:, k + 1:] -= 2.0 * np.outer(h[:, k + 1:] @ v, v)
-        h[k + 2:, k] = 0.0
-    return h
-
-
-def _qr_step(block: np.ndarray, shift: complex) -> None:
-    """One explicit shifted QR sweep, in place, on an unreduced
-    Hessenberg block (complex)."""
-    m = block.shape[0]
-    block[np.diag_indices(m)] -= shift
-    rotations = []
-    for k in range(m - 1):
-        x, y = block[k, k], block[k + 1, k]
-        d = math.hypot(abs(x), abs(y))
-        if d == 0.0:
-            c, s = complex(1.0), complex(0.0)
-        else:
-            c, s = x.conjugate() / d, y.conjugate() / d
-        rotations.append((c, s))
-        top = c * block[k, k:] + s * block[k + 1, k:]
-        bot = -s.conjugate() * block[k, k:] + c.conjugate() * block[k + 1, k:]
-        block[k, k:] = top
-        block[k + 1, k:] = bot
-        block[k + 1, k] = 0.0
-    for k, (c, s) in enumerate(rotations):
-        hi = min(k + 2, m)
-        col = c.conjugate() * block[:hi, k] + s.conjugate() * block[:hi, k + 1]
-        nxt = -s * block[:hi, k] + c * block[:hi, k + 1]
-        block[:hi, k] = col
-        block[:hi, k + 1] = nxt
-    block[np.diag_indices(m)] += shift
-
-
-def eigenvalues(m, _sweep_cap: int | None = None) -> Spectrum:
-    """All eigenvalues of a small dense real matrix.
-
-    Raises :class:`EigenConvergenceError` if the QR iteration exceeds its
-    30n sweep cap (the offending matrix and count travel on the error).
+    Raises :class:`EigenConvergenceError`, carrying the matrix, if LAPACK
+    does not converge.
     """
     a = _as_square(m)
     n = a.shape[0]
@@ -377,42 +313,7 @@ def eigenvalues(m, _sweep_cap: int | None = None) -> Spectrum:
         return Spectrum.of([a[0, 0]])
     if n == 2:
         return Spectrum.of(_eig2(a[0, 0], a[0, 1], a[1, 0], a[1, 1]))
-
-    h = _hessenberg(a).astype(complex)
-    hnorm = float(np.linalg.norm(a))
-    eigs: list[complex] = []
-    sweeps = 0
-    cap = 30 * n if _sweep_cap is None else _sweep_cap
-    stall = 0
-    hi = n - 1
-    while hi >= 0:
-        for k in range(1, hi + 1):
-            thresh = _EPS * (abs(h[k - 1, k - 1]) + abs(h[k, k]))
-            if thresh == 0.0:
-                thresh = _EPS * hnorm
-            if abs(h[k, k - 1]) <= thresh:
-                h[k, k - 1] = 0.0
-        lo = hi
-        while lo > 0 and h[lo, lo - 1] != 0.0:
-            lo -= 1
-        if lo == hi:
-            eigs.append(h[hi, hi])
-            hi -= 1
-            stall = 0
-            continue
-        if lo == hi - 1:
-            eigs.extend(_eig2_complex(h[lo:hi + 1, lo:hi + 1]))
-            hi -= 2
-            stall = 0
-            continue
-        sweeps += 1
-        stall += 1
-        if sweeps > cap:
-            raise EigenConvergenceError(a, sweeps)
-        if stall % 12 == 0:
-            shift = h[hi, hi] + 0.75 * abs(h[hi, hi - 1])  # break rare stalls
-        else:
-            shift = _wilkinson_shift(h[hi - 1:hi + 1, hi - 1:hi + 1])
-        block = h[lo:hi + 1, lo:hi + 1]
-        _qr_step(block, shift)
-    return Spectrum.of(eigs)
+    try:
+        return Spectrum.of(np.linalg.eigvals(a))
+    except np.linalg.LinAlgError as err:
+        raise EigenConvergenceError(a) from err

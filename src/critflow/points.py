@@ -288,7 +288,7 @@ def _spectrum_of(fieldmap: VectorMap, location) -> tuple[Spectrum | None, bool, 
     try:
         spec = eigenvalues(jac)
     except EigenConvergenceError:
-        return None, is_degenerate(jac), "eigenvalue iteration did not converge"
+        return None, is_degenerate(jac), "eigenvalue computation did not converge"
     return spec, is_degenerate(jac), ""
 
 

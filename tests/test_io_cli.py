@@ -95,6 +95,24 @@ def test_cli_rejects_integers_of_more_digits_than_python_converts(tmp_path, caps
     assert capsys.readouterr().err.startswith(f"error: {p}: ")
 
 
+@pytest.mark.parametrize("text, names_file", [
+    ("[" * 200_000 + "]" * 200_000, True),  # nested past the JSON decoder's recursion
+    # nested past the expression parser's recursion
+    (json.dumps({**read_json(DATA / "example1.json"), "field": ["(" * 900 + "x" + ")" * 900]}),
+     True),
+    # parses, but nests past the recursion of the later tree walks
+    (json.dumps({**read_json(DATA / "example1.json"), "field": ["+".join(["x"] * 1200)]}),
+     False),
+], ids=["json-arrays", "parentheses", "flat-sum"])
+def test_cli_rejects_inputs_nested_too_deeply(tmp_path, capsys, text, names_file):
+    p = tmp_path / "system.json"
+    p.write_text(text)
+    assert run_cli("analyze", p) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: " if names_file else "error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_load_system_missing_key(tmp_path):
     doc = read_json(DATA / "example1.json")
     del doc["field"]
@@ -314,6 +332,15 @@ def test_cli_verify_rejects_declared_linear_map_off_its_domain(tmp_path, capsys,
     assert run_cli("verify", DATA / "example1.json", mapf) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {mapf}: map declared linear but ") and "not evaluable" in err
+
+
+def test_cli_verify_rejects_map_params_that_name_a_state_variable(tmp_path, capsys):
+    mapf = tmp_path / "map.json"
+    mapf.write_text(json.dumps({"map": ["2*x + x"], "inverse": ["y/3"], "params": {"x": 1.0},
+                                "domain": [[-10, 10]], "linear": True}))
+    assert run_cli("verify", DATA / "example1.json", mapf) == 2
+    assert capsys.readouterr().err == (f"error: {mapf}: names declared as both input "
+                                       f"and parameter: ['x']\n")
 
 
 def test_cli_verify_theorem_selection(tmp_path):

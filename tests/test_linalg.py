@@ -5,6 +5,8 @@ from numpy.testing import assert_allclose
 import critflow as cf
 from critflow.linalg import Spectrum, is_degenerate, min_pivot
 
+from conftest import identity_map, make_field
+
 
 def _np_spectrum(m) -> Spectrum:
     return Spectrum.of(np.linalg.eigvals(np.asarray(m, dtype=float)))
@@ -88,13 +90,45 @@ def test_eigenvalues_near_defective_does_not_crash():
     assert cf.spectrum_distance(ours, _np_spectrum(m)) < 1e-4
 
 
-def test_eigen_nonconvergence_reports_iterations():
-    # zero sweeps allowed forces the cap on any matrix needing iteration
+def test_eigenvalues_match_mpmath_on_random_matrices():
+    # an oracle independent of LAPACK: 40-digit eigenvalues
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(1511)
+    with mpmath.workdps(40):
+        for n in range(3, 9):
+            for _ in range(10):
+                m = rng.uniform(-3, 3, size=(n, n))
+                ref = Spectrum.of(complex(v) for v in mpmath.eig(mpmath.matrix(m.tolist()),
+                                                                 left=False, right=False))
+                bound = 1e-13 * max(1.0, float(np.linalg.norm(m)))
+                assert cf.spectrum_distance(cf.eigenvalues(m), ref) <= bound
+
+
+def test_lapack_nonconvergence_is_reported_by_searches_and_t3(monkeypatch):
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
     m = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
     with pytest.raises(cf.EigenConvergenceError) as exc:
-        cf.eigenvalues(m, _sweep_cap=0)
-    assert exc.value.iterations == 1
+        cf.eigenvalues(m)
     assert exc.value.matrix.shape == (3, 3)
+    assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+    assert cf.eigenvalues([[1.0, 2.0], [3.0, 4.0]]).order == 2  # closed forms need no LAPACK
+
+    f = make_field("three", ["x1", "x2", "x3"], {}, ["x1^2 - 1", "-x2", "-x3"])
+    region = cf.AnalysisRegion.of((-2, 2), (-2, 2), (-2, 2))
+    cfg = cf.SolverConfig(seed_count=27)
+    points = cf.fixed_point_search(f, region, cfg).points
+    assert points and all(p.spectrum is None for p in points)
+    assert all(p.note == "eigenvalue computation did not converge" for p in points)
+
+    h = identity_map(["x1", "x2", "x3"], region)
+    check = cf.verify_spectrum_preservation(f, h, cf.transformed_system(f, h), region, cfg)
+    assert check.verdict == cf.FAILS
+    assert check.details
+    assert all(r.note.startswith("spectra not evaluable: eigenvalue computation")
+               for r in check.details)
 
 
 def test_solve_linear_identity_and_diagonal():
