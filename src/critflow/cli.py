@@ -18,8 +18,8 @@ import numpy as np
 
 from .conjugacy import THEOREM_IDS, run_verification
 from .expr import DomainError, ExpressionError
-from .fields import (InverseMismatchError, acceleration_field, acceleration_map,
-                     image_region, transformed_system)
+from .fields import (InverseMismatchError, JetAccelerationMap, acceleration_field,
+                     acceleration_map, image_region, transformed_system)
 from .flows import BlowUpError, IntegratorConfig, StepUnderflowError, integrate
 from .io import (InputError, LoadedSystem, canonical_json,
                  format_float, load_map, load_system, parse_region_flag,
@@ -143,11 +143,14 @@ def _points_csv(records: dict, state_names) -> list[list[str]]:
 def _analysis_payload(field, region, cfg):
     fixed = fixed_point_search(field, region, cfg)
     perpetual = perpetual_point_search(field, region, cfg)
+    accel = acceleration_map(field)
+    if isinstance(accel, JetAccelerationMap):  # it has no symbolic components to print
+        accel = acceleration_field(field)
     payload = {
         "system": {"name": field.name, "state": list(field.input_names),
                    "params": dict(field.parameters),
                    "field": list(field.source_strings()),
-                   "acceleration_field": list(acceleration_field(field).source_strings())},
+                   "acceleration_field": list(accel.source_strings())},
         "region": [[lo, hi] for lo, hi in region.bounds],
         "fixed_points": point_search_records(fixed),
         "perpetual_points": point_search_records(perpetual),
@@ -301,7 +304,7 @@ def main(argv=None) -> int:
     except InputError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_INPUT_ERROR
-    except RecursionError:  # an input whose expressions nest past the recursion limit
+    except RecursionError:  # a tree built from the inputs nests past the recursion limit
         sys.stderr.write("error: an input is nested too deeply to process\n")
         return EXIT_INPUT_ERROR
 

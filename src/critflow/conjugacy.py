@@ -23,14 +23,27 @@ whose only keys are ``(side, kind)``: side ``"f"`` is f searched over
 region ∩ h.domain, side ``"g"`` the transformed system searched over
 ``image_region(h)``, kind is ``FIXED`` or ``PERPETUAL``. A check runs and
 stores a search only when its key is missing, so checks handed one mapping
-(as in :func:`run_verification`) run each search at most once.
+run each search at most once. :func:`run_verification` fills the mapping
+with every search its checks read before running them. The two sides are
+independent, so it runs g's searches (and ``image_region(h)``) in one
+forked worker process while the parent runs the flow check and f's
+searches. The worker is used where ``os.fork`` and
+``os.sched_getaffinity`` exist, at least two CPUs are usable and the
+calling process runs a single thread; elsewhere the same searches run in
+the calling process. Both ways run the same searches on the same inputs,
+so reports are byte-identical either way.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -229,6 +242,11 @@ def select_flow_points(f: VectorField, h: TransformationMap,
 # ---------------------------------------------------------------------------
 # Point mapping, spectra, new points
 
+def _search(kind: str):
+    # looked up on each call, so a replaced module attribute takes effect
+    return fixed_point_search if kind == FIXED else perpetual_point_search
+
+
 def _match_tol(cfg: SolverConfig) -> float:
     """Distance within which h(x*) counts as landing on a target point."""
     return 10.0 * cfg.dedup_tol
@@ -245,11 +263,10 @@ def _match_points(f, h, g, region, cfg, kind, searches: dict | None):
     the unmatched target points, the worst matched distance and whether
     every source point was matched."""
     searches = {} if searches is None else searches
-    search = fixed_point_search if kind == FIXED else perpetual_point_search
     for side, fld in (("f", f), ("g", g)):
         if (side, kind) not in searches:
             sub = region.intersect(h.domain) if side == "f" else image_region(h)
-            searches[side, kind] = search(fld, sub, cfg)
+            searches[side, kind] = _search(kind)(fld, sub, cfg)
     f_points, g_points = searches["f", kind].points, searches["g", kind].points
     match_tol = _match_tol(cfg)
     taken = [False] * len(g_points)
@@ -407,6 +424,119 @@ def detect_new_points(f: VectorField, h: TransformationMap, g: VectorField,
 # ---------------------------------------------------------------------------
 # Orchestration
 
+def _search_kinds(h: TransformationMap, theorems: Sequence[str]) -> list[str]:
+    """The kinds of point search the requested checks read, fixed first."""
+    kinds = set()
+    if "t1" in theorems:
+        kinds.add(FIXED)
+    if "t2" in theorems:
+        kinds.add(PERPETUAL)
+    if "r1" in theorems or ("t3" in theorems and _invertible_linear(h)):
+        kinds.update((FIXED, PERPETUAL))
+    return [k for k in (FIXED, PERPETUAL) if k in kinds]
+
+
+def _g_searches(g: VectorField, h: TransformationMap, kinds: Sequence[str],
+                cfg: SolverConfig) -> Iterator:
+    """g's search of each kind over ``image_region(h)``, one at a time."""
+    region = image_region(h)
+    for kind in kinds:
+        yield _search(kind)(g, region, cfg)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _worker_usable() -> bool:
+    # a forked child holds only the forking thread: a lock another thread
+    # held at the fork would stay locked in the child forever
+    return hasattr(os, "fork") and _usable_cpus() >= 2 and threading.active_count() == 1
+
+
+def _pickled_error(err: Exception) -> bytes:
+    """``err`` pickled as itself when it unpickles to the same type and
+    message, else as its type and message (an exception whose constructor
+    takes other arguments than its message, such as
+    :class:`EigenConvergenceError`, does not unpickle)."""
+    try:
+        data = pickle.dumps((False, err))
+        back = pickle.loads(data)[1]
+        if type(back) is type(err) and str(back) == str(err):
+            return data
+    except Exception:
+        pass
+    return pickle.dumps((False, (type(err), str(err))))
+
+
+def _send(items: Iterator, fd: int) -> None:
+    """Write each item of ``items``, pickled, to ``fd``; an exception that
+    ends ``items`` is written after the items before it."""
+    with os.fdopen(fd, "wb") as out:
+        try:
+            for item in items:
+                out.write(pickle.dumps((True, item)))
+                out.flush()
+        except Exception as err:
+            out.write(_pickled_error(err))
+
+
+def _received(stream) -> Iterator:
+    """The items :func:`_send` wrote to ``stream``, with its exception
+    raised again in their place."""
+    while True:
+        try:
+            ok, payload = pickle.load(stream)
+        except EOFError:
+            raise RuntimeError("the search worker ended without sending its results") from None
+        if ok:
+            yield payload
+        elif isinstance(payload, tuple):  # the type and message of an exception
+            cls, message = payload
+            err = cls.__new__(cls)
+            err.args = (message,)
+            raise err
+        else:
+            raise payload
+
+
+@contextlib.contextmanager
+def _forked(items: Iterator):
+    """Iterate ``items`` in a forked child process. Yields an iterator
+    over the same items in the parent, read from a pipe as the child
+    produces them, or ``items`` itself where no process can be forked.
+    The child leaves only through ``os._exit``; the parent kills and reaps
+    it when the block exits, however it exits.
+
+    A fork, not a spawned interpreter: the child starts with the parent's
+    imports and objects, whose compiled kernels do not pickle."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: iterate here
+        os.close(read_fd)
+        os.close(write_fd)
+        yield items
+        return
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            _send(items, write_fd)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as stream:
+            yield _received(stream)
+    finally:
+        try:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):  # reaped already (SIGCHLD ignored)
+            pass
+
+
 def run_verification(f: VectorField, h: TransformationMap,
                      region: AnalysisRegion,
                      theorems: Sequence[str] = THEOREM_IDS,
@@ -416,22 +546,58 @@ def run_verification(f: VectorField, h: TransformationMap,
                      similarity_tol: float = 1e-7,
                      cfg: SolverConfig = SolverConfig()) -> tuple[ConjugacyReport, VectorField]:
     """Run the requested checks against the transformed system built from
-    h's declared inverse. The checks share one ``searches`` mapping, so
-    each of the four point searches runs at most once."""
+    h's declared inverse.
+
+    The point searches the checks read run first, each once, and the
+    checks share them through one ``searches`` mapping. g's searches,
+    with ``image_region(h)``, run in one forked worker process while this
+    process runs the flow check and f's searches; the worker sends its
+    :class:`~critflow.points.PointSearch` results, counters included,
+    back through a pipe. The worker is used where ``os.fork`` and
+    ``os.sched_getaffinity`` exist, at least two CPUs are usable and only
+    one thread runs; otherwise g's searches run here, after f's. The
+    report is byte-identical either way.
+
+    An exception from a search is raised here with its type and message.
+    When several raise, the one raised is the first that a serial run
+    meets in the order flow, f fixed, g fixed, f perpetual, g perpetual.
+    The worker never outlives the call.
+    """
     unknown = set(theorems) - set(THEOREM_IDS)
     if unknown:
         raise ValueError(f"unknown theorem ids: {sorted(unknown)}")
     if not all(0.0 < t < math.inf for t in (flow_tol, spectrum_tol, similarity_tol)):
         raise ValueError("flow, spectrum and similarity tolerances must be finite and positive")
     g = transformed_system(f, h)
+    kinds = _search_kinds(h, theorems)
+    g_found = _g_searches(g, h, kinds, cfg)
+    worker = _forked(g_found) if kinds and _worker_usable() else contextlib.nullcontext(g_found)
     searches: dict = {}
+    flow = None
+    with worker as g_side:
+        done = 0  # f's searches finished
+        try:
+            if "flow" in theorems:
+                pts = select_flow_points(f, h, region, _FLOW_POINTS, t_end)
+                flow = verify_flow_conjugacy(f, g, h, pts, t_end, flow_tol)
+            for kind in kinds:
+                searches["f", kind] = _search(kind)(f, region.intersect(h.domain), cfg)
+                done += 1
+        except Exception as err:
+            failure = err
+        else:
+            failure = None
+        # a serial run meets g's search of a kind before f's of the next
+        for kind in kinds[:done]:
+            searches["g", kind] = next(g_side)
+        if failure is not None:
+            raise failure
     checks: list[TheoremCheck] = []
     for tid in THEOREM_IDS:
         if tid not in theorems:
             continue
         if tid == "flow":
-            pts = select_flow_points(f, h, region, _FLOW_POINTS, t_end)
-            checks.append(verify_flow_conjugacy(f, g, h, pts, t_end, flow_tol))
+            checks.append(flow)
         elif tid in ("t1", "t2"):
             kind = FIXED if tid == "t1" else PERPETUAL
             checks.append(verify_point_mapping(f, h, g, region, cfg, kind, searches))

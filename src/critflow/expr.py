@@ -25,8 +25,8 @@ __all__ = [
     "ExpressionError", "ExpressionSyntaxError", "UnknownIdentifierError",
     "DomainError", "FUNCTIONS",
     "parse_expression", "evaluate", "differentiate", "free_variables",
-    "to_source", "compile_array", "compile_kernel",
-    "KERNEL_ERRORS",
+    "to_source", "compile_array", "compile_kernel", "nesting_depth",
+    "KERNEL_ERRORS", "MAX_NESTING_DEPTH",
     "SystemDefinition",
 ]
 
@@ -481,6 +481,55 @@ def free_variables(e: Expression) -> frozenset[str]:
             stack.append(node.left)
             stack.append(node.right)
     return frozenset(out)
+
+
+#: per operation, how many levels a node's tree and its first and second
+#: partials (as :func:`differentiate` builds them) can reach above the
+#: deepest tree or partial of its children: a sum's partials are no deeper
+#: than the sum, a quotient's second partial nests 6 levels per quotient.
+#: Integer-literal powers count as "ipow", leaves count 1.
+_NESTING_WEIGHTS = {"+": 1, "-": 1, "neg": 1, "sign": 1, "abs": 2, "*": 3, "log": 3,
+                    "exp": 4, "sin": 5, "cos": 5, "/": 6, "ipow": 6, "sqrt": 7, "^": 8}
+
+#: the deepest :func:`nesting_depth` a definition file may use. The tree
+#: walks (:func:`differentiate`, the kernel emitter, :func:`evaluate`,
+#: :func:`to_source`) recurse once per level, and a search differentiates
+#: a field twice; this keeps them within Python's default recursion limit
+#: of 1000, with room for the callers' frames.
+MAX_NESTING_DEPTH = 600
+
+
+def nesting_depth(e: Expression) -> int:
+    """The depth of ``e`` with each node counted by its weight in
+    ``_NESTING_WEIGHTS``: a bound on the depth of ``e`` and of every first
+    and second partial derivative of it. A flat sum of n terms has nesting
+    depth n."""
+    depth: dict[int, int] = {}
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if id(node) in depth:
+            stack.pop()
+            continue
+        if isinstance(node, Unary):
+            children = (node.arg,)
+        elif isinstance(node, Binary):
+            children = (node.left, node.right)
+        else:
+            children = ()
+        pending = [c for c in children if id(c) not in depth]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        if not children:
+            weight = 1
+        elif node.op == "^" and _is_integer_literal(node.right):
+            weight = _NESTING_WEIGHTS["ipow"]
+        else:
+            weight = _NESTING_WEIGHTS[node.op]
+        depth[id(node)] = weight + max((depth[id(c)] for c in children), default=0)
+    return depth[id(e)]
 
 
 # ---------------------------------------------------------------------------

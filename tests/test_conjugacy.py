@@ -1,4 +1,7 @@
+import collections
+import os
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 import critflow as cf
 import critflow.conjugacy
 import critflow.fields
+from critflow.cli import main
 
 from conftest import (affine_map_1d, identity_map, make_field,
                       random_affine_map, random_polynomial_field,
@@ -14,6 +18,7 @@ from conftest import (affine_map_1d, identity_map, make_field,
 
 REGION = cf.AnalysisRegion.of((-3, 3))
 CFG = cf.SolverConfig()
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -309,11 +314,12 @@ def test_run_verification_selected_theorems(quad_field):
 # ---------------------------------------------------------------------------
 # Sharing contract: one search per (side, kind), one image region per map
 
-def _counting_searches(monkeypatch, fail=False):
+def _counting_searches(monkeypatch, log=None, fail=False):
     """Replace the search functions critflow.conjugacy holds with wrappers
-    that count calls per (searched field, kind); with ``fail`` any call
+    that append one line per call to the file ``log``: the searched
+    field's name, the kind and the calling process. A file, so that calls
+    made in the forked search worker count too. With ``fail`` any call
     raises."""
-    calls = {}
     for kind, name in ((cf.FIXED, "fixed_point_search"),
                        (cf.PERPETUAL, "perpetual_point_search")):
         original = getattr(critflow.conjugacy, name)
@@ -321,17 +327,25 @@ def _counting_searches(monkeypatch, fail=False):
         def counted(field, region, cfg, _kind=kind, _original=original):
             if fail:
                 raise AssertionError(f"{_kind} search of {field.name} was rerun")
-            calls[field.name, _kind] = calls.get((field.name, _kind), 0) + 1
+            with open(log, "a") as out:
+                out.write(f"{field.name}\t{_kind}\t{os.getpid()}\n")
             return _original(field, region, cfg)
         monkeypatch.setattr(critflow.conjugacy, name, counted)
-    return calls
 
 
-def test_run_verification_runs_each_search_once(quad_field, monkeypatch):
+def _logged_calls(log) -> list[tuple[str, str, int]]:
+    """(field name, kind, process id) of each call :func:`_counting_searches` logged."""
+    lines = log.read_text().splitlines() if log.exists() else []
+    return [(name, kind, int(pid)) for name, kind, pid in (line.split("\t") for line in lines)]
+
+
+def test_run_verification_runs_each_search_once(quad_field, monkeypatch, tmp_path):
     h = affine_map_1d(2.0, 5.0)
-    calls = _counting_searches(monkeypatch)
+    log = tmp_path / "calls"
+    _counting_searches(monkeypatch, log)
     report, g = cf.run_verification(quad_field, h, REGION)
     assert report.all_accepted
+    calls = collections.Counter((name, kind) for name, kind, _ in _logged_calls(log))
     assert calls == {(f.name, kind): 1 for f in (quad_field, g)
                      for kind in (cf.FIXED, cf.PERPETUAL)}
 
@@ -430,3 +444,120 @@ def test_tiny_linear_map_counts_as_singular(quad_field):
     assert not isinstance(g, critflow.fields.AffineConjugateField)
     check = cf.verify_spectrum_preservation(quad_field, h, g, REGION, CFG)
     assert check.verdict == cf.NOT_APPLICABLE and "singular" in check.note
+
+
+# ---------------------------------------------------------------------------
+# The search worker: g's searches in a forked process, the same results
+
+def _without_worker(monkeypatch):
+    monkeypatch.setattr(critflow.conjugacy, "_usable_cpus", lambda: 1)
+
+
+def _assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("n, seed", [(2, 1), (3, 1), (4, 1)])
+def test_reports_are_the_same_with_and_without_the_worker(n, seed, monkeypatch, tmp_path):
+    log = tmp_path / "calls"
+    _counting_searches(monkeypatch, log)
+    forked = critflow.conjugacy._worker_usable()
+    report, g = cf.run_verification(*_builder_case(n, seed))
+    _assert_no_child_process()
+    here, calls = os.getpid(), _logged_calls(log)
+    assert len(calls) == 4
+    for name, _, pid in calls:
+        assert (pid != here) == (forked and name == g.name)
+    _without_worker(monkeypatch)
+    assert not critflow.conjugacy._worker_usable()
+    in_process, _ = cf.run_verification(*_builder_case(n, seed))
+    assert repr(report) == repr(in_process)
+    assert [pid for _, _, pid in _logged_calls(log)[4:]] == [here] * 4
+
+
+@pytest.mark.parametrize("map_file", ["affine_map.json", "square_map.json"])
+def test_cli_verify_writes_the_same_bytes_with_and_without_the_worker(map_file, monkeypatch,
+                                                                     tmp_path):
+    outs = []
+    for label in ("worker", "in-process"):
+        if label == "in-process":
+            _without_worker(monkeypatch)
+        out = tmp_path / f"{label}.json"
+        assert main(["verify", str(DATA / "example1.json"), str(DATA / map_file),
+                     "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    _assert_no_child_process()
+
+
+def _failing_searches(monkeypatch, failures: dict):
+    """Make the searches and the flow-point selection of critflow.conjugacy
+    raise: ``failures`` maps (side, kind) or "flow" to the error."""
+    for kind, name in ((cf.FIXED, "fixed_point_search"),
+                       (cf.PERPETUAL, "perpetual_point_search")):
+        original = getattr(critflow.conjugacy, name)
+
+        def failing(field, region, cfg, _kind=kind, _original=original):
+            side = "g" if "_via_" in field.name else "f"
+            if (side, _kind) in failures:
+                raise failures[side, _kind]
+            return _original(field, region, cfg)
+        monkeypatch.setattr(critflow.conjugacy, name, failing)
+    if "flow" in failures:
+        def failing_flow(*args):
+            raise failures["flow"]
+        monkeypatch.setattr(critflow.conjugacy, "select_flow_points", failing_flow)
+
+
+_ERRORS = [RecursionError("maximum recursion depth exceeded"),
+           cf.DomainError("map affine not evaluable anywhere on its domain"),
+           cf.EigenConvergenceError(np.eye(3))]
+
+
+@pytest.mark.parametrize("worker", [True, False], ids=["worker", "in-process"])
+@pytest.mark.parametrize("side", ["f", "g"])
+@pytest.mark.parametrize("error", _ERRORS, ids=lambda e: type(e).__name__)
+def test_search_errors_reach_the_caller_and_leave_no_process(quad_field, monkeypatch,
+                                                             error, side, worker):
+    if not worker:
+        _without_worker(monkeypatch)
+    _failing_searches(monkeypatch, {(side, cf.FIXED): error})
+    with pytest.raises(type(error)) as caught:
+        cf.run_verification(quad_field, affine_map_1d(2.0, 5.0), REGION)
+    assert type(caught.value) is type(error) and str(caught.value) == str(error)
+    _assert_no_child_process()
+
+
+def test_an_interrupt_in_f_search_leaves_no_process(quad_field, monkeypatch):
+    _failing_searches(monkeypatch, {("f", cf.PERPETUAL): KeyboardInterrupt()})
+    with pytest.raises(KeyboardInterrupt):
+        cf.run_verification(quad_field, affine_map_1d(2.0, 5.0), REGION)
+    _assert_no_child_process()
+
+
+# a serial run meets them in the order flow, f fixed, g fixed, f perpetual,
+# g perpetual; the first one it meets is raised
+@pytest.mark.parametrize("worker", [True, False], ids=["worker", "in-process"])
+@pytest.mark.parametrize("steps, first", [
+    (["flow", ("g", cf.FIXED)], "flow"),
+    ([("f", cf.FIXED), ("g", cf.FIXED)], ("f", cf.FIXED)),
+    ([("f", cf.PERPETUAL), ("g", cf.FIXED)], ("g", cf.FIXED)),
+    ([("f", cf.FIXED), ("g", cf.PERPETUAL)], ("f", cf.FIXED)),
+    ([("f", cf.PERPETUAL), ("g", cf.PERPETUAL)], ("f", cf.PERPETUAL)),
+])
+def test_the_first_error_of_a_serial_run_is_raised(quad_field, monkeypatch, steps, first, worker):
+    if not worker:
+        _without_worker(monkeypatch)
+    _failing_searches(monkeypatch, {step: cf.DomainError(repr(step)) for step in steps})
+    with pytest.raises(cf.DomainError) as caught:
+        cf.run_verification(quad_field, affine_map_1d(2.0, 5.0), REGION)
+    assert str(caught.value) == repr(first)
+    _assert_no_child_process()
+
+
+def test_cli_exits_2_on_a_recursion_error_in_g_search(monkeypatch, capsys):
+    _failing_searches(monkeypatch, {("g", cf.FIXED): RecursionError("maximum recursion depth")})
+    assert main(["verify", str(DATA / "example1.json"), str(DATA / "affine_map.json")]) == 2
+    assert capsys.readouterr().err == "error: an input is nested too deeply to process\n"
+    _assert_no_child_process()

@@ -283,3 +283,46 @@ def test_system_definition_validation():
     good = cf.SystemDefinition.from_sources("ok", ["x"], {"A": 2.0}, ["x^2 - A^2"])
     assert good.dimension == 1
     assert good.component_sources() == ("x ^ 2.0 - A ^ 2.0",)
+
+
+def _tree_depth(e) -> int:
+    if isinstance(e, (Const, Name)):
+        return 1
+    if isinstance(e, cf.expr.Unary):
+        return 1 + _tree_depth(e.arg)
+    return 1 + max(_tree_depth(e.left), _tree_depth(e.right))
+
+
+def test_nesting_depth_bounds_the_first_and_second_partials():
+    # the bound loading enforces holds for the trees a search walks. Each
+    # weight bounds how far one node reaches above its operands (which
+    # bounds whole trees by induction); random trees check the sum
+    rng = random.Random(17)
+    names = ("x", "y")
+
+    def random_tree(depth):
+        return cf.parse_expression(random_expression_source(rng, names, depth=depth), set(names))
+
+    def reach(e):
+        """The depth of the deepest of e and its first and second partials."""
+        deepest = _tree_depth(e)
+        for a in names:
+            da = cf.differentiate(e, a)
+            deepest = max(deepest, _tree_depth(da),
+                          *(_tree_depth(cf.differentiate(da, b)) for b in names))
+        return deepest
+
+    weights = cf.expr._NESTING_WEIGHTS
+    for _ in range(150):
+        u, v = random_tree(rng.choice([1, 2, 3])), random_tree(rng.choice([1, 2, 3]))
+        ru, rv = reach(u), reach(v)
+        for op in ("neg",) + cf.expr.FUNCTIONS:
+            assert reach(cf.expr.Unary(op, u)) <= ru + weights[op], (op, u)
+        for op in "+-*/^":
+            assert reach(Binary(op, u, v)) <= max(ru, rv) + weights[op], (op, u, v)
+        power = Binary("^", u, Const(rng.choice([2.0, 3.0, 4.0, -1.0])))
+        assert reach(power) <= ru + weights["ipow"], power
+    for _ in range(100):
+        e = random_tree(rng.choice([5, 7]))
+        assert reach(e) <= cf.expr.nesting_depth(e), e
+    assert cf.expr.nesting_depth(cf.parse_expression("+".join(["x"] * 50), {"x"})) == 50

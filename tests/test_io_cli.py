@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import critflow as cf
+import critflow.cli
+import critflow.fields
 from critflow.cli import main
 from critflow.io import (InputError, canonical_json, load_map, load_system,
                          point_search_records)
@@ -95,22 +97,51 @@ def test_cli_rejects_integers_of_more_digits_than_python_converts(tmp_path, caps
     assert capsys.readouterr().err.startswith(f"error: {p}: ")
 
 
-@pytest.mark.parametrize("text, names_file", [
-    ("[" * 200_000 + "]" * 200_000, True),  # nested past the JSON decoder's recursion
+@pytest.mark.parametrize("text, detail", [
+    ("[" * 200_000 + "]" * 200_000, "not valid JSON: nested too deeply"),
     # nested past the expression parser's recursion
     (json.dumps({**read_json(DATA / "example1.json"), "field": ["(" * 900 + "x" + ")" * 900]}),
-     True),
-    # parses, but nests past the recursion of the later tree walks
+     "field[0]: expression nested too deeply (offset 0)"),
+    # parses, but nests deeper than the tree walks reach
     (json.dumps({**read_json(DATA / "example1.json"), "field": ["+".join(["x"] * 1200)]}),
-     False),
+     "field[0]: expression nested too deeply"),
 ], ids=["json-arrays", "parentheses", "flat-sum"])
-def test_cli_rejects_inputs_nested_too_deeply(tmp_path, capsys, text, names_file):
+def test_cli_rejects_inputs_nested_too_deeply(tmp_path, capsys, text, detail):
     p = tmp_path / "system.json"
     p.write_text(text)
     assert run_cli("analyze", p) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {p}: " if names_file else "error: ")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    assert capsys.readouterr().err == f"error: {p}: {detail}\n"
+
+
+# the deepest field of each shape that loading accepts: a flat sum counts
+# 1 per term, a product 3 per factor, a quotient 6 and a square root 7
+@pytest.mark.parametrize("deepest, one_more", [
+    ("+".join(["x"] * 600), "+".join(["x"] * 601)),
+    ("*".join(["x"] * 200), "*".join(["x"] * 201)),
+    ("x/(" * 99 + "x" + ")" * 99, "x/(" * 100 + "x" + ")" * 100),
+    ("sqrt(" * 85 + "x" + ")" * 85, "sqrt(" * 86 + "x" + ")" * 86),
+], ids=["sum", "product", "quotient", "sqrt"])
+def test_cli_analyze_runs_the_deepest_accepted_field(tmp_path, capsys, deepest, one_more):
+    doc = {**read_json(DATA / "example1.json"), "region": [[0.5, 1.5]]}
+    p = tmp_path / "system.json"
+    p.write_text(json.dumps({**doc, "field": [one_more]}))
+    assert run_cli("analyze", p) == 2
+    assert capsys.readouterr().err == f"error: {p}: field[0]: expression nested too deeply\n"
+    p.write_text(json.dumps({**doc, "field": [deepest]}))
+    assert run_cli("analyze", p, "--out", tmp_path / "report.json") == 0
+    assert capsys.readouterr().err == ""
+    report = read_json(tmp_path / "report.json")
+    assert len(report["system"]["acceleration_field"]) == 1
+
+
+def test_load_map_rejects_inverses_nested_too_deeply(tmp_path):
+    system = load_system(DATA / "example1.json").field
+    doc = read_json(DATA / "affine_map.json")
+    doc["inverse"] = ["+".join(["(y - beta)/alpha"] * 600)]
+    p = tmp_path / "map.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match=r"inverse\[0\]: expression nested too deeply$"):
+        load_map(p, system)
 
 
 def test_load_system_missing_key(tmp_path):
@@ -159,6 +190,20 @@ def test_cli_analyze_deterministic_bytes(tmp_path):
     assert run_cli("analyze", DATA / "planar.json", "--out", a) == 0
     assert run_cli("analyze", DATA / "planar.json", "--out", b) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_analyze_builds_the_acceleration_field_once(tmp_path, monkeypatch):
+    # the perpetual search and the report's "acceleration_field" share it
+    built = []
+    original = critflow.fields.acceleration_field
+
+    def counted(field):
+        built.append(field.name)
+        return original(field)
+    monkeypatch.setattr(critflow.fields, "acceleration_field", counted)
+    monkeypatch.setattr(critflow.cli, "acceleration_field", counted)
+    assert run_cli("analyze", DATA / "planar.json", "--out", tmp_path / "a.json") == 0
+    assert built == ["planar_saddlefree"]
 
 
 def test_cli_analyze_region_and_format_flags(tmp_path, capsys):
