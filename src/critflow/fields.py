@@ -33,7 +33,8 @@ it is built: the pull-back x = A^-1 y - A^-1 b and the push-forward A v,
 two small kernels with each sum in index order. Its values and its
 acceleration map's values go through them, and so do Newton's residuals
 and the RKF45 stages, which call those values. Jacobians and Hessians stay
-numpy products.
+numpy products. Outside the domain, or where a product overflows, the
+float interface of both returns None, as a plain field's does.
 """
 
 from __future__ import annotations
@@ -47,10 +48,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expr import (
-    KERNEL_ERRORS, Binary, Const, DomainError, Expression, ExpressionError,
-    Name, Unary, SystemDefinition, compile_array, compile_kernel, differentiate,
-    e_add, e_div, e_func, e_mul, e_neg, e_pow, e_sub, evaluate,
-    free_variables, to_source,
+    KERNEL_ERRORS, MAX_NESTING_DEPTH, Binary, Const, DomainError, Expression,
+    ExpressionError, Name, Unary, SystemDefinition, compile_array, compile_kernel,
+    differentiate, e_add, e_div, e_func, e_mul, e_neg, e_pow, e_sub, evaluate,
+    free_variables, nesting_depth, to_source,
 )
 from .linalg import is_degenerate, solve_linear
 from .region import AnalysisRegion, lattice_points
@@ -90,9 +91,11 @@ class VectorMap:
     Each derivative order is compiled on first use into one kernel that
     returns all of its entries; ``value``, ``jacobian`` and ``hessian``
     reshape those entries, bit-identical to :func:`~critflow.expr.evaluate`
-    on each, and ``jet`` calls them in that order. A point outside the
-    domain raises :class:`~critflow.expr.DomainError` naming the first
-    entry (row-major) that is not evaluable there.
+    on each, and ``jet`` calls them in that order. There, a point outside
+    the domain raises :class:`~critflow.expr.DomainError` naming the first
+    entry (row-major) that is not evaluable there; the float interface of
+    Newton and RKF45 (``_values``, ``_jacobian_rows``, ``_jacobian_array``)
+    returns None instead and builds no message.
     """
 
     def __init__(self, name: str, input_names: Sequence[str],
@@ -174,18 +177,26 @@ class VectorMap:
             raise ValueError(f"point has {len(point)} coordinates, map expects {self.n_in}")
         return point.tolist() if isinstance(point, np.ndarray) else [float(v) for v in point]
 
-    def _call(self, order: int, args) -> tuple:
+    def _entries_at(self, order: int, args) -> tuple | None:
         """The entries of ``order`` at ``args``, a sequence of Python
-        floats, from a single kernel call; raises :class:`DomainError`
-        naming the first entry that :func:`~critflow.expr.evaluate` would
-        reject."""
+        floats, from a single kernel call, or None where an entry is not
+        evaluable (the kernel raises or returns a non-finite entry)."""
         kernel = self._kernels.get(order) or self._compile_kernel(order)
         try:
             out = kernel(*args)
         except KERNEL_ERRORS:
-            self._raise_domain_error(order, args)
+            return None
         # a finite sum proves every entry finite; otherwise look closer
-        if not math.isfinite(sum(out)) and not all(map(math.isfinite, out)):
+        if math.isfinite(sum(out)) or all(map(math.isfinite, out)):
+            return out
+        return None
+
+    def _call(self, order: int, args) -> tuple:
+        """As :meth:`_entries_at`, but a point outside the domain raises
+        :class:`DomainError` naming the first entry that
+        :func:`~critflow.expr.evaluate` would reject."""
+        out = self._entries_at(order, args)
+        if out is None:
             self._raise_domain_error(order, args)
         return out
 
@@ -205,15 +216,23 @@ class VectorMap:
     def value(self, point) -> np.ndarray:
         return np.array(self._call(0, self._floats(point)))
 
-    # Newton's float interface: values as a tuple and Jacobian rows, at a
-    # sequence of Python floats of the right length
+    # Newton's float interface: values as a tuple, and the Jacobian as rows
+    # or as an array, at a sequence of Python floats of the right length.
+    # Outside the domain each returns None, with no message built: Newton's
+    # residuals and steps, the RKF45 stages and a root's spectrum only need
+    # to know that the point is not evaluable. ``value``, ``jacobian`` and
+    # ``hessian`` raise DomainError with the message that names the cause.
 
-    def _values(self, args) -> tuple:
-        return self._call(0, args)
+    def _values(self, args) -> tuple | None:
+        return self._entries_at(0, args)
 
-    def _jacobian_rows(self, args) -> list:
-        out, n = self._call(1, args), self.n_in
-        return [out[k:k + n] for k in range(0, len(out), n)]
+    def _jacobian_rows(self, args) -> list | None:
+        out, n = self._entries_at(1, args), self.n_in
+        return None if out is None else [out[k:k + n] for k in range(0, len(out), n)]
+
+    def _jacobian_array(self, args) -> np.ndarray | None:
+        out = self._entries_at(1, args)
+        return None if out is None else np.array(out).reshape(self.n_out, self.n_in)
 
     @cached_property
     def _grid_kernel(self):
@@ -285,15 +304,18 @@ class JetAccelerationMap:
         self.accel = acceleration_map(field.base)
         self.name = f"{field.name}_accel"
 
-    def _values(self, ys) -> tuple:
-        g = self.field
-        return _finite(g._push(*self.accel._values(g._pull(*ys))), self.name, ys)
+    def _values(self, ys) -> tuple | None:
+        return _conjugate_values(self.field, self.accel, ys)
 
-    def _jacobian_rows(self, ys) -> list:
-        return self.jacobian(ys).tolist()
+    def _jacobian_array(self, ys) -> np.ndarray | None:
+        return _conjugate_jacobian(self.field, self.accel, ys)
+
+    def _jacobian_rows(self, ys) -> list | None:
+        jac = self._jacobian_array(ys)
+        return None if jac is None else jac.tolist()
 
     def value(self, point) -> np.ndarray:
-        return np.array(self._values(self.field._floats(point)))
+        return _conjugate_value(self.field, self.accel, self.name, point)
 
     def jacobian(self, point) -> np.ndarray:
         g = self.field
@@ -431,16 +453,54 @@ def substitute(e: Expression, mapping: Mapping[str, Expression]) -> Expression:
     return builders[e.op](substitute(e.left, mapping), substitute(e.right, mapping))
 
 
+def _all_finite(flat) -> bool:
+    """Whether every float of the flat sequence is finite."""
+    # a finite sum proves every entry finite; otherwise look closer
+    return math.isfinite(sum(flat)) or all(map(math.isfinite, flat))
+
+
 def _finite(out, name: str, point):
     """``out``, an array or a flat tuple of floats, or :class:`DomainError`
     when a product with the map's matrices overflowed, as for a non-finite
     kernel entry."""
-    flat = out.ravel().tolist() if isinstance(out, np.ndarray) else out
-    # a finite sum proves every entry finite; otherwise look closer
-    if not math.isfinite(sum(flat)) and not all(map(math.isfinite, flat)):
+    if not _all_finite(out.ravel().tolist() if isinstance(out, np.ndarray) else out):
         raise DomainError(f"{name} is not evaluable at {[float(v) for v in point]}: "
                           f"non-finite result")
     return out
+
+
+# The float interface of an AffineConjugateField g and of its acceleration
+# map: ``inner`` is g's base, or the base's acceleration map, evaluated at
+# the pull-back x = A^-1 y - A^-1 b and pushed forward by A. Outside the
+# domain, or where a product overflows, values and Jacobians are None.
+
+def _conjugate_values(g: AffineConjugateField, inner, ys) -> tuple | None:
+    xs = inner._values(g._pull(*ys))
+    if xs is None:
+        return None
+    out = g._push(*xs)
+    return out if _all_finite(out) else None
+
+
+def _conjugate_value(g: AffineConjugateField, inner, name: str, point) -> np.ndarray:
+    """:func:`_conjugate_values` as an array; a point outside the domain
+    raises :class:`DomainError` naming the inner entry that is not
+    evaluable, or the overflow."""
+    ys = g._floats(point)
+    out = _conjugate_values(g, inner, ys)
+    if out is None:  # evaluate again, this time naming the cause
+        out = _finite(g._push(*inner.value(g._pull(*ys)).tolist()), name, ys)
+    return np.array(out)
+
+
+def _conjugate_jacobian(g: AffineConjugateField, inner, ys) -> np.ndarray | None:
+    """A J A^-1, J being inner's Jacobian at the pull-back, by the numpy
+    products of ``jacobian``."""
+    jac = inner._jacobian_array(g._pull_back(ys).tolist())
+    if jac is None:
+        return None
+    pushed = g._mat.dot(jac).dot(g._inv)
+    return pushed if _all_finite(pushed.ravel().tolist()) else None
 
 
 def _affine_kernel(matrix: np.ndarray, offset: np.ndarray | None, names):
@@ -489,14 +549,18 @@ class AffineConjugateField(VectorField):
     def _pull_back(self, point) -> np.ndarray:
         return self._inv.dot(self._floats(point)) - self._inv_offset
 
-    def _values(self, ys) -> tuple:
-        return _finite(self._push(*self.base._values(self._pull(*ys))), self.name, ys)
+    def _values(self, ys) -> tuple | None:
+        return _conjugate_values(self, self.base, ys)
 
-    def _jacobian_rows(self, ys) -> list:
-        return self.jacobian(ys).tolist()
+    def _jacobian_array(self, ys) -> np.ndarray | None:
+        return _conjugate_jacobian(self, self.base, ys)
+
+    def _jacobian_rows(self, ys) -> list | None:
+        jac = self._jacobian_array(ys)
+        return None if jac is None else jac.tolist()
 
     def value(self, point) -> np.ndarray:
-        return np.array(self._values(self._floats(point)))
+        return _conjugate_value(self, self.base, self.name, point)
 
     # ``a.dot(b)`` reaches the same BLAS call as ``a @ b`` with less
     # dispatch overhead on these tiny operands
@@ -557,6 +621,12 @@ def transformed_system(f: VectorField, h: TransformationMap) -> VectorField:
     Builds Dh f in source coordinates and substitutes the declared inverse,
     after verifying on 100 sampled domain points that the inverse actually
     inverts the map (worst residual below 1e-9).
+
+    Unless h is an invertible affine map, the searches differentiate and
+    compile the composed components, so a component whose
+    :func:`~critflow.expr.nesting_depth` exceeds ``MAX_NESTING_DEPTH`` (the
+    bound that loading applies to each file) raises :class:`ExpressionError`.
+    Under an affine map the result evaluates by composition instead.
     """
     h_inverse = h.inverse
     if h_inverse is None:
@@ -585,12 +655,16 @@ def transformed_system(f: VectorField, h: TransformationMap) -> VectorField:
     if set(targets) & set(merged):
         raise ExpressionError("target state names collide with parameter names")
 
+    linear = h.linear_part
+    affine = linear is not None and linear.inverse is not None
     comps = []
     for i in range(f.dimension):
         pushed: Expression = Const(0.0)
         for j in range(f.dimension):
             pushed = e_add(pushed, e_mul(h.jacobian_exprs[i][j], f.components[j]))
         comps.append(substitute(pushed, inverse_map))
+        if not affine and nesting_depth(comps[-1]) > MAX_NESTING_DEPTH:
+            raise ExpressionError(f"transformed field[{i}]: expression nested too deeply")
 
     system = SystemDefinition(
         name=f"{f.name}_via_{h.name}",
@@ -598,8 +672,7 @@ def transformed_system(f: VectorField, h: TransformationMap) -> VectorField:
         parameters=merged,
         components=tuple(comps),
     )
-    linear = h.linear_part
-    if linear is not None and linear.inverse is not None:
+    if affine:
         return AffineConjugateField(system, f, linear)
     return VectorField(system)
 

@@ -14,7 +14,9 @@ exceptions are the array form's to the bit; on the 2- to 4-element states
 of the flow checks the step costs less than half as much as numpy calls
 on small arrays. Each stage reads the field's kernel tuple (``_values``)
 at a list of floats, with no array built or taken apart; the tuple holds
-the floats that ``value`` would put into its array.
+the floats that ``value`` would put into its array. Outside the field's
+domain ``_values`` gives None instead of raising, so a stage that leaves
+the domain costs no error message; the step is retried at half the size.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .expr import DomainError
 from .fields import VectorField
 
 __all__ = [
@@ -125,14 +126,43 @@ def _rk4_segment(f, x, t0, t1, h_target):
     return x
 
 
-def _rkf45_segment(f, x, t0, t1, cfg, h_start):
-    """Adaptive integration from t0 to t1. Returns (state, suggested h,
-    escape time or None).
+def _stages(values, x: list[float], h: float):
+    """The stages k1, k3, k4, k5 and k6 of one RKF45 step (k2 enters
+    only the later stages), or None as soon as one is outside the field's
+    domain.
 
     Each stage component is ``x + h * (0 + a1 * k1 + a2 * k2 + ...)``: the
     sum starts from the integer 0, as ``sum`` does in the array form, so
     signed zeros come out the same.
     """
+    k1 = values(x)
+    if k1 is None:
+        return None
+    k2 = values([v + h * (0 + _A21 * a) for v, a in zip(x, k1)])
+    if k2 is None:
+        return None
+    k3 = values([v + h * (0 + _A31 * a + _A32 * b) for v, a, b in zip(x, k1, k2)])
+    if k3 is None:
+        return None
+    k4 = values([v + h * (0 + _A41 * a + _A42 * b + _A43 * c)
+                 for v, a, b, c in zip(x, k1, k2, k3)])
+    if k4 is None:
+        return None
+    k5 = values([v + h * (0 + _A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                 for v, a, b, c, d in zip(x, k1, k2, k3, k4)])
+    if k5 is None:
+        return None
+    k6 = values([v + h * (0 + _A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+                 for v, a, b, c, d, e in zip(x, k1, k2, k3, k4, k5)])
+    if k6 is None:
+        return None
+    return k1, k3, k4, k5, k6
+
+
+def _rkf45_segment(f, x, t0, t1, cfg, h_start):
+    """Adaptive integration from t0 to t1. Returns (state, suggested h,
+    escape time or None). A step with a stage outside the field's domain
+    is retried at half the size."""
     x = x.tolist()
     t, t1 = float(t0), float(t1)
     h = min(h_start, t1 - t)
@@ -147,20 +177,11 @@ def _rkf45_segment(f, x, t0, t1, cfg, h_start):
             if float(np.linalg.norm(x)) > 1e-3 * _BLOWUP_NORM:
                 return np.array(x), h, t
             raise StepUnderflowError(t, h)
-        try:
-            k1 = values(x)
-            k2 = values([v + h * (0 + _A21 * a) for v, a in zip(x, k1)])
-            k3 = values([v + h * (0 + _A31 * a + _A32 * b)
-                         for v, a, b in zip(x, k1, k2)])
-            k4 = values([v + h * (0 + _A41 * a + _A42 * b + _A43 * c)
-                         for v, a, b, c in zip(x, k1, k2, k3)])
-            k5 = values([v + h * (0 + _A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                         for v, a, b, c, d in zip(x, k1, k2, k3, k4)])
-            k6 = values([v + h * (0 + _A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-                         for v, a, b, c, d, e in zip(x, k1, k2, k3, k4, k5)])
-        except DomainError:
+        stages = _stages(values, x, h)
+        if stages is None:  # a stage left the field's domain
             h *= 0.5
             continue
+        k1, k3, k4, k5, k6 = stages
         x4 = [v + h * (0 + _B1 * a + _B3 * c + _B4 * d + _B5 * e)
               for v, a, c, d, e in zip(x, k1, k3, k4, k5)]
         # the largest |err| / scale; like np.max, a NaN anywhere makes it

@@ -3,6 +3,11 @@
 System and map files are strict JSON: the exact key sets below, typed
 fields, unknown keys rejected. Reports are canonical JSON (sorted keys,
 no timestamps) so a rerun with identical inputs and seed is byte-identical.
+
+Every CSV cell of a float is :func:`format_float`'s text. The portrait
+grids and trajectories render a table a row at a time: ``+ 0.0`` on the
+whole array, ``tolist`` and ``repr`` on each row, which give that text
+without a call per cell.
 """
 
 from __future__ import annotations
@@ -227,10 +232,10 @@ def parse_region_flag(text: str, dimension: int) -> AnalysisRegion:
 # Report serialization
 
 def format_float(v: float) -> str:
-    v = float(v)
-    if math.isnan(v):
-        return "nan"
-    return repr(v + 0.0)  # "+ 0.0" normalizes -0.0
+    """The text of a float in CSV output: ``repr``, with -0.0 as ``0.0``
+    ("+ 0.0" normalizes it), NaN as ``nan`` and infinities as ``inf`` and
+    ``-inf``."""
+    return repr(float(v) + 0.0)
 
 
 def _jsonable(value):
@@ -342,12 +347,24 @@ def grid_axis(lo: float, hi: float, count: int) -> np.ndarray:
     return np.array([lo + (i * (hi - lo)) / (count - 1) for i in range(count)])
 
 
+def _csv_rows(table) -> list[str]:
+    """The rows of a 2-D float table as CSV lines, each cell
+    :func:`format_float`'s text."""
+    return [",".join(map(repr, row)) for row in (np.asarray(table, dtype=float) + 0.0).tolist()]
+
+
+def _write_csv(path: str | Path, header: str, rows: list[str]) -> None:
+    Path(path).write_text("\n".join([header, *rows]) + "\n", encoding="utf-8", newline="\n")
+
+
 def write_grid_csv(path: str | Path, field: VectorField, accel: VectorField,
                    region: AnalysisRegion, shape: Sequence[int]) -> int:
     """Grid samples of f and F over the region; returns the row count.
 
     Header is exactly ``x,f1,F1`` (1-D) or ``x,y,f1,f2,F1,F2`` (2-D). Rows
     vary the last coordinate fastest. Out-of-domain samples print nan.
+    Each axis is rendered once, and a row's coordinate cells are its axes'
+    texts; the values are rendered row by row (:func:`_csv_rows`).
     """
     n = field.dimension
     if n not in (1, 2) or len(shape) != n:
@@ -360,15 +377,10 @@ def write_grid_csv(path: str | Path, field: VectorField, accel: VectorField,
         xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
         pts = np.column_stack([xx.ravel(), yy.ravel()])
         header = "x,y,f1,f2,F1,F2"
-    fvals = field.value_grid(pts)
-    avals = accel.value_grid(pts)
-    lines = [header]
-    for row in range(pts.shape[0]):
-        cells = [format_float(v) for v in pts[row]]
-        cells += [format_float(v) for v in fvals[row]]
-        cells += [format_float(v) for v in avals[row]]
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    values = _csv_rows(np.hstack([field.value_grid(pts), accel.value_grid(pts)]))
+    texts = [_csv_rows(axis.reshape(-1, 1)) for axis in axes]
+    coords = texts[0] if n == 1 else [f"{x},{y}" for x in texts[0] for y in texts[1]]
+    _write_csv(path, header, [f"{c},{v}" for c, v in zip(coords, values)])
     return pts.shape[0]
 
 
@@ -376,7 +388,4 @@ def write_trajectory_csv(path: str | Path, times: np.ndarray,
                          states: np.ndarray) -> None:
     names = ["x", "y"][:states.shape[1]] if states.shape[1] <= 2 else \
         [f"x{i + 1}" for i in range(states.shape[1])]
-    lines = ["t," + ",".join(names)]
-    for t, row in zip(times, states):
-        lines.append(",".join([format_float(t)] + [format_float(v) for v in row]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_csv(path, "t," + ",".join(names), _csv_rows(np.column_stack([times, states])))

@@ -12,14 +12,18 @@ proper are kept but flagged ``boundary``.
 Newton runs on Python floats from end to end. The solved map's kernel
 tuples (``_values``, ``_jacobian_rows``) feed a ``math.hypot`` residual and
 the scalar solvers of :mod:`critflow.linalg`, trial points stay lists, and
-an array is built only for a returned root. The sufficient-decrease test
-compares products, ``rt * rt <= r * r * (1 - 1e-4 t)``: a float ``** 2``
-raises ``OverflowError`` above 1.34e154, where a product gives inf, and a
-steep field's residual norm can pass that. Where ``r * r`` is inf the
-products would accept any finite trial, so the test compares the ratio
+an array is built only for a returned root. At a point outside the solved
+map's domain those tuples are None: a trial there counts as infinitely
+bad, a step there ends the run as "domain-error", and no error message is
+built. The sufficient-decrease test compares products,
+``rt * rt <= r * r * (1 - 1e-4 t)``: a float ``** 2`` raises
+``OverflowError`` above 1.34e154, where a product gives inf, and a steep
+field's residual norm can pass that. Where ``r * r`` is inf the products
+would accept any finite trial, so the test compares the ratio
 ``(rt / r) * (rt / r) <= 1 - 1e-4 t`` instead; the search then takes the
-same steps at every scale c of a field c·f. Each search counts its seeds'
-outcomes and its evaluations on the :class:`PointSearch`.
+same steps at every scale c of a field c·f. Roots within ``dedup_tol`` of
+each other (``math.dist`` on Python floats) count once. Each search counts
+its seeds' outcomes and its evaluations on the :class:`PointSearch`.
 """
 
 from __future__ import annotations
@@ -142,17 +146,17 @@ def _residual(fieldmap: VectorMap, x: list[float], work: PointSearch):
     """(field values, their 2-norm) at ``x``, or None outside the domain;
     ``work`` counts the evaluation."""
     work.residual_evals += 1
-    try:
-        fx = fieldmap._values(x)
-    except DomainError:
-        return None
-    return fx, math.hypot(*fx)
+    fx = fieldmap._values(x)
+    return None if fx is None else (fx, math.hypot(*fx))
 
 
-def _step(fieldmap: VectorMap, x: list[float], fx, work: PointSearch) -> list[float]:
-    """The Newton step at ``x``: raises DomainError or SingularMatrixError."""
+def _step(fieldmap: VectorMap, x: list[float], fx, work: PointSearch) -> list[float] | None:
+    """The Newton step at ``x``, or None where the Jacobian is not
+    evaluable; raises SingularMatrixError."""
     work.jacobian_evals += 1
     jac = fieldmap._jacobian_rows(x)
+    if jac is None:
+        return None
     work.solves += 1
     return _solve_rows(jac, [-v for v in fx])
 
@@ -162,7 +166,9 @@ def _polish(fieldmap: VectorMap, x, fx, r, work: PointSearch):
     for _ in range(3):
         try:
             step = _step(fieldmap, x, fx, work)
-        except (SingularMatrixError, DomainError):
+        except SingularMatrixError:
+            break
+        if step is None:
             break
         trial_x = [xi + si for xi, si in zip(x, step)]
         trial = _residual(fieldmap, trial_x, work)
@@ -199,10 +205,10 @@ def _newton(fieldmap: VectorMap, seed, box: tuple, cfg: SolverConfig,
             return _Outcome(np.array(x), r, it, "converged")
         try:
             step = _step(fieldmap, x, fx, work)
-        except DomainError:
-            return _Outcome(None, r, it, "domain-error")
         except SingularMatrixError:
             return _Outcome(None, r, it, "singular-jacobian")
+        if step is None:
+            return _Outcome(None, r, it, "domain-error")
 
         # backtracking line search on ||field||^2 with sufficient decrease;
         # out-of-cushion or out-of-domain trials count as infinitely bad.
@@ -271,9 +277,12 @@ def _collect_roots(fieldmap: VectorMap, region: AnalysisRegion, cfg: SolverConfi
     # lowest-residual representative wins its dedup cluster
     hits.sort(key=lambda h: (h[1], tuple(h[0])))
     kept: list[tuple[np.ndarray, float]] = []
+    kept_coords: list[list[float]] = []  # the kept points as Python floats
     for point, res in hits:
-        if all(np.linalg.norm(point - q) > cfg.dedup_tol for q, _ in kept):
+        coords = point.tolist()
+        if all(math.dist(coords, q) > cfg.dedup_tol for q in kept_coords):
             kept.append((point, res))
+            kept_coords.append(coords)
     search.seeds_used = len(seeds)
     search.seeds_converged = len(hits)
     search.reasons = dict(sorted(reasons.items()))
@@ -281,9 +290,8 @@ def _collect_roots(fieldmap: VectorMap, region: AnalysisRegion, cfg: SolverConfi
 
 
 def _spectrum_of(fieldmap: VectorMap, location) -> tuple[Spectrum | None, bool, str]:
-    try:
-        jac = fieldmap.jacobian(location)
-    except DomainError:
+    jac = fieldmap._jacobian_array(location.tolist())
+    if jac is None:
         return None, True, "field Jacobian not evaluable at this point"
     try:
         spec = eigenvalues(jac)

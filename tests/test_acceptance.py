@@ -12,6 +12,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import critflow as cf
 from critflow.cli import main
@@ -172,6 +173,9 @@ def _criterion4_compute(rng_seed: int) -> tuple[str, float, dict]:
     systems = []
     worst_sd = worst_sim = worst_oracle = 0.0
     pair_count = 0
+    # (spectrum distance, kind, source Jacobian, target Jacobian) of every
+    # n = 3 pair; these stay out of the report
+    three_dim_pairs = []
     for index in range(200):
         n = rng.choice([1, 2, 3])
         region = cf.AnalysisRegion.of(*[(-2.5, 2.5)] * n)
@@ -210,6 +214,8 @@ def _criterion4_compute(rng_seed: int) -> tuple[str, float, dict]:
             oracle_sd = cf.spectrum_distance(Spectrum.of(np.linalg.eigvals(j_src)),
                                              Spectrum.of(np.linalg.eigvals(j_dst)))
             sys_oracle = max(sys_oracle, oracle_sd)
+            if n == 3:
+                three_dim_pairs.append((rec.spectrum_distance, rec.kind, j_src, j_dst))
         pair_count += sys_pairs
         worst_sd = max(worst_sd, sys_sd)
         worst_sim = max(worst_sim, sys_sim)
@@ -230,7 +236,7 @@ def _criterion4_compute(rng_seed: int) -> tuple[str, float, dict]:
                    "worst_oracle_distance": worst_oracle},
     })
     stats = {"pairs": pair_count, "worst_sd": worst_sd, "worst_sim": worst_sim,
-             "worst_oracle": worst_oracle}
+             "worst_oracle": worst_oracle, "three_dim_pairs": three_dim_pairs}
     return report, elapsed, stats
 
 
@@ -251,6 +257,29 @@ def test_criterion_4_spectrum_preservation_at_scale():
                  f"{elapsed:.1f} s; worst spectrum distance "
                  f"{stats['worst_sd']:.2e}, worst similarity residual "
                  f"{stats['worst_sim']:.2e}")
+
+
+def _mpmath_spectrum(mpmath, jac: np.ndarray) -> Spectrum:
+    with mpmath.workdps(50):
+        values = mpmath.eig(mpmath.matrix(jac.tolist()), left=False, right=False)
+        return Spectrum.of([complex(v) for v in values])
+
+
+def test_criterion_4_worst_three_dimensional_pairs_against_mpmath():
+    # for n >= 3 both the program and criterion 4's numpy oracle take their
+    # eigenvalues from LAPACK; mpmath's QR iteration, at 50 digits on the
+    # same float Jacobians, checks both apart from it
+    mpmath = pytest.importorskip("mpmath")
+    _, _, stats = _criterion4_cached(_C4_SEED)
+    worst = sorted(stats["three_dim_pairs"], key=lambda p: p[0], reverse=True)[:5]
+    assert len(worst) == 5
+    for distance, kind, j_src, j_dst in worst:
+        exact_src, exact_dst = _mpmath_spectrum(mpmath, j_src), _mpmath_spectrum(mpmath, j_dst)
+        for jac, exact in ((j_src, exact_src), (j_dst, exact_dst)):
+            assert cf.spectrum_distance(cf.eigenvalues(jac), exact) < 1e-6, kind
+        assert cf.spectrum_distance(exact_src, exact_dst) < 1e-6, kind
+        assert abs(cf.spectrum_distance(exact_src, exact_dst) - distance) < 1e-6, kind
+    _announce(4, f"the {len(worst)} worst n = 3 pairs agree with mpmath's eigenvalues")
 
 
 # ---------------------------------------------------------------------------

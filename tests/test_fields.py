@@ -1,5 +1,6 @@
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +8,14 @@ from numpy.testing import assert_allclose
 
 import critflow as cf
 from critflow.fields import AffineConjugateField, acceleration_map, substitute
+from critflow.io import load_system
 
 from conftest import (affine_map_1d, fd_gradient, fd_hessian_entry,
                       identity_map, make_field, random_affine_map,
                       random_expression_source, random_polynomial_field,
                       square_map_1d)
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_jet_of_quadratic_field(quad_field):
@@ -551,3 +555,104 @@ def test_affine_acceleration_map_is_the_conjugated_base_acceleration(monkeypatch
             j = g.jet(y)
             assert j.hessian is None
             assert _bits([*j.value, *j.jacobian.ravel()]) == _bits([*v, *jac.ravel()])
+
+
+# ---------------------------------------------------------------------------
+# Points outside the domain: None on the float interface, a message from
+# value, jacobian and hessian
+
+def _sqrt_branch_and_conjugate():
+    """tests/data/example2_system.json, 2 sqrt(y) (y - A^2) on [0.01, 3],
+    and its conjugate under z = 2y + 5 (not evaluable for z < 5)."""
+    f = load_system(DATA / "example2_system.json").field
+    inverse = cf.VectorMap("affine_inv", ["z"], {}, [cf.parse_expression("(z - 5)/2", {"z"})])
+    h = cf.TransformationMap("affine", ["y"], {}, [cf.parse_expression("2*y + 5", {"y"})],
+                             cf.AnalysisRegion.of((-1.0, 4.0)), True, inverse=inverse)
+    g = cf.transformed_system(f, h)
+    assert isinstance(g, AffineConjugateField)
+    return f, g
+
+
+def test_searches_and_integration_past_the_domain_edge_build_no_message(monkeypatch):
+    f, g = _sqrt_branch_and_conjugate()
+
+    def no_message(self, order, args):
+        raise AssertionError(f"a message was built for {self.name} at {list(args)}")
+
+    monkeypatch.setattr(cf.VectorMap, "_raise_domain_error", no_message)
+    outside = []  # the kernel calls that found a point outside the domain
+    entries_at = cf.VectorMap._entries_at
+
+    def recording(self, order, args):
+        out = entries_at(self, order, args)
+        if out is None:
+            outside.append((self.name, order))
+        return out
+
+    monkeypatch.setattr(cf.VectorMap, "_entries_at", recording)
+    for field, region in ((f, cf.AnalysisRegion.of((0.01, 3.0))),
+                          (g, cf.AnalysisRegion.of((5.02, 11.0)))):
+        for search in (cf.fixed_point_search, cf.perpetual_point_search):
+            before = len(outside)
+            search(field, region)
+            assert len(outside) > before, (field.name, search.__name__)
+    assert {name for name, _ in outside} == {"sqrt_branch", "sqrt_branch_accel"}
+    # the flow from y = 0.5 reaches the wall y = 0 near t = 0.88, where f's
+    # step collapses; g's lands on z = 5 and stays there
+    config = cf.IntegratorConfig(t_end=2.0)
+    before = len(outside)
+    with pytest.raises(cf.StepUnderflowError, match="at t = 0.88"):
+        cf.integrate(f, [0.5], config)
+    assert len(outside) > before
+    before = len(outside)
+    assert cf.integrate(g, [6.0], config).endpoint.tolist() == [5.0]
+    assert len(outside) > before
+
+
+def test_float_interface_is_none_outside_the_domain_and_value_names_the_cause():
+    f, g = _sqrt_branch_and_conjugate()
+    sqrt_message = "of {} is not evaluable at [-1.0]: sqrt of negative value -1.0"
+    # g at z = 3 pulls back to y = -1
+    for field, point in ((f, -1.0), (g, 3.0)):
+        accel = acceleration_map(field)
+        for m in (field, accel):
+            assert m._values([point]) is None
+            assert m._jacobian_rows([point]) is None
+        with pytest.raises(cf.DomainError) as exc:
+            field.value([point])
+        assert str(exc.value) == "component 0 " + sqrt_message.format("sqrt_branch")
+        with pytest.raises(cf.DomainError) as exc:
+            field.jacobian([point])
+        assert str(exc.value) == "jacobian[0,0] " + sqrt_message.format("sqrt_branch")
+        with pytest.raises(cf.DomainError) as exc:
+            field.hessian([point])
+        assert str(exc.value) == "hessian[0,0,0] " + sqrt_message.format("sqrt_branch")
+        with pytest.raises(cf.DomainError) as exc:
+            accel.value([point])
+        assert str(exc.value) == "component 0 " + sqrt_message.format("sqrt_branch_accel")
+        with pytest.raises(cf.DomainError) as exc:
+            accel.jacobian([point])
+        assert str(exc.value) == "jacobian[0,0] " + sqrt_message.format("sqrt_branch_accel")
+    with pytest.raises(cf.DomainError) as exc:
+        f.jacobian([0.0])
+    assert str(exc.value) == "jacobian[0,0] of sqrt_branch is not evaluable at [0.0]: division by zero"
+    assert f._jacobian_rows([0.0]) is None
+    assert f._values([0.0]) == (-0.0,)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_float_interface_is_none_where_the_push_forward_overflows():
+    g = cf.transformed_system(make_field("big", ["x"], {}, ["1e308 * x"]),
+                              affine_map_1d(4.0, 0.0))
+    assert g._values([4.0]) is None
+    assert g._jacobian_rows([0.0]) is None
+    with pytest.raises(cf.DomainError) as exc:
+        g.value([4.0])
+    assert str(exc.value) == "big_via_affine is not evaluable at [4.0]: non-finite result"
+    accel = acceleration_map(cf.transformed_system(
+        make_field("fast", ["x"], {}, ["1e154 * x"]), affine_map_1d(4.0, 0.0)))
+    assert accel._values([4.0]) is None
+    assert accel._jacobian_rows([0.0]) is None
+    with pytest.raises(cf.DomainError) as exc:
+        accel.value([4.0])
+    assert str(exc.value) == "fast_via_affine_accel is not evaluable at [4.0]: non-finite result"

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -10,8 +11,9 @@ import critflow as cf
 import critflow.cli
 import critflow.fields
 from critflow.cli import main
-from critflow.io import (InputError, canonical_json, load_map, load_system,
-                         point_search_records)
+from critflow.io import (InputError, canonical_json, format_float, grid_axis, load_map,
+                         load_system, point_search_records, write_grid_csv,
+                         write_trajectory_csv)
 
 from conftest import random_affine_map, random_polynomial_field
 
@@ -468,3 +470,132 @@ def test_cli_portrait_deterministic(tmp_path):
     assert (a / "grid.csv").read_bytes() == (b / "grid.csv").read_bytes()
     assert (a / "trajectory_00.csv").read_bytes() == (b / "trajectory_00.csv").read_bytes()
     assert (a / "trajectory_01.csv").read_bytes() == (b / "trajectory_01.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# CSV rendering against format_float, cell by cell
+
+#: every special case of format_float, in the order the stub fields cycle
+#: through them
+SPECIALS = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, 1e16, 1e-5, 0.1,
+            -5e-324, -1e16, -0.1]
+SPECIAL_TEXTS = {"nan", "0.0", "inf", "-inf", "5e-324", "1e+16", "1e-05", "0.1"}
+
+
+def test_format_float_texts():
+    texts = [format_float(v) for v in SPECIALS]
+    assert texts == ["nan", "0.0", "0.0", "inf", "-inf", "5e-324", "1e+16", "1e-05",
+                     "0.1", "-5e-324", "-1e+16", "-0.1"]
+    assert [format_float(np.float64(v)) for v in SPECIALS] == texts
+    assert format_float(-math.nan) == "nan"
+
+
+class _SpecialField:
+    """Stands in for f or F in write_grid_csv: its grid values cycle
+    through SPECIALS, starting at ``offset``."""
+
+    def __init__(self, dimension: int, offset: int):
+        self.dimension = dimension
+        self.offset = offset
+
+    def value_grid(self, pts):
+        count = len(pts) * self.dimension
+        cycle = [SPECIALS[(self.offset + k) % len(SPECIALS)] for k in range(count)]
+        return np.array(cycle).reshape(len(pts), self.dimension)
+
+
+def _cells(path) -> list[list[str]]:
+    return [line.split(",") for line in Path(path).read_text().splitlines()]
+
+
+@pytest.mark.parametrize("bounds, shape", [
+    ([(-1e16, 1e16)], [13]),
+    ([(-0.0, 5e-324)], [1]),
+    ([(-1e-5, 0.1)], [4]),
+    ([(-1e-5, 0.1), (-0.0, 1e16)], [3, 5]),
+    ([(-1e16, 1e16), (5e-324, 1e-5)], [5, 1]),
+    ([(-0.0, 0.1), (-3.0, 3.0)], [1, 7]),
+], ids=["1d-wide", "1d-single-negative-zero", "1d-small", "2d", "2d-one-column", "2d-one-row"])
+def test_grid_csv_cells_are_format_float_of_the_samples(tmp_path, bounds, shape):
+    n = len(bounds)
+    region = cf.AnalysisRegion.of(*bounds)
+    field, accel = _SpecialField(n, 0), _SpecialField(n, 5)
+    path = tmp_path / "grid.csv"
+    assert write_grid_csv(path, field, accel, region, shape) == math.prod(shape)
+    # the oracle: the samples as rows, each cell through format_float
+    axes = [grid_axis(lo, hi, count) for (lo, hi), count in zip(bounds, shape)]
+    pts = np.array([list(p) for p in itertools.product(*axes)])
+    table = np.hstack([pts, field.value_grid(pts), accel.value_grid(pts)])
+    header = ["x", "f1", "F1"] if n == 1 else ["x", "y", "f1", "f2", "F1", "F2"]
+    assert _cells(path) == [header] + [[format_float(v) for v in row] for row in table]
+    if math.prod(shape) * n >= len(SPECIALS):  # f's column(s) take every special value
+        assert SPECIAL_TEXTS <= {c for row in _cells(path)[1:] for c in row}
+    raw = path.read_bytes()
+    assert raw.endswith(b"\n") and b"\r" not in raw
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_trajectory_csv_cells_are_format_float_of_the_samples(tmp_path, n):
+    times = np.array([0.0, 5e-324, 1e-5, 0.1, 1e16, -0.0])
+    states = np.array([[SPECIALS[(7 * i + k) % len(SPECIALS)] for k in range(n)]
+                       for i in range(len(times))])
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(path, times, states)
+    header = {1: ["t", "x"], 2: ["t", "x", "y"], 3: ["t", "x1", "x2", "x3"]}[n]
+    rows = [[format_float(t)] + [format_float(v) for v in row] for t, row in zip(times, states)]
+    assert _cells(path) == [header] + rows
+    texts = {c for row in rows for c in row}
+    assert {"0.0", "5e-324", "1e-05", "0.1", "1e+16"} <= texts
+
+
+def test_trajectory_csv_of_the_initial_state_only(tmp_path):
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(path, np.array([0.0]), np.array([[-0.0, 1e-5]]))
+    assert path.read_text() == "t,x,y\n0.0,0.0,1e-05\n"
+
+
+# ---------------------------------------------------------------------------
+# Transformed systems nested too deeply
+
+def _deep_system(tmp_path, terms: int) -> Path:
+    doc = {**read_json(DATA / "example1.json"), "field": ["+".join(["x"] * terms)],
+           "region": [[0.5, 1.5]]}
+    p = tmp_path / f"sum{terms}.json"
+    p.write_text(json.dumps(doc))
+    return p
+
+
+@pytest.mark.parametrize("command", ["verify", "transform"])
+def test_cli_rejects_transformed_systems_nested_too_deeply(tmp_path, capsys, command):
+    # each file loads, but the field under x^2, with the inverse substituted,
+    # nests past the bound that loading applies to each file
+    system = _deep_system(tmp_path, 600)
+    doc = read_json(DATA / "square_map.json")
+    doc["inverse"] = ["+".join(["sqrt(y)/550"] * 550)]
+    m = tmp_path / "map.json"
+    m.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert run_cli(command, system, m, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {m}: transformed field[0]: expression nested too deeply\n"
+    assert not out.exists()
+
+
+def test_transformed_system_depth_bound_is_the_loading_bound(tmp_path, capsys):
+    # x^2 with inverse sqrt(y) puts 10 levels on a flat sum: 590 terms are
+    # the most it takes, and the transform runs
+    square = DATA / "square_map.json"
+    assert run_cli("transform", _deep_system(tmp_path, 591), square) == 2
+    assert capsys.readouterr().err.endswith("transformed field[0]: expression nested too deeply\n")
+    out = tmp_path / "report.json"
+    assert run_cli("transform", _deep_system(tmp_path, 590), square, "--seeds", "4",
+                   "--out", out) == 0
+    assert capsys.readouterr().err == ""
+    assert len(read_json(out)["transformed_system"]["field"]) == 1
+
+
+def test_transformed_system_under_an_affine_map_has_no_depth_bound(tmp_path):
+    # it is evaluated by composition, and its trees are only printed
+    out = tmp_path / "report.json"
+    assert run_cli("transform", _deep_system(tmp_path, 600), DATA / "affine_map.json",
+                   "--seeds", "4", "--out", out) == 0
+    assert len(read_json(out)["system"]["field"]) == 1

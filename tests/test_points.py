@@ -243,3 +243,36 @@ def test_fixed_search_takes_the_same_steps_at_every_scale(c):
     search = cf.fixed_point_search(f, REGION_1D, CFG)
     assert search.reasons == {"converged": 59, "region-exit": 41}
     assert [p.location[0] for p in search.points] == [-1.7692923542386314]
+
+
+def _numpy_dedup_reference(fieldmap, region, cfg):
+    """_collect_roots as it was written with numpy: the same Newton runs,
+    deduplicated by ``np.linalg.norm`` of the difference."""
+    from critflow import points
+    box = region.cushioned_bounds(points._REGION_CUSHION)
+    hits = []
+    for seed in cf.lattice_points(region, cfg.seed_count, cfg.rng_seed).tolist():
+        out = points._newton(fieldmap, seed, box, cfg, cf.PointSearch(points=[]))
+        if out.point is not None:
+            hits.append((out.point, out.residual))
+    hits.sort(key=lambda h: (h[1], tuple(h[0])))
+    kept = []
+    for point, res in hits:
+        if all(np.linalg.norm(point - q) > cfg.dedup_tol for q, _ in kept):
+            kept.append((point, res))
+    return kept
+
+
+@pytest.mark.parametrize("name, kind", [("nilpotent", "perpetual"), ("example2_system", "fixed"),
+                                        ("planar", "perpetual"), ("rotation", "fixed")])
+def test_dedup_keeps_what_the_numpy_norm_keeps(name, kind):
+    from critflow import points
+    loaded = load_system(Path(__file__).parent / "data" / f"{name}.json")
+    f, region = loaded.field, loaded.region
+    solved = f if kind == "fixed" else points.acceleration_map(f)
+    for cfg in (CFG, cf.SolverConfig(seed_count=300, dedup_tol=1e-3)):
+        kept = points._collect_roots(solved, region, cfg, cf.PointSearch(points=[]))
+        want = _numpy_dedup_reference(solved, region, cfg)
+        assert [(p.tolist(), r) for p, r in kept] == [(p.tolist(), r) for p, r in want]
+    if name == "nilpotent":  # a continuum: every pair of roots is compared
+        assert len(kept) > 100
