@@ -24,7 +24,7 @@ from .linalg import (
 )
 from .fields import (
     JetValue, VectorMap, VectorField, TransformationMap, InverseMismatchError,
-    jet, acceleration_field, pushforward_velocity, pushforward_acceleration,
+    acceleration_field, pushforward_velocity, pushforward_acceleration,
     transformed_system, image_region,
 )
 from .points import (
@@ -57,7 +57,7 @@ __all__ = [
     "eigenvalues", "solve_linear", "spectrum_distance",
     # fields
     "JetValue", "VectorMap", "VectorField", "TransformationMap",
-    "InverseMismatchError", "jet", "acceleration_field",
+    "InverseMismatchError", "acceleration_field",
     "pushforward_velocity", "pushforward_acceleration",
     "transformed_system", "image_region",
     # points

@@ -1,6 +1,6 @@
 """Numerical verification of conjugacy relations for a (system, map) pair.
 
-Four checks, each producing a verdict plus per-point records:
+Five checks, each producing a verdict plus per-point records:
 
 * ``flow``: the flows commute with the map, psi_t(h(x0)) = h(phi_t(x0)),
   sampled at evenly spaced times for a set of initial points;

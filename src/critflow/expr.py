@@ -827,6 +827,3 @@ class SystemDefinition:
     @property
     def dimension(self) -> int:
         return len(self.state_names)
-
-    def component_sources(self) -> tuple[str, ...]:
-        return tuple(to_source(c) for c in self.components)

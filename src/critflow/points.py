@@ -290,9 +290,10 @@ def _collect_roots(fieldmap: VectorMap, region: AnalysisRegion, cfg: SolverConfi
 
 
 def _spectrum_of(fieldmap: VectorMap, location) -> tuple[Spectrum | None, bool, str]:
-    jac = fieldmap._jacobian_array(location.tolist())
-    if jac is None:
+    rows = fieldmap._jacobian_rows(location.tolist())
+    if rows is None:
         return None, True, "field Jacobian not evaluable at this point"
+    jac = np.array(rows)
     try:
         spec = eigenvalues(jac)
     except EigenConvergenceError:

@@ -19,7 +19,7 @@ DATA = Path(__file__).parent / "data"
 
 
 def test_jet_of_quadratic_field(quad_field):
-    j = cf.jet(quad_field, [2.0])
+    j = quad_field.jet([2.0])
     assert j.value[0] == 3.0
     assert j.jacobian[0, 0] == 4.0
     assert j.hessian is None
@@ -27,7 +27,7 @@ def test_jet_of_quadratic_field(quad_field):
 
 def test_jet_linear_map_order_2():
     h = affine_map_1d(2.0, 5.0)
-    j = cf.jet(h, [1.0], order=2)
+    j = h.jet([1.0], order=2)
     assert j.value[0] == 7.0
     assert j.jacobian[0, 0] == 2.0
     assert j.hessian[0, 0, 0] == 0.0
@@ -35,7 +35,7 @@ def test_jet_linear_map_order_2():
 
 def test_jet_square_map_order_2():
     h = square_map_1d()
-    j = cf.jet(h, [3.0], order=2)
+    j = h.jet([3.0], order=2)
     assert j.value[0] == 9.0
     assert j.jacobian[0, 0] == 6.0
     assert j.hessian[0, 0, 0] == 2.0
@@ -54,7 +54,7 @@ def test_jet_hessian_symmetry_random_fields():
 def test_jet_domain_error_propagates():
     f = make_field("sqrt_sys", ["y"], {}, ["sqrt(y)"])
     with pytest.raises(cf.DomainError):
-        cf.jet(f, [-1.0])
+        f.jet([-1.0])
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -120,7 +120,7 @@ def test_acceleration_consistency_invariant():
         F = cf.acceleration_field(f)
         for _ in range(10):
             x = np.array([rng.uniform(-2, 2) for _ in range(n)])
-            jf = cf.jet(f, x)
+            jf = f.jet(x)
             direct = jf.jacobian @ jf.value
             symbolic = F.value(x)
             scale = max(1.0, float(np.max(np.abs(direct))))
@@ -345,6 +345,39 @@ def _bits(values) -> list[str]:
     return [float(v).hex() for v in values]
 
 
+_FLOAT_INTERFACE = {"value": "_values", "jacobian": "_jacobian_rows",
+                    "hessian": "_hessian_entries"}
+
+
+def _float_interface(m, method: str, args):
+    """What the float interface behind ``method`` gives at ``args``, flat,
+    or None."""
+    out = getattr(m, _FLOAT_INTERFACE[method])(args)
+    if out is None or method != "jacobian":
+        return out
+    assert all(len(row) == m.n_in for row in out), (m.name, out)
+    return [v for row in out for v in row]
+
+
+def _float_interface_agrees(m, y) -> int:
+    """Check that where ``value``/``jacobian``/``hessian`` return at y, the
+    float interface gives the same floats bit for bit, and that it is None
+    exactly where they raise; the number of methods that raised."""
+    raised = 0
+    for method in _FLOAT_INTERFACE:
+        if not hasattr(m, method):  # an acceleration map has no hessian
+            continue
+        quiet = _float_interface(m, method, list(y))
+        try:
+            loud = getattr(m, method)(np.array(y))
+        except cf.DomainError:
+            assert quiet is None, (m.name, method, y)
+            raised += 1
+            continue
+        assert quiet is not None and _bits(quiet) == _bits(loud.ravel()), (m.name, method, y)
+    return raised
+
+
 def _plain_dot(row, v):
     total = row[0] * v[0]
     for m, w in zip(row[1:], v[1:]):
@@ -362,8 +395,11 @@ def _plain_conjugated(linear, base, y) -> list[float]:
 
 def test_affine_conjugated_values_are_the_plain_float_product():
     # g and g's acceleration map share one plain-float conjugation: bit for
-    # bit the product in index order, and within rounding of numpy's
+    # bit the product in index order, and within rounding of numpy's; and
+    # their float interface agrees with their array methods, inside and
+    # outside the base's domain
     rng = random.Random(4242)
+    inside = outside = 0
     for n in (1, 2, 3, 4):
         region = cf.AnalysisRegion.of(*[(-2.5, 2.5)] * n)
         f = random_polynomial_field(rng, n)
@@ -380,6 +416,21 @@ def test_affine_conjugated_values_are_the_plain_float_product():
                 want = lin.matrix @ base.value(lin.inverse @ (np.array(y) - lin.offset))
                 scale = max(1.0, float(np.max(np.abs(want))))
                 assert float(np.max(np.abs(got - want))) <= 1e-13 * scale, (n, y)
+                assert _float_interface_agrees(mapping, y) == 0
+        # the same base behind walls: not evaluable for x1 < -0.5 or x1 = 0.5
+        names = f.input_names
+        walled = cf.transformed_system(make_field(
+            "walled", names, {}, [f"{src} + sqrt({names[0]} + 0.5) - 1 / ({names[0]} - 0.5)"
+                                  for src in f.source_strings()]), h)
+        for mapping in (walled, acceleration_map(walled)):
+            for _ in range(12):
+                x = [rng.choice([rng.uniform(-1.5, 1.5), -0.5, 0.5])] + [
+                    rng.uniform(-1.5, 1.5) for _ in range(n - 1)]
+                y = (lin.matrix @ x + lin.offset).tolist()
+                if _float_interface_agrees(mapping, y):
+                    outside += 1
+                else:
+                    inside += 1
         # y = 4 x pushes 1e308 to inf on every side
         xs, ys = [f"x{i + 1}" for i in range(n)], [f"y{i + 1}" for i in range(n)]
         h = cf.TransformationMap(
@@ -394,6 +445,11 @@ def test_affine_conjugated_values_are_the_plain_float_product():
             assert math.isfinite(g.value([1.0] * n)[0])
             with pytest.raises(cf.DomainError, match="is not evaluable at"):
                 g.value([4.0] * n)
+            # the pushed Jacobian overflows at every point, the values at y = 4
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert _float_interface_agrees(g, [1.0] * n) >= 1
+                assert _float_interface_agrees(g, [4.0] * n) >= 2
+    assert inside > 30 and outside > 30, (inside, outside)
 
 
 def test_declared_affine_map_reads_its_linear_part_without_a_hessian(monkeypatch):
@@ -475,6 +531,10 @@ def test_kernels_match_tree_walk_bit_for_bit_and_name_failing_entry():
             env = {**m.parameters, **dict(zip(m.input_names, x.tolist()))}
             for method, (entries, labels) in table.items():
                 expected, bad_label = _first_failure(entries, labels, env)
+                if method != "jet":  # the float interface: None exactly there
+                    quiet = _float_interface(m, method, x.tolist())
+                    assert (quiet is None) == (bad_label is not None), (m.name, method, x)
+                    assert quiet is None or _bits(quiet) == _bits(expected), (m.name, method, x)
                 call = {"value": lambda: m.value(x),
                         "jacobian": lambda: m.jacobian(x),
                         "hessian": lambda: m.hessian(x),
