@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .conjugacy import THEOREM_IDS, run_verification
-from .expr import DomainError, ExpressionError
+from .expr import ExpressionError
 from .fields import (InverseMismatchError, JetAccelerationMap, acceleration_field,
                      acceleration_map, image_region, transformed_system)
 from .flows import BlowUpError, IntegratorConfig, StepUnderflowError, integrate
@@ -286,7 +286,7 @@ def cmd_portrait(args) -> int:
                 times, states = traj.times, traj.states
             except BlowUpError as err:
                 times, states = err.partial.times, err.partial.states
-            except (StepUnderflowError, DomainError):
+            except StepUnderflowError:
                 times = np.array([0.0])
                 states = np.asarray(x0, dtype=float).reshape(1, -1)
             write_trajectory_csv(out / f"trajectory_{i:02d}.csv", times, states)

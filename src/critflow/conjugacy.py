@@ -26,12 +26,13 @@ stores a search only when its key is missing, so checks handed one mapping
 run each search at most once. :func:`run_verification` fills the mapping
 with every search its checks read before running them. The two sides are
 independent, so it runs g's searches (and ``image_region(h)``) in one
-forked worker process while the parent runs the flow check and f's
-searches. The worker is used where ``os.fork`` and
-``os.sched_getaffinity`` exist, at least two CPUs are usable and the
-calling process runs a single thread; elsewhere the same searches run in
-the calling process. Both ways run the same searches on the same inputs,
-so reports are byte-identical either way.
+forked worker process while the parent runs the flow check and then f's
+searches; only after those does it read g's searches. The worker is used
+where ``os.fork`` and ``os.sched_getaffinity`` exist, at least two CPUs
+are usable and the calling process runs a single thread; elsewhere g's
+searches run in the calling process after f's. Both ways run the same
+searches on the same inputs, so reports are byte-identical either way, and
+both raise the same error: f's side first, then g's.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ import pickle
 import signal
 import threading
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -135,7 +137,7 @@ def _scheduled_states(f, x0, cfg: IntegratorConfig):
         return traj.states, "", False
     except BlowUpError as err:
         return err.partial.states[:-1], f"blow-up near t = {err.escape_time:.4g}", False
-    except (StepUnderflowError, DomainError) as err:
+    except StepUnderflowError as err:
         return np.array(x0, dtype=float).reshape(1, -1), f"integration failed: {err}", True
 
 
@@ -148,12 +150,12 @@ def verify_flow_conjugacy(f: VectorField, g: VectorField, h: TransformationMap,
     either state norm passes the comparison ceiling are dropped (noted per
     point).
 
-    When f's integration fails (step underflow or a domain error), only
-    the initial point is compared, where psi_0(h(x0)) = h(x0) exactly, so
-    g is not integrated from that point and the note names f's failure
-    only. The samples f reached before failing are not compared: near the
-    failure their residual is integrator error, which the tolerance does
-    not model.
+    When f's integration fails (its step size underflows, as it does
+    where the trajectory leaves f's domain), only the initial point is
+    compared, where psi_0(h(x0)) = h(x0) exactly, so g is not integrated
+    from that point and the note names f's failure only. The samples f
+    reached before failing are not compared: near the failure their
+    residual is integrator error, which the tolerance does not model.
     """
     cfg = IntegratorConfig(t_end=float(t_end), sample_count=_FLOW_SAMPLES)
     records: list[MatchRecord] = []
@@ -233,7 +235,7 @@ def select_flow_points(f: VectorField, h: TransformationMap,
             break
         try:
             inside = all(h.domain.contains(s) for s in _sampled_states(f, c, quick))
-        except (BlowUpError, StepUnderflowError, DomainError):
+        except (BlowUpError, StepUnderflowError):
             inside = False
         (good if inside else rest).append(c)
     return (good + rest)[:count]
@@ -245,6 +247,17 @@ def select_flow_points(f: VectorField, h: TransformationMap,
 def _search(kind: str):
     # looked up on each call, so a replaced module attribute takes effect
     return fixed_point_search if kind == FIXED else perpetual_point_search
+
+
+def _side_searches(side: str, fld, h: TransformationMap, region: AnalysisRegion,
+                   kinds: Sequence[str], cfg: SolverConfig) -> list:
+    """One side's search of each kind in ``kinds``, in that order: side
+    ``"f"`` searches over region ∩ h.domain, side ``"g"`` over
+    ``image_region(h)``. Neither region is computed when ``kinds`` is empty."""
+    if not kinds:
+        return []
+    sub = region.intersect(h.domain) if side == "f" else image_region(h)
+    return [_search(kind)(fld, sub, cfg) for kind in kinds]
 
 
 def _match_tol(cfg: SolverConfig) -> float:
@@ -265,8 +278,7 @@ def _match_points(f, h, g, region, cfg, kind, searches: dict | None):
     searches = {} if searches is None else searches
     for side, fld in (("f", f), ("g", g)):
         if (side, kind) not in searches:
-            sub = region.intersect(h.domain) if side == "f" else image_region(h)
-            searches[side, kind] = _search(kind)(fld, sub, cfg)
+            searches[side, kind] = _side_searches(side, fld, h, region, [kind], cfg)[0]
     f_points, g_points = searches["f", kind].points, searches["g", kind].points
     match_tol = _match_tol(cfg)
     taken = [False] * len(g_points)
@@ -281,17 +293,14 @@ def _match_points(f, h, g, region, cfg, kind, searches: dict | None):
                                        note="map not evaluable at this point"))
             all_matched = False
             continue
+        dists = [float(np.linalg.norm(mapped - q.location)) for q in g_points]
         best_j, best_d = -1, math.inf
-        for j, q in enumerate(g_points):
-            if taken[j]:
-                continue
-            d = float(np.linalg.norm(mapped - q.location))
-            if d < best_d:
+        for j, d in enumerate(dists):
+            if d < best_d and not taken[j]:
                 best_j, best_d = j, d
         # non-injective maps may send several points onto one target
         if best_d > match_tol:
-            for j, q in enumerate(g_points):
-                d = float(np.linalg.norm(mapped - q.location))
+            for j, d in enumerate(dists):
                 if d < best_d:
                     best_j, best_d = j, d
         if best_j >= 0 and best_d <= match_tol:
@@ -426,22 +435,9 @@ def detect_new_points(f: VectorField, h: TransformationMap, g: VectorField,
 
 def _search_kinds(h: TransformationMap, theorems: Sequence[str]) -> list[str]:
     """The kinds of point search the requested checks read, fixed first."""
-    kinds = set()
-    if "t1" in theorems:
-        kinds.add(FIXED)
-    if "t2" in theorems:
-        kinds.add(PERPETUAL)
-    if "r1" in theorems or ("t3" in theorems and _invertible_linear(h)):
-        kinds.update((FIXED, PERPETUAL))
-    return [k for k in (FIXED, PERPETUAL) if k in kinds]
-
-
-def _g_searches(g: VectorField, h: TransformationMap, kinds: Sequence[str],
-                cfg: SolverConfig) -> Iterator:
-    """g's search of each kind over ``image_region(h)``, one at a time."""
-    region = image_region(h)
-    for kind in kinds:
-        yield _search(kind)(g, region, cfg)
+    both = "r1" in theorems or ("t3" in theorems and _invertible_linear(h))
+    return [kind for kind, tid in ((FIXED, "t1"), (PERPETUAL, "t2"))
+            if both or tid in theorems]
 
 
 def _usable_cpus() -> int:
@@ -470,42 +466,28 @@ def _pickled_error(err: Exception) -> bytes:
     return pickle.dumps((False, (type(err), str(err))))
 
 
-def _send(items: Iterator, fd: int) -> None:
-    """Write each item of ``items``, pickled, to ``fd``; an exception that
-    ends ``items`` is written after the items before it."""
-    with os.fdopen(fd, "wb") as out:
-        try:
-            for item in items:
-                out.write(pickle.dumps((True, item)))
-                out.flush()
-        except Exception as err:
-            out.write(_pickled_error(err))
-
-
-def _received(stream) -> Iterator:
-    """The items :func:`_send` wrote to ``stream``, with its exception
-    raised again in their place."""
-    while True:
-        try:
-            ok, payload = pickle.load(stream)
-        except EOFError:
-            raise RuntimeError("the search worker ended without sending its results") from None
-        if ok:
-            yield payload
-        elif isinstance(payload, tuple):  # the type and message of an exception
-            cls, message = payload
-            err = cls.__new__(cls)
-            err.args = (message,)
-            raise err
-        else:
-            raise payload
+def _received(stream):
+    """The result the worker wrote to ``stream``, or its exception raised
+    again here."""
+    try:
+        ok, payload = pickle.load(stream)
+    except EOFError:
+        raise RuntimeError("the search worker ended without sending its results") from None
+    if ok:
+        return payload
+    if isinstance(payload, tuple):  # the type and message of an exception
+        cls, message = payload
+        err = cls.__new__(cls)
+        err.args = (message,)
+        raise err
+    raise payload
 
 
 @contextlib.contextmanager
-def _forked(items: Iterator):
-    """Iterate ``items`` in a forked child process. Yields an iterator
-    over the same items in the parent, read from a pipe as the child
-    produces them, or ``items`` itself where no process can be forked.
+def _forked(work: Callable):
+    """Run ``work()`` in a forked child process. Yields a function that
+    returns its result, or raises the exception that ended it, read from a
+    pipe in one piece; or ``work`` itself where no process can be forked.
     The child leaves only through ``os._exit``; the parent kills and reaps
     it when the block exits, however it exits.
 
@@ -514,21 +496,26 @@ def _forked(items: Iterator):
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
-    except OSError:  # no process to spare: iterate here
+    except OSError:  # no process to spare: work here
         os.close(read_fd)
         os.close(write_fd)
-        yield items
+        yield work
         return
     if pid == 0:
         try:
             os.close(read_fd)
-            _send(items, write_fd)
+            with os.fdopen(write_fd, "wb") as out:
+                try:
+                    data = pickle.dumps((True, work()))
+                except Exception as err:
+                    data = _pickled_error(err)
+                out.write(data)
         finally:
             os._exit(0)
     os.close(write_fd)
     try:
         with os.fdopen(read_fd, "rb") as stream:
-            yield _received(stream)
+            yield partial(_received, stream)
     finally:
         try:
             os.kill(pid, signal.SIGKILL)
@@ -551,17 +538,18 @@ def run_verification(f: VectorField, h: TransformationMap,
     The point searches the checks read run first, each once, and the
     checks share them through one ``searches`` mapping. g's searches,
     with ``image_region(h)``, run in one forked worker process while this
-    process runs the flow check and f's searches; the worker sends its
-    :class:`~critflow.points.PointSearch` results, counters included,
-    back through a pipe. The worker is used where ``os.fork`` and
-    ``os.sched_getaffinity`` exist, at least two CPUs are usable and only
-    one thread runs; otherwise g's searches run here, after f's. The
-    report is byte-identical either way.
+    process runs the flow check and then f's searches; the worker sends
+    the list of its :class:`~critflow.points.PointSearch` results,
+    counters included, back through a pipe. The worker is used where
+    ``os.fork`` and ``os.sched_getaffinity`` exist, at least two CPUs are
+    usable and only one thread runs; otherwise g's searches run here,
+    after f's. The report is byte-identical either way.
 
-    An exception from a search is raised here with its type and message.
-    When several raise, the one raised is the first that a serial run
-    meets in the order flow, f fixed, g fixed, f perpetual, g perpetual.
-    The worker never outlives the call.
+    An exception from a check or a search is raised here with its type
+    and message. This process's side comes first: an exception from the
+    flow check or from f's searches is raised as it happens, and g's
+    first exception only when f's side succeeded. The rule is the same
+    with and without the worker, which never outlives the call.
     """
     unknown = set(theorems) - set(THEOREM_IDS)
     if unknown:
@@ -570,28 +558,15 @@ def run_verification(f: VectorField, h: TransformationMap,
         raise ValueError("flow, spectrum and similarity tolerances must be finite and positive")
     g = transformed_system(f, h)
     kinds = _search_kinds(h, theorems)
-    g_found = _g_searches(g, h, kinds, cfg)
-    worker = _forked(g_found) if kinds and _worker_usable() else contextlib.nullcontext(g_found)
-    searches: dict = {}
+    g_side = partial(_side_searches, "g", g, h, region, kinds, cfg)
+    worker = _forked(g_side) if kinds and _worker_usable() else contextlib.nullcontext(g_side)
     flow = None
-    with worker as g_side:
-        done = 0  # f's searches finished
-        try:
-            if "flow" in theorems:
-                pts = select_flow_points(f, h, region, _FLOW_POINTS, t_end)
-                flow = verify_flow_conjugacy(f, g, h, pts, t_end, flow_tol)
-            for kind in kinds:
-                searches["f", kind] = _search(kind)(f, region.intersect(h.domain), cfg)
-                done += 1
-        except Exception as err:
-            failure = err
-        else:
-            failure = None
-        # a serial run meets g's search of a kind before f's of the next
-        for kind in kinds[:done]:
-            searches["g", kind] = next(g_side)
-        if failure is not None:
-            raise failure
+    with worker as g_result:
+        if "flow" in theorems:
+            pts = select_flow_points(f, h, region, _FLOW_POINTS, t_end)
+            flow = verify_flow_conjugacy(f, g, h, pts, t_end, flow_tol)
+        found = _side_searches("f", f, h, region, kinds, cfg) + g_result()
+    searches = dict(zip([(side, kind) for side in ("f", "g") for kind in kinds], found))
     checks: list[TheoremCheck] = []
     for tid in THEOREM_IDS:
         if tid not in theorems:

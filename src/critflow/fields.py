@@ -49,9 +49,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expr import (
-    KERNEL_ERRORS, MAX_NESTING_DEPTH, Binary, Const, DomainError, Expression,
-    ExpressionError, Name, Unary, SystemDefinition, compile_array, compile_kernel,
-    differentiate, e_add, e_div, e_func, e_mul, e_neg, e_pow, e_sub, evaluate,
+    _BINARY_BUILDERS, KERNEL_ERRORS, MAX_NESTING_DEPTH, Binary, Const, DomainError,
+    Expression, ExpressionError, Name, Unary, SystemDefinition, compile_array,
+    compile_kernel, differentiate, e_add, e_func, e_mul, e_neg, evaluate,
     free_variables, nesting_depth, to_source,
 )
 from .linalg import is_degenerate, solve_linear
@@ -464,11 +464,6 @@ class TransformationMap(VectorMap):
         return AnalysisRegion(tuple((float(l - p), float(u + p))
                                     for l, u, p in zip(lo, hi, pad)))
 
-    def target_names(self) -> tuple[str, ...]:
-        if self.inverse is not None:
-            return self.inverse.input_names
-        return default_target_names(self.n_in, set(self.parameters))
-
 
 def default_target_names(n: int, taken=()) -> tuple[str, ...]:
     names = ("y",) if n == 1 else tuple(f"y{i + 1}" for i in range(n))
@@ -492,8 +487,7 @@ def substitute(e: Expression, mapping: Mapping[str, Expression]) -> Expression:
     if isinstance(e, Unary):
         inner = substitute(e.arg, mapping)
         return e_neg(inner) if e.op == "neg" else e_func(e.op, inner)
-    builders = {"+": e_add, "-": e_sub, "*": e_mul, "/": e_div, "^": e_pow}
-    return builders[e.op](substitute(e.left, mapping), substitute(e.right, mapping))
+    return _BINARY_BUILDERS[e.op](substitute(e.left, mapping), substitute(e.right, mapping))
 
 
 def _affine_kernel(matrix: np.ndarray, offset: np.ndarray | None, names):

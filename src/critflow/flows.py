@@ -2,7 +2,9 @@
 
 Two schemes: adaptive Runge-Kutta-Fehlberg 4(5) (default; propagates the
 4th-order solution, the embedded 5th-order one drives step control) and
-fixed-step classical RK4 (kept for convergence-order tests). Escaping
+fixed-step classical RK4, the reference integrator of the convergence-order
+tests and of the acceleration tests, which compare the acceleration with
+second differences of finely sampled RK4 trajectories. Escaping
 trajectories terminate cleanly: once the state norm passes the blow-up
 threshold a :class:`BlowUpError` carrying the escape time and the partial
 trajectory is raised.

@@ -1,6 +1,8 @@
 import collections
+import math
 import os
 import random
+import types
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +186,79 @@ def test_point_mapping_square_map_not_applicable(quad_field):
     # and g's perpetual point at 1/3 has no preimage
     assert any(r.matched and abs(r.matched[0] - 1.0 / 3.0) < 1e-6
                for r in check.details if r.source is None)
+
+
+def _matching_oracle(h, f_points, g_points, match_tol):
+    """Greedy matching that walks the targets again for the non-injective
+    fallback, computing each distance where it reads it."""
+    taken = [False] * len(g_points)
+    records, worst, all_matched = [], 0.0, True
+    for p in f_points:
+        try:
+            mapped = h.value(p.location)
+        except cf.DomainError:
+            records.append(cf.MatchRecord(source=tuple(p.location), kind=p.kind,
+                                          note="map not evaluable at this point"))
+            all_matched = False
+            continue
+        best_j, best_d = -1, math.inf
+        for j, q in enumerate(g_points):
+            if taken[j]:
+                continue
+            d = float(np.linalg.norm(mapped - q.location))
+            if d < best_d:
+                best_j, best_d = j, d
+        if best_d > match_tol:
+            for j, q in enumerate(g_points):
+                d = float(np.linalg.norm(mapped - q.location))
+                if d < best_d:
+                    best_j, best_d = j, d
+        if best_j >= 0 and best_d <= match_tol:
+            taken[best_j] = True
+            worst = max(worst, best_d)
+            records.append(cf.MatchRecord(source=tuple(p.location), mapped=tuple(mapped),
+                                          matched=tuple(g_points[best_j].location),
+                                          kind=p.kind, residual=best_d))
+        else:
+            all_matched = False
+            records.append(cf.MatchRecord(
+                source=tuple(p.location), mapped=tuple(mapped), kind=p.kind,
+                residual=best_d if best_d < math.inf else None,
+                note="image does not coincide with any discovered target point"))
+    unmatched = [q for j, q in enumerate(g_points) if not taken[j]]
+    return records, unmatched, worst, all_matched
+
+
+class _HalvingMap:
+    """floor(x / 2) on integer points: several sources land on one target,
+    and integer distances tie; not evaluable where x_0 = 5."""
+    def value(self, x):
+        if x[0] == 5:
+            raise cf.DomainError("not evaluable")
+        return np.floor(np.asarray(x) / 2.0)
+
+
+def test_matching_takes_the_nearest_untaken_target_as_the_oracle_does():
+    rng = random.Random(5)
+    h = _HalvingMap()
+    for trial in range(400):
+        n = rng.choice((1, 2))
+        kind = rng.choice((cf.FIXED, cf.PERPETUAL))
+
+        def points(count, span):
+            return [types.SimpleNamespace(
+                location=np.array([float(rng.randint(-span, span)) for _ in range(n)]),
+                kind=kind) for _ in range(count)]
+        f_points, g_points = points(rng.randint(0, 8), 6), points(rng.randint(0, 6), 3)
+        g_points += rng.sample(g_points, min(2, len(g_points)))  # repeated targets
+        cfg = cf.SolverConfig(dedup_tol=rng.choice((0.05, 0.1, 0.15)))
+        searches = {("f", kind): types.SimpleNamespace(points=f_points),
+                    ("g", kind): types.SimpleNamespace(points=g_points)}
+        got = critflow.conjugacy._match_points(None, h, None, REGION, cfg, kind, searches)
+        want = _matching_oracle(h, f_points, g_points, 10.0 * cfg.dedup_tol)
+        assert got[0] == want[0], trial
+        assert [id(q) for q in got[1]] == [id(q) for q in want[1]], trial
+        assert got[2:] == want[2:], trial
 
 
 def test_spectrum_preservation_affine(affine_setup):
@@ -536,15 +611,35 @@ def test_an_interrupt_in_f_search_leaves_no_process(quad_field, monkeypatch):
     _assert_no_child_process()
 
 
-# a serial run meets them in the order flow, f fixed, g fixed, f perpetual,
-# g perpetual; the first one it meets is raised
+def test_a_worker_that_ends_without_results_raises_and_leaves_no_process(quad_field,
+                                                                         monkeypatch):
+    if not critflow.conjugacy._worker_usable():
+        pytest.skip("no worker: g's search would end this process")
+    here = os.getpid()
+    original = critflow.conjugacy.fixed_point_search
+
+    def ending_in_the_child(field, region, cfg):
+        if os.getpid() != here:
+            os._exit(1)
+        return original(field, region, cfg)
+    monkeypatch.setattr(critflow.conjugacy, "fixed_point_search", ending_in_the_child)
+    with pytest.raises(RuntimeError) as caught:
+        cf.run_verification(quad_field, affine_map_1d(2.0, 5.0), REGION)
+    assert str(caught.value) == "the search worker ended without sending its results"
+    _assert_no_child_process()
+
+
+# this process's side runs first, in the order flow, f fixed, f perpetual,
+# and its first error is raised; g's first error is raised only when f's
+# side raised none, with and without the worker
 @pytest.mark.parametrize("worker", [True, False], ids=["worker", "in-process"])
 @pytest.mark.parametrize("steps, first", [
     (["flow", ("g", cf.FIXED)], "flow"),
     ([("f", cf.FIXED), ("g", cf.FIXED)], ("f", cf.FIXED)),
-    ([("f", cf.PERPETUAL), ("g", cf.FIXED)], ("g", cf.FIXED)),
+    ([("f", cf.PERPETUAL), ("g", cf.FIXED)], ("f", cf.PERPETUAL)),
     ([("f", cf.FIXED), ("g", cf.PERPETUAL)], ("f", cf.FIXED)),
     ([("f", cf.PERPETUAL), ("g", cf.PERPETUAL)], ("f", cf.PERPETUAL)),
+    ([("g", cf.FIXED), ("g", cf.PERPETUAL)], ("g", cf.FIXED)),
 ])
 def test_the_first_error_of_a_serial_run_is_raised(quad_field, monkeypatch, steps, first, worker):
     if not worker:

@@ -669,6 +669,15 @@ def test_searches_and_integration_past_the_domain_edge_build_no_message(monkeypa
     assert len(outside) > before
 
 
+def test_rkf45_started_outside_the_domain_raises_step_underflow():
+    # no stage is evaluable, so the step halves until it underflows at
+    # t = 0; integrate raises no DomainError there
+    f, g = _sqrt_branch_and_conjugate()
+    for field, start in ((f, -1.0), (g, 3.0)):
+        with pytest.raises(cf.StepUnderflowError, match=r"at t = 0 \("):
+            cf.integrate(field, [start], cf.IntegratorConfig(t_end=1.0))
+
+
 def test_float_interface_is_none_outside_the_domain_and_value_names_the_cause():
     f, g = _sqrt_branch_and_conjugate()
     sqrt_message = "of {} is not evaluable at [-1.0]: sqrt of negative value -1.0"
