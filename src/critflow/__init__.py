@@ -29,8 +29,8 @@ from .fields import (
 )
 from .points import (
     FIXED, PERPETUAL, SolverConfig, CriticalPoint, PointSearch,
-    NoConvergenceError, newton_root, find_fixed_points, find_perpetual_points,
-    fixed_point_search, perpetual_point_search, classify_point,
+    NoConvergenceError, newton_root, fixed_point_search, perpetual_point_search,
+    classify_point,
 )
 from .flows import (
     IntegratorConfig, Trajectory, BlowUpError, StepUnderflowError,
@@ -62,9 +62,8 @@ __all__ = [
     "transformed_system", "image_region",
     # points
     "FIXED", "PERPETUAL", "SolverConfig", "CriticalPoint", "PointSearch",
-    "NoConvergenceError", "newton_root", "find_fixed_points",
-    "find_perpetual_points", "fixed_point_search", "perpetual_point_search",
-    "classify_point",
+    "NoConvergenceError", "newton_root", "fixed_point_search",
+    "perpetual_point_search", "classify_point",
     # flows
     "IntegratorConfig", "Trajectory", "BlowUpError", "StepUnderflowError",
     "integrate", "flow_map",

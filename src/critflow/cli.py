@@ -10,6 +10,8 @@ trajectory CSV export). Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -27,10 +29,15 @@ from .io import (InputError, LoadedSystem, canonical_json,
                  theorem_check_record, write_grid_csv, write_trajectory_csv)
 from .points import SolverConfig, fixed_point_search, perpetual_point_search
 from .region import AnalysisRegion, lattice_points
+from .worker import forked
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_INPUT_ERROR = 2
+
+#: ``portrait`` writes at most this many rows per file (grid samples, or
+#: samples per trajectory) and at most this many trajectory files
+PORTRAIT_LIMIT = 10 ** 7
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -251,22 +258,45 @@ def _parse_grid(text: str | None, dimension: int) -> list[int]:
         raise InputError(f"--grid {text!r}: {err}") from err
     if any(s < 1 for s in shape):
         raise InputError("--grid sizes must be >= 1")
+    if math.prod(shape) > PORTRAIT_LIMIT:
+        raise InputError(f"--grid {text}: {math.prod(shape)} rows, more than "
+                         f"the limit of {PORTRAIT_LIMIT}")
     return shape
 
 
 def cmd_portrait(args) -> int:
+    """Write the grid of f and F over the region, and with
+    ``--trajectories`` that many trajectory files beside it.
+
+    Every size is checked before anything is written. The grid and the
+    trajectories are independent files, so when there are trajectories a
+    forked worker (:mod:`critflow.worker`) renders the grid while this
+    process integrates and writes them; without a usable worker the grid
+    is rendered here after them. The files are byte-identical either way.
+    As in ``verify``, this process's side comes first: an error from the
+    trajectories is raised as it happens, and the grid's only when the
+    trajectories succeeded."""
     loaded = load_system(args.system)
-    if loaded.field.dimension > 2:
+    field = loaded.field
+    if field.dimension > 2:
         raise InputError(f"{loaded.path}: portrait export supports 1- and "
                          f"2-dimensional systems only")
     region = _resolve_region(args, loaded)
-    shape = _parse_grid(args.grid, loaded.field.dimension)
+    shape = _parse_grid(args.grid, field.dimension)
+    if not 0 <= args.trajectories <= PORTRAIT_LIMIT:
+        raise InputError(f"--trajectories {args.trajectories}: must be between 0 "
+                         f"and {PORTRAIT_LIMIT}")
     try:
         # t_end is checked before it sizes the samples
         cfg = IntegratorConfig(t_end=args.t_end)
-        cfg = replace(cfg, sample_count=max(2, int(50 * args.t_end)))
     except ValueError as err:
         raise InputError(f"--T: {err}") from err
+    # capped, so that no t_end overflows the conversion to int
+    samples = max(2, int(min(50 * args.t_end, PORTRAIT_LIMIT + 1)))
+    if args.trajectories and samples > PORTRAIT_LIMIT:
+        raise InputError(f"--T: {args.t_end!r} needs more than {PORTRAIT_LIMIT} samples "
+                         f"per trajectory")
+    cfg = replace(cfg, sample_count=samples)
 
     out = Path(args.out)
     grid_only = args.trajectories == 0 and out.suffix == ".csv"
@@ -276,13 +306,16 @@ def cmd_portrait(args) -> int:
     else:
         out.mkdir(parents=True, exist_ok=True)
         grid_path = out / "grid.csv"
-    rows = write_grid_csv(grid_path, loaded.field, acceleration_map(loaded.field), region, shape)
 
-    if args.trajectories > 0:
+    def render_grid() -> int:
+        return write_grid_csv(grid_path, field, acceleration_map(field), region, shape)
+
+    with (forked(render_grid) if args.trajectories else
+          contextlib.nullcontext(render_grid)) as grid_rows:
         starts = lattice_points(region, args.trajectories, args.rng_seed)[:args.trajectories]
         for i, x0 in enumerate(starts):
             try:
-                traj = integrate(loaded.field, x0, cfg)
+                traj = integrate(field, x0, cfg)
                 times, states = traj.times, traj.states
             except BlowUpError as err:
                 times, states = err.partial.times, err.partial.states
@@ -290,6 +323,7 @@ def cmd_portrait(args) -> int:
                 times = np.array([0.0])
                 states = np.asarray(x0, dtype=float).reshape(1, -1)
             write_trajectory_csv(out / f"trajectory_{i:02d}.csv", times, states)
+        rows = grid_rows()
     sys.stderr.write(f"portrait: wrote {rows} grid rows to {grid_path}\n")
     return EXIT_OK
 

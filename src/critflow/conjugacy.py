@@ -27,10 +27,9 @@ run each search at most once. :func:`run_verification` fills the mapping
 with every search its checks read before running them. The two sides are
 independent, so it runs g's searches (and ``image_region(h)``) in one
 forked worker process while the parent runs the flow check and then f's
-searches; only after those does it read g's searches. The worker is used
-where ``os.fork`` and ``os.sched_getaffinity`` exist, at least two CPUs
-are usable and the calling process runs a single thread; elsewhere g's
-searches run in the calling process after f's. Both ways run the same
+searches; only after those does it read g's searches. Where no worker is
+usable (see :mod:`critflow.worker`), g's searches run in the calling
+process after f's. Both ways run the same
 searches on the same inputs, so reports are byte-identical either way, and
 both raise the same error: f's side first, then g's.
 """
@@ -39,13 +38,9 @@ from __future__ import annotations
 
 import contextlib
 import math
-import os
-import pickle
-import signal
-import threading
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,6 +53,7 @@ from .linalg import EigenConvergenceError, eigenvalues, min_pivot, spectrum_dist
 from .points import (FIXED, PERPETUAL, SolverConfig, fixed_point_search,
                      perpetual_point_search)
 from .region import AnalysisRegion, lattice_points
+from .worker import forked
 
 __all__ = [
     "HOLDS", "FAILS", "NOT_APPLICABLE", "THEOREM_IDS",
@@ -440,90 +436,6 @@ def _search_kinds(h: TransformationMap, theorems: Sequence[str]) -> list[str]:
             if both or tid in theorems]
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where the platform cannot say."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _worker_usable() -> bool:
-    # a forked child holds only the forking thread: a lock another thread
-    # held at the fork would stay locked in the child forever
-    return hasattr(os, "fork") and _usable_cpus() >= 2 and threading.active_count() == 1
-
-
-def _pickled_error(err: Exception) -> bytes:
-    """``err`` pickled as itself when it unpickles to the same type and
-    message, else as its type and message (an exception whose constructor
-    takes other arguments than its message, such as
-    :class:`EigenConvergenceError`, does not unpickle)."""
-    try:
-        data = pickle.dumps((False, err))
-        back = pickle.loads(data)[1]
-        if type(back) is type(err) and str(back) == str(err):
-            return data
-    except Exception:
-        pass
-    return pickle.dumps((False, (type(err), str(err))))
-
-
-def _received(stream):
-    """The result the worker wrote to ``stream``, or its exception raised
-    again here."""
-    try:
-        ok, payload = pickle.load(stream)
-    except EOFError:
-        raise RuntimeError("the search worker ended without sending its results") from None
-    if ok:
-        return payload
-    if isinstance(payload, tuple):  # the type and message of an exception
-        cls, message = payload
-        err = cls.__new__(cls)
-        err.args = (message,)
-        raise err
-    raise payload
-
-
-@contextlib.contextmanager
-def _forked(work: Callable):
-    """Run ``work()`` in a forked child process. Yields a function that
-    returns its result, or raises the exception that ended it, read from a
-    pipe in one piece; or ``work`` itself where no process can be forked.
-    The child leaves only through ``os._exit``; the parent kills and reaps
-    it when the block exits, however it exits.
-
-    A fork, not a spawned interpreter: the child starts with the parent's
-    imports and objects, whose compiled kernels do not pickle."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare: work here
-        os.close(read_fd)
-        os.close(write_fd)
-        yield work
-        return
-    if pid == 0:
-        try:
-            os.close(read_fd)
-            with os.fdopen(write_fd, "wb") as out:
-                try:
-                    data = pickle.dumps((True, work()))
-                except Exception as err:
-                    data = _pickled_error(err)
-                out.write(data)
-        finally:
-            os._exit(0)
-    os.close(write_fd)
-    try:
-        with os.fdopen(read_fd, "rb") as stream:
-            yield partial(_received, stream)
-    finally:
-        try:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        except (ProcessLookupError, ChildProcessError):  # reaped already (SIGCHLD ignored)
-            pass
-
-
 def run_verification(f: VectorField, h: TransformationMap,
                      region: AnalysisRegion,
                      theorems: Sequence[str] = THEOREM_IDS,
@@ -540,10 +452,9 @@ def run_verification(f: VectorField, h: TransformationMap,
     with ``image_region(h)``, run in one forked worker process while this
     process runs the flow check and then f's searches; the worker sends
     the list of its :class:`~critflow.points.PointSearch` results,
-    counters included, back through a pipe. The worker is used where
-    ``os.fork`` and ``os.sched_getaffinity`` exist, at least two CPUs are
-    usable and only one thread runs; otherwise g's searches run here,
-    after f's. The report is byte-identical either way.
+    counters included, back through a pipe. Where no worker is usable
+    (see :mod:`critflow.worker`), g's searches run here, after f's. The
+    report is byte-identical either way.
 
     An exception from a check or a search is raised here with its type
     and message. This process's side comes first: an exception from the
@@ -559,7 +470,7 @@ def run_verification(f: VectorField, h: TransformationMap,
     g = transformed_system(f, h)
     kinds = _search_kinds(h, theorems)
     g_side = partial(_side_searches, "g", g, h, region, kinds, cfg)
-    worker = _forked(g_side) if kinds and _worker_usable() else contextlib.nullcontext(g_side)
+    worker = forked(g_side) if kinds else contextlib.nullcontext(g_side)
     flow = None
     with worker as g_result:
         if "flow" in theorems:

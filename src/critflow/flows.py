@@ -9,20 +9,24 @@ trajectories terminate cleanly: once the state norm passes the blow-up
 threshold a :class:`BlowUpError` carrying the escape time and the partial
 trajectory is raised.
 
-The RKF45 step runs on Python floats with the Fehlberg tableau unrolled.
-Every component goes through the same operations, in the same order, as
-the array form ``x + h * sum(a * k for ...)``, so states, step sizes and
-exceptions are the array form's to the bit; on the 2- to 4-element states
-of the flow checks the step costs less than half as much as numpy calls
-on small arrays. Each stage reads the field's kernel tuple (``_values``)
-at a list of floats, with no array built or taken apart; the tuple holds
-the floats that ``value`` would put into its array. Outside the field's
-domain ``_values`` gives None instead of raising, so a stage that leaves
-the domain costs no error message; the step is retried at half the size.
+The RKF45 step runs on Python floats, in a function generated for each
+state dimension on first use (:func:`_step_function`): every component of
+every stage, the 4th-order solution and the error ratio is written out,
+with no loop, ``zip`` or list comprehension. Every component goes through
+the same operations, in the same order, as the array form
+``x + h * sum(a * k for ...)``, so states, step sizes, escape times and
+exceptions are the array form's to the bit. Each stage reads the field's
+kernel tuple (``_values``) at a list of floats, with no array built or
+taken apart; the tuple holds the floats that ``value`` would put into its
+array, for a plain field and an affine conjugate alike. Outside the
+field's domain ``_values`` gives None instead of raising, so a stage that
+leaves the domain costs no error message; the step is retried at half the
+size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -38,16 +42,19 @@ __all__ = [
 RK4 = "rk4"
 RKF45 = "rkf45"
 
-# Fehlberg 4(5) tableau, unrolled: stage i evaluates f at
-# x + h * (A_i1 k_1 + ... ); B weights the propagated 4th-order solution and
-# E the error estimate (5th- minus 4th-order); zero weights are left out
-_A21 = 1 / 4
-_A31, _A32 = 3 / 32, 9 / 32
-_A41, _A42, _A43 = 1932 / 2197, -7200 / 2197, 7296 / 2197
-_A51, _A52, _A53, _A54 = 439 / 216, -8.0, 3680 / 513, -845 / 4104
-_A61, _A62, _A63, _A64, _A65 = -8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40
-_B1, _B3, _B4, _B5 = 25 / 216, 1408 / 2565, 2197 / 4104, -1 / 5
-_E1, _E3, _E4, _E5, _E6 = 1 / 360, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55
+# Fehlberg 4(5) tableau: stage i evaluates f at x + h * (A_i1 k_1 + ...);
+# B weights the propagated 4th-order solution and E the error estimate
+# (5th- minus 4th-order); the generated step leaves zero weights out
+_A = (
+    (),
+    (1 / 4,),
+    (3 / 32, 9 / 32),
+    (1932 / 2197, -7200 / 2197, 7296 / 2197),
+    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
+    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
+)
+_B = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
+_E = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
 
 #: RKF45 gives up below this step; a state norm above the blow-up norm
 #: counts as escape
@@ -128,37 +135,46 @@ def _rk4_segment(f, x, t0, t1, h_target):
     return x
 
 
-def _stages(values, x: list[float], h: float):
-    """The stages k1, k3, k4, k5 and k6 of one RKF45 step (k2 enters
-    only the later stages), or None as soon as one is outside the field's
-    domain.
-
-    Each stage component is ``x + h * (0 + a1 * k1 + a2 * k2 + ...)``: the
+def _combination(weights, i: int) -> str:
+    """``0 + w1 * a<i> + w2 * b<i> + ...`` over the non-zero weights: the
     sum starts from the integer 0, as ``sum`` does in the array form, so
-    signed zeros come out the same.
-    """
-    k1 = values(x)
-    if k1 is None:
-        return None
-    k2 = values([v + h * (0 + _A21 * a) for v, a in zip(x, k1)])
-    if k2 is None:
-        return None
-    k3 = values([v + h * (0 + _A31 * a + _A32 * b) for v, a, b in zip(x, k1, k2)])
-    if k3 is None:
-        return None
-    k4 = values([v + h * (0 + _A41 * a + _A42 * b + _A43 * c)
-                 for v, a, b, c in zip(x, k1, k2, k3)])
-    if k4 is None:
-        return None
-    k5 = values([v + h * (0 + _A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                 for v, a, b, c, d in zip(x, k1, k2, k3, k4)])
-    if k5 is None:
-        return None
-    k6 = values([v + h * (0 + _A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-                 for v, a, b, c, d, e in zip(x, k1, k2, k3, k4, k5)])
-    if k6 is None:
-        return None
-    return k1, k3, k4, k5, k6
+    signed zeros come out the same."""
+    return " + ".join(["0"] + [f"{w!r} * {k}{i}" for w, k in zip(weights, "abcdef") if w != 0.0])
+
+
+@functools.cache
+def _step_function(n: int):
+    """The RKF45 step for states of n floats, compiled from generated
+    source on first use: ``step(values, x, h, abs_tol, rel_tol)`` returns
+    the 4th-order solution as a list and the largest |err| / scale, or
+    None as soon as a stage is outside the field's domain.
+
+    Component i of stage s is ``x<i> + h * (0 + A_s1 * a<i> + A_s2 * b<i>
+    + ...)``, where a, b, ... name the components of k1, k2, ...; the ratio is updated
+    component by component like ``np.max``, so a NaN anywhere makes it
+    NaN, which rejects the step."""
+    comps = range(n)
+    lines = ["def step(values, x, h, abs_tol, rel_tol):",
+             f"    {''.join(f'x{i}, ' for i in comps)}= x",
+             "    k = values(x)"]
+    for row, letter in zip(_A, "abcdef"):
+        if row:
+            parts = ", ".join(f"x{i} + h * ({_combination(row, i)})" for i in comps)
+            lines.append(f"    k = values([{parts}])")
+        lines += ["    if k is None:",
+                  "        return None",
+                  f"    {''.join(f'{letter}{i}, ' for i in comps)}= k"]
+    lines += [f"    w{i} = x{i} + h * ({_combination(_B, i)})" for i in comps]
+    for i in comps:
+        # np.maximum: NaN wins
+        size = f"(abs(x{i}) if abs(x{i}) >= abs(w{i}) else abs(w{i}))"
+        lines.append(f"    r = abs(h * ({_combination(_E, i)})) / (abs_tol + rel_tol * {size})")
+        lines += (["    ratio = r"] if i == 0 else
+                  ["    if r > ratio or r != r:", "        ratio = r"])
+    lines.append(f"    return [{', '.join(f'w{i}' for i in comps)}], ratio")
+    scope = {}
+    exec(compile("\n".join(lines) + "\n", f"<critflow-rkf45-step-{n}>", "exec"), scope)
+    return scope["step"]
 
 
 def _rkf45_segment(f, x, t0, t1, cfg, h_start):
@@ -169,7 +185,7 @@ def _rkf45_segment(f, x, t0, t1, cfg, h_start):
     t, t1 = float(t0), float(t1)
     h = min(h_start, t1 - t)
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
-    values = f._values
+    values, step = f._values, _step_function(len(x))
     while t < t1:
         h = min(h, t1 - t)
         if h < _MIN_STEP:
@@ -179,22 +195,11 @@ def _rkf45_segment(f, x, t0, t1, cfg, h_start):
             if float(np.linalg.norm(x)) > 1e-3 * _BLOWUP_NORM:
                 return np.array(x), h, t
             raise StepUnderflowError(t, h)
-        stages = _stages(values, x, h)
-        if stages is None:  # a stage left the field's domain
+        stepped = step(values, x, h, abs_tol, rel_tol)
+        if stepped is None:  # a stage left the field's domain
             h *= 0.5
             continue
-        k1, k3, k4, k5, k6 = stages
-        x4 = [v + h * (0 + _B1 * a + _B3 * c + _B4 * d + _B5 * e)
-              for v, a, c, d, e in zip(x, k1, k3, k4, k5)]
-        # the largest |err| / scale; like np.max, a NaN anywhere makes it
-        # NaN, which rejects the step
-        ratio = 0.0
-        for v, w, a, c, d, e, g in zip(x, x4, k1, k3, k4, k5, k6):
-            err = h * (0 + _E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g)
-            size = abs(v) if abs(v) >= abs(w) else abs(w)  # np.maximum: NaN wins
-            r = abs(err) / (abs_tol + rel_tol * size)
-            if r > ratio or r != r:
-                ratio = r
+        x4, ratio = stepped
         if ratio <= 1.0:
             t += h
             x = x4

@@ -40,9 +40,8 @@ from .region import AnalysisRegion, lattice_points
 
 __all__ = [
     "FIXED", "PERPETUAL", "SolverConfig", "CriticalPoint", "PointSearch",
-    "NoConvergenceError", "newton_root", "find_fixed_points",
-    "find_perpetual_points", "fixed_point_search", "perpetual_point_search",
-    "classify_point",
+    "NoConvergenceError", "newton_root", "fixed_point_search",
+    "perpetual_point_search", "classify_point",
 ]
 
 FIXED = "fixed"
@@ -343,27 +342,19 @@ def _run_search(f: VectorField, solved: VectorMap, kind: str,
 
 def fixed_point_search(f: VectorField, region: AnalysisRegion,
                        cfg: SolverConfig = SolverConfig()) -> PointSearch:
+    """The search for fixed points of f inside ``region``. Its ``points``
+    are deduplicated and sorted by location, each carrying the eigenvalues
+    of Df."""
     return _run_search(f, f, FIXED, region, cfg)
 
 
 def perpetual_point_search(f: VectorField, region: AnalysisRegion,
                            cfg: SolverConfig = SolverConfig()) -> PointSearch:
+    """The search for perpetual points of f inside ``region``: zeros of the
+    acceleration field with speed above the velocity floor. Its ``points``
+    are deduplicated and sorted by location, each carrying the eigenvalues
+    of DF and the signed velocity."""
     return _run_search(f, acceleration_map(f), PERPETUAL, region, cfg)
-
-
-def find_fixed_points(f: VectorField, region: AnalysisRegion,
-                      cfg: SolverConfig = SolverConfig()) -> list[CriticalPoint]:
-    """Deduplicated fixed points of f inside ``region``, sorted by location,
-    each carrying the eigenvalues of Df."""
-    return fixed_point_search(f, region, cfg).points
-
-
-def find_perpetual_points(f: VectorField, region: AnalysisRegion,
-                          cfg: SolverConfig = SolverConfig()) -> list[CriticalPoint]:
-    """Deduplicated perpetual points of f inside ``region``: zeros of the
-    acceleration field with speed above the velocity floor, each carrying
-    the eigenvalues of DF and the signed velocity."""
-    return perpetual_point_search(f, region, cfg).points
 
 
 def classify_point(f: VectorField, point,

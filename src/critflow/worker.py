@@ -1,0 +1,111 @@
+"""One forked worker process beside the calling one.
+
+:func:`forked` runs a function in a forked child while the parent goes on
+with independent work, and hands its result (or the exception that ended
+it) back through a pipe in one piece. ``run_verification`` runs g's point
+searches there while it checks the flow and searches f; ``portrait``
+renders its grid there while it integrates and writes the trajectories.
+
+A worker is used where ``os.fork`` and ``os.sched_getaffinity`` exist, at
+least two CPUs are usable and the calling process runs a single thread;
+elsewhere the function runs in the calling process, when its result is
+read. Either way it runs the same code on the same inputs, so its result
+and the files it writes are the same.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import os
+import pickle
+import signal
+import threading
+from functools import partial
+from typing import Callable
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _worker_usable() -> bool:
+    # a forked child holds only the forking thread: a lock another thread
+    # held at the fork would stay locked in the child forever
+    return hasattr(os, "fork") and _usable_cpus() >= 2 and threading.active_count() == 1
+
+
+def _pickled_error(err: Exception) -> bytes:
+    """``err`` pickled as itself when it unpickles to the same type and
+    message, else as its type and message (an exception whose constructor
+    takes other arguments than its message, such as
+    :class:`~critflow.linalg.EigenConvergenceError`, does not unpickle)."""
+    try:
+        data = pickle.dumps((False, err))
+        back = pickle.loads(data)[1]
+        if type(back) is type(err) and str(back) == str(err):
+            return data
+    except Exception:
+        pass
+    return pickle.dumps((False, (type(err), str(err))))
+
+
+def _received(stream):
+    """The result the worker wrote to ``stream``, or its exception raised
+    again here."""
+    try:
+        ok, payload = pickle.load(stream)
+    except EOFError:
+        raise RuntimeError("the search worker ended without sending its results") from None
+    if ok:
+        return payload
+    if isinstance(payload, tuple):  # the type and message of an exception
+        cls, message = payload
+        err = cls.__new__(cls)
+        err.args = (message,)
+        raise err
+    raise payload
+
+
+@contextlib.contextmanager
+def forked(work: Callable):
+    """Run ``work()`` in a forked child process. Yields a function that
+    returns its result, or raises the exception that ended it, read from a
+    pipe in one piece; or ``work`` itself where no worker is usable or no
+    process can be forked. The child leaves only through ``os._exit``; the
+    parent kills and reaps it when the block exits, however it exits.
+
+    A fork, not a spawned interpreter: the child starts with the parent's
+    imports and objects, whose compiled kernels do not pickle."""
+    if not _worker_usable():
+        yield work
+        return
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: work here
+        os.close(read_fd)
+        os.close(write_fd)
+        yield work
+        return
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as out:
+                try:
+                    data = pickle.dumps((True, work()))
+                except Exception as err:
+                    data = _pickled_error(err)
+                out.write(data)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as stream:
+            yield partial(_received, stream)
+    finally:
+        try:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):  # reaped already (SIGCHLD ignored)
+            pass

@@ -9,6 +9,7 @@ derivatives.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 
 import numpy as np
@@ -54,6 +55,12 @@ def identity_map(states, domain) -> cf.TransformationMap:
     return cf.TransformationMap(
         "identity", states, {}, comps, domain, True,
         inverse=cf.VectorMap("identity_inv", targets, {}, invs))
+
+
+def assert_no_child_process():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------------------

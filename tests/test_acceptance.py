@@ -355,10 +355,10 @@ def test_criterion_6_root_finder_oracle_equivalence():
     for trial in range(50):
         f = random_polynomial_field(rng, 2, degree=3, name=f"oracle_{trial}")
         accel = acceleration_field(f)
-        mine_fp = [p.location for p in cf.find_fixed_points(f, region, cfg)
+        mine_fp = [p.location for p in cf.fixed_point_search(f, region, cfg).points
                    if not p.boundary and not p.degenerate]
         oracle_fp = grid_scan_roots(f, region)
-        mine_pp = [p.location for p in cf.find_perpetual_points(f, region, cfg)
+        mine_pp = [p.location for p in cf.perpetual_point_search(f, region, cfg).points
                    if not p.boundary and not p.degenerate]
         oracle_pp = [r for r in grid_scan_roots(accel, region)
                      if np.linalg.norm(f.value(r)) > cfg.velocity_floor]

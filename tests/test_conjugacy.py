@@ -11,10 +11,11 @@ import pytest
 import critflow as cf
 import critflow.conjugacy
 import critflow.fields
+import critflow.worker
 from critflow.cli import main
 
-from conftest import (affine_map_1d, identity_map, make_field,
-                      random_affine_map, random_polynomial_field,
+from conftest import (affine_map_1d, assert_no_child_process, identity_map,
+                      make_field, random_affine_map, random_polynomial_field,
                       square_map_1d)
 
 
@@ -525,27 +526,22 @@ def test_tiny_linear_map_counts_as_singular(quad_field):
 # The search worker: g's searches in a forked process, the same results
 
 def _without_worker(monkeypatch):
-    monkeypatch.setattr(critflow.conjugacy, "_usable_cpus", lambda: 1)
-
-
-def _assert_no_child_process():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    monkeypatch.setattr(critflow.worker, "_usable_cpus", lambda: 1)
 
 
 @pytest.mark.parametrize("n, seed", [(2, 1), (3, 1), (4, 1)])
 def test_reports_are_the_same_with_and_without_the_worker(n, seed, monkeypatch, tmp_path):
     log = tmp_path / "calls"
     _counting_searches(monkeypatch, log)
-    forked = critflow.conjugacy._worker_usable()
+    forked = critflow.worker._worker_usable()
     report, g = cf.run_verification(*_builder_case(n, seed))
-    _assert_no_child_process()
+    assert_no_child_process()
     here, calls = os.getpid(), _logged_calls(log)
     assert len(calls) == 4
     for name, _, pid in calls:
         assert (pid != here) == (forked and name == g.name)
     _without_worker(monkeypatch)
-    assert not critflow.conjugacy._worker_usable()
+    assert not critflow.worker._worker_usable()
     in_process, _ = cf.run_verification(*_builder_case(n, seed))
     assert repr(report) == repr(in_process)
     assert [pid for _, _, pid in _logged_calls(log)[4:]] == [here] * 4
@@ -563,7 +559,7 @@ def test_cli_verify_writes_the_same_bytes_with_and_without_the_worker(map_file, 
                      "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
-    _assert_no_child_process()
+    assert_no_child_process()
 
 
 def _failing_searches(monkeypatch, failures: dict):
@@ -601,19 +597,19 @@ def test_search_errors_reach_the_caller_and_leave_no_process(quad_field, monkeyp
     with pytest.raises(type(error)) as caught:
         cf.run_verification(quad_field, affine_map_1d(2.0, 5.0), REGION)
     assert type(caught.value) is type(error) and str(caught.value) == str(error)
-    _assert_no_child_process()
+    assert_no_child_process()
 
 
 def test_an_interrupt_in_f_search_leaves_no_process(quad_field, monkeypatch):
     _failing_searches(monkeypatch, {("f", cf.PERPETUAL): KeyboardInterrupt()})
     with pytest.raises(KeyboardInterrupt):
         cf.run_verification(quad_field, affine_map_1d(2.0, 5.0), REGION)
-    _assert_no_child_process()
+    assert_no_child_process()
 
 
 def test_a_worker_that_ends_without_results_raises_and_leaves_no_process(quad_field,
                                                                          monkeypatch):
-    if not critflow.conjugacy._worker_usable():
+    if not critflow.worker._worker_usable():
         pytest.skip("no worker: g's search would end this process")
     here = os.getpid()
     original = critflow.conjugacy.fixed_point_search
@@ -626,7 +622,7 @@ def test_a_worker_that_ends_without_results_raises_and_leaves_no_process(quad_fi
     with pytest.raises(RuntimeError) as caught:
         cf.run_verification(quad_field, affine_map_1d(2.0, 5.0), REGION)
     assert str(caught.value) == "the search worker ended without sending its results"
-    _assert_no_child_process()
+    assert_no_child_process()
 
 
 # this process's side runs first, in the order flow, f fixed, f perpetual,
@@ -648,11 +644,11 @@ def test_the_first_error_of_a_serial_run_is_raised(quad_field, monkeypatch, step
     with pytest.raises(cf.DomainError) as caught:
         cf.run_verification(quad_field, affine_map_1d(2.0, 5.0), REGION)
     assert str(caught.value) == repr(first)
-    _assert_no_child_process()
+    assert_no_child_process()
 
 
 def test_cli_exits_2_on_a_recursion_error_in_g_search(monkeypatch, capsys):
     _failing_searches(monkeypatch, {("g", cf.FIXED): RecursionError("maximum recursion depth")})
     assert main(["verify", str(DATA / "example1.json"), str(DATA / "affine_map.json")]) == 2
     assert capsys.readouterr().err == "error: an input is nested too deeply to process\n"
-    _assert_no_child_process()
+    assert_no_child_process()

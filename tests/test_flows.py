@@ -1,5 +1,10 @@
+import functools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,26 +211,57 @@ def _assert_step_matches_array_form(monkeypatch, f, x0, cfg):
     return got[0]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_float_step_is_bit_identical_to_array_form(monkeypatch, n):
     rng = random.Random(100 + n)
     region = cf.AnalysisRegion.of(*[(-2.5, 2.5)] * n)
     f = random_polynomial_field(rng, n, degree=3)
-    g = cf.transformed_system(f, random_affine_map(rng, n, region))
+    h = random_affine_map(rng, n, region)
+    g = cf.transformed_system(f, h)
     assert isinstance(g, AffineConjugateField)
+    # a damped linear field reaches t_end from every start, where the
+    # random cubics of n >= 5 underflow from every start
+    states = ["x"] if n == 1 else [f"x{i + 1}" for i in range(n)]
+    damped = make_field("damped", states, {},
+                        [f"-{v} + 0.5*{w}" for v, w in zip(states, states[1:] + states[:1])])
     kinds = set()
     for cfg in (cf.IntegratorConfig(t_end=1.0),
                 cf.IntegratorConfig(abs_tol=1e-6, rel_tol=1e-6, t_end=1.0, sample_count=17)):
-        for field in (f, g):
+        for field in (f, g, damped, cf.transformed_system(damped, h)):
             for _ in range(3):
                 x0 = [rng.uniform(-1.5, 1.5) for _ in range(n)]
                 kinds.add(_assert_step_matches_array_form(monkeypatch, field, x0, cfg))
     assert "ok" in kinds
 
 
+def test_step_functions_are_built_once_per_dimension_and_not_on_import(monkeypatch):
+    src = Path(cf.__file__).resolve().parent.parent
+    code = "import critflow, critflow.flows; print(critflow.flows._step_function.cache_info())"
+    imported = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert "currsize=0" in imported.stdout
+    built = functools.cache(flows._step_function.__wrapped__)
+    monkeypatch.setattr(flows, "_step_function", built)
+    for n in (2, 3, 2, 3, 3):
+        f = make_field("decay", [f"x{i + 1}" for i in range(n)], {},
+                       [f"-x{i + 1}" for i in range(n)])
+        cf.integrate(f, [1.0] * n, cf.IntegratorConfig(t_end=1.0))
+    info = built.cache_info()
+    assert (info.misses, info.currsize) == (2, 2) and info.hits > 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
 def test_float_step_matches_array_form_on_blow_up(monkeypatch):
     f = make_field("grow", ["x"], {}, ["x^2"])
     kind = _assert_step_matches_array_form(monkeypatch, f, [1.0], cf.IntegratorConfig(t_end=2.0))
+    assert kind == "blow-up"
+    # past x2 = 1e9 the second component is 1e308, and the step has grown
+    # so large that its error estimate overflows: |err| / scale is NaN there
+    # while the first component's is 0, and only the NaN rejects the step
+    f = make_field("jump", ["x1", "x2"], {}, ["0", "1 + 5e307 * (1 + sign(x2 - 1e9))"])
+    kind = _assert_step_matches_array_form(monkeypatch, f, [1.0, 0.0],
+                                           cf.IntegratorConfig(t_end=1e12, sample_count=2))
     assert kind == "blow-up"
 
 

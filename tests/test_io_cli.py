@@ -10,12 +10,13 @@ import pytest
 import critflow as cf
 import critflow.cli
 import critflow.fields
+import critflow.worker
 from critflow.cli import main
 from critflow.io import (InputError, canonical_json, format_float, grid_axis, load_map,
                          load_system, point_search_records, write_grid_csv,
                          write_trajectory_csv)
 
-from conftest import random_affine_map, random_polynomial_field
+from conftest import assert_no_child_process, random_affine_map, random_polynomial_field
 
 DATA = Path(__file__).parent / "data"
 
@@ -453,7 +454,7 @@ def test_cli_portrait_rejects_3d(tmp_path):
     assert run_cli("portrait", sys3) == 2
 
 
-@pytest.mark.parametrize("horizon", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("horizon", ["-1", "nan", "inf", "1e9", "1e308"])
 def test_cli_portrait_rejects_bad_horizon_before_writing(tmp_path, capsys, horizon):
     out = tmp_path / "portrait"
     assert run_cli("portrait", DATA / "planar.json", "--trajectories", "2",
@@ -462,14 +463,60 @@ def test_cli_portrait_rejects_bad_horizon_before_writing(tmp_path, capsys, horiz
     assert not out.exists()
 
 
-def test_cli_portrait_deterministic(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    for out in (a, b):
+@pytest.mark.parametrize("flags, message", [
+    (["--grid", "5x5", "--trajectories", "-1"], "--trajectories -1: must be between 0 and 10000000"),
+    (["--trajectories", "10000001"], "--trajectories 10000001: must be between 0 and 10000000"),
+    (["--grid", "100000x100000"],
+     "--grid 100000x100000: 10000000000 rows, more than the limit of 10000000"),
+], ids=["negative-trajectories", "too-many-trajectories", "too-many-grid-rows"])
+def test_cli_portrait_rejects_sizes_it_cannot_honour_before_writing(tmp_path, capsys, flags,
+                                                                    message):
+    out = tmp_path / "grid.csv"
+    assert run_cli("portrait", DATA / "planar.json", *flags, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_portrait_deterministic(tmp_path, monkeypatch):
+    # as the machine allows, then with the grid rendered in a forked worker
+    # and in this process: the same bytes every time
+    runs = {}
+    for label, usable in (("default", None), ("worker", True), ("in-process", False)):
+        if usable is not None:
+            monkeypatch.setattr(critflow.worker, "_worker_usable", lambda: usable)
+        out = tmp_path / label
         assert run_cli("portrait", DATA / "planar.json", "--grid", "7x7",
                        "--trajectories", "2", "--T", "1.0", "--out", out) == 0
-    assert (a / "grid.csv").read_bytes() == (b / "grid.csv").read_bytes()
-    assert (a / "trajectory_00.csv").read_bytes() == (b / "trajectory_00.csv").read_bytes()
-    assert (a / "trajectory_01.csv").read_bytes() == (b / "trajectory_01.csv").read_bytes()
+        runs[label] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert list(runs["default"]) == ["grid.csv", "trajectory_00.csv", "trajectory_01.csv"]
+    assert runs["default"] == runs["worker"] == runs["in-process"]
+    assert_no_child_process()
+
+
+# the trajectories are this process's side, as f's is in verify: their error
+# is raised first, and the grid's only when they succeeded
+@pytest.mark.parametrize("worker", [True, False], ids=["worker", "in-process"])
+@pytest.mark.parametrize("failing, raised", [
+    (["grid"], "grid"),
+    (["trajectory"], "trajectory"),
+    (["grid", "trajectory"], "trajectory"),
+])
+def test_cli_portrait_raises_the_trajectory_error_before_the_grid_error(tmp_path, monkeypatch,
+                                                                        failing, raised, worker):
+    monkeypatch.setattr(critflow.worker, "_worker_usable", lambda: worker)
+    for name in ("grid", "trajectory"):
+        original = getattr(critflow.cli, f"write_{name}_csv")
+
+        def writer(*args, _name=name, _original=original):
+            if _name in failing:
+                raise cf.DomainError(_name)
+            return _original(*args)
+        monkeypatch.setattr(critflow.cli, f"write_{name}_csv", writer)
+    with pytest.raises(cf.DomainError) as caught:
+        run_cli("portrait", DATA / "planar.json", "--grid", "7x7", "--trajectories", "2",
+                "--T", "1.0", "--out", tmp_path / "portrait")
+    assert str(caught.value) == raised
+    assert_no_child_process()
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ def test_newton_root_no_real_root_diagnostics():
 
 
 def test_find_fixed_points_quadratic(quad_field):
-    points = cf.find_fixed_points(quad_field, REGION_1D, CFG)
+    points = cf.fixed_point_search(quad_field, REGION_1D, CFG).points
     assert [p.location[0] for p in points] == pytest.approx([-1.0, 1.0], abs=1e-10)
     assert points[0].spectrum.values[0] == pytest.approx(-2.0, abs=1e-10)
     assert points[1].spectrum.values[0] == pytest.approx(2.0, abs=1e-10)
@@ -51,18 +51,18 @@ def test_find_fixed_points_quadratic(quad_field):
 
 def test_find_fixed_points_2d():
     f = make_field("planar", ["x", "y"], {}, ["1 - x^2", "-y"])
-    points = cf.find_fixed_points(f, cf.AnalysisRegion.of((-3, 3), (-3, 3)), CFG)
+    points = cf.fixed_point_search(f, cf.AnalysisRegion.of((-3, 3), (-3, 3)), CFG).points
     locs = np.array([p.location for p in points])
     assert_allclose(locs, [[-1.0, 0.0], [1.0, 0.0]], atol=1e-9)
 
 
 def test_find_fixed_points_none(quad_field):
     f = make_field("nozeros", ["x"], {"A": 1.0}, ["x^2 + A^2"])
-    assert cf.find_fixed_points(f, REGION_1D, CFG) == []
+    assert cf.fixed_point_search(f, REGION_1D, CFG).points == []
 
 
 def test_find_perpetual_points_quadratic(quad_field):
-    points = cf.find_perpetual_points(quad_field, REGION_1D, CFG)
+    points = cf.perpetual_point_search(quad_field, REGION_1D, CFG).points
     assert len(points) == 1
     p = points[0]
     assert p.location[0] == pytest.approx(0.0, abs=1e-10)
@@ -73,7 +73,7 @@ def test_find_perpetual_points_quadratic(quad_field):
 
 def test_find_perpetual_points_2d():
     f = make_field("planar", ["x", "y"], {}, ["1 - x^2", "-y"])
-    points = cf.find_perpetual_points(f, cf.AnalysisRegion.of((-3, 3), (-3, 3)), CFG)
+    points = cf.perpetual_point_search(f, cf.AnalysisRegion.of((-3, 3), (-3, 3)), CFG).points
     assert len(points) == 1
     p = points[0]
     assert_allclose(p.location, [0.0, 0.0], atol=1e-9)
@@ -84,7 +84,7 @@ def test_find_perpetual_points_2d():
 
 def test_find_perpetual_points_sqrt_system():
     g = make_field("sqrt_sys", ["y"], {"A": 1.0}, ["2*sqrt(y)*(y - A^2)"])
-    points = cf.find_perpetual_points(g, cf.AnalysisRegion.of((0.01, 3)), CFG)
+    points = cf.perpetual_point_search(g, cf.AnalysisRegion.of((0.01, 3)), CFG).points
     assert len(points) == 1
     assert points[0].location[0] == pytest.approx(1.0 / 3.0, abs=1e-10)
     assert points[0].spectrum.values[0] == pytest.approx(-4.0, abs=1e-9)
@@ -92,7 +92,7 @@ def test_find_perpetual_points_sqrt_system():
 
 def test_boundary_flagged_root_outside_region():
     g = make_field("sqrt_sys", ["y"], {"A": 1.0}, ["2*sqrt(y)*(y - A^2)"])
-    fps = cf.find_fixed_points(g, cf.AnalysisRegion.of((0.01, 3)), CFG)
+    fps = cf.fixed_point_search(g, cf.AnalysisRegion.of((0.01, 3)), CFG).points
     assert len(fps) == 2
     near_zero, at_one = fps
     assert abs(near_zero.location[0]) < 1e-8
@@ -104,7 +104,7 @@ def test_boundary_flagged_root_outside_region():
 
 def test_fixed_points_are_acceleration_zeros(quad_field):
     F = cf.acceleration_field(quad_field)
-    for p in cf.find_fixed_points(quad_field, REGION_1D, CFG):
+    for p in cf.fixed_point_search(quad_field, REGION_1D, CFG).points:
         assert np.linalg.norm(F.value(p.location)) <= CFG.root_tol * 10
 
 
@@ -112,20 +112,20 @@ def test_seeding_determinism():
     rng = random.Random(8)
     f = random_polynomial_field(rng, 2)
     region = cf.AnalysisRegion.of((-2, 2), (-2, 2))
-    a = cf.find_fixed_points(f, region, CFG)
-    b = cf.find_fixed_points(f, region, CFG)
+    a = cf.fixed_point_search(f, region, CFG).points
+    b = cf.fixed_point_search(f, region, CFG).points
     assert len(a) == len(b)
     for p, q in zip(a, b):
         assert np.array_equal(p.location, q.location)
         assert p.residual == q.residual
     shifted = cf.SolverConfig(rng_seed=1)
-    c = cf.find_fixed_points(f, region, shifted)
+    c = cf.fixed_point_search(f, region, shifted).points
     assert len(a) == len(c)  # same roots from different jitter
 
 
 def test_classification_dichotomy_and_kinds(quad_field):
-    fps = cf.find_fixed_points(quad_field, REGION_1D, CFG)
-    pps = cf.find_perpetual_points(quad_field, REGION_1D, CFG)
+    fps = cf.fixed_point_search(quad_field, REGION_1D, CFG).points
+    pps = cf.perpetual_point_search(quad_field, REGION_1D, CFG).points
     for p in fps:
         assert p.speed <= CFG.velocity_floor
     for p in pps:
@@ -156,7 +156,7 @@ def test_constant_field_continuum_warning():
     search = cf.perpetual_point_search(const, REGION_1D, CFG)
     assert search.clean_points == []
     assert any("degenerate continuum" in w for w in search.warnings)
-    fixed = cf.find_fixed_points(const, REGION_1D, CFG)
+    fixed = cf.fixed_point_search(const, REGION_1D, CFG).points
     assert fixed == []
 
 
@@ -167,7 +167,7 @@ def test_oracle_equivalence_on_random_2d_systems():
     cfg = cf.SolverConfig(seed_count=400)
     for trial in range(8):
         f = random_polynomial_field(rng, 2, degree=3)
-        found = [p for p in cf.find_fixed_points(f, region, cfg)
+        found = [p for p in cf.fixed_point_search(f, region, cfg).points
                  if not p.boundary and not p.degenerate]
         oracle = grid_scan_roots(f, region)
         assert len(found) == len(oracle), f"trial {trial}: {len(found)} vs {len(oracle)}"
