@@ -151,7 +151,9 @@ def _analysis_payload(field, region, cfg):
     fixed = fixed_point_search(field, region, cfg)
     perpetual = perpetual_point_search(field, region, cfg)
     accel = acceleration_map(field)
-    if isinstance(accel, JetAccelerationMap):  # it has no symbolic components to print
+    # an affine conjugate's acceleration composes its base's entries with the
+    # map; the report prints the symbolic acceleration of g's printed trees
+    if isinstance(accel, JetAccelerationMap):
         accel = acceleration_field(field)
     payload = {
         "system": {"name": field.name, "state": list(field.input_names),

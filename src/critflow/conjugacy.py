@@ -465,8 +465,9 @@ def run_verification(f: VectorField, h: TransformationMap,
     unknown = set(theorems) - set(THEOREM_IDS)
     if unknown:
         raise ValueError(f"unknown theorem ids: {sorted(unknown)}")
-    if not all(0.0 < t < math.inf for t in (flow_tol, spectrum_tol, similarity_tol)):
-        raise ValueError("flow, spectrum and similarity tolerances must be finite and positive")
+    if not all(0.0 < t < math.inf for t in (t_end, flow_tol, spectrum_tol, similarity_tol)):
+        raise ValueError("t_end and the flow, spectrum and similarity tolerances must be "
+                         "finite and positive")
     g = transformed_system(f, h)
     kinds = _search_kinds(h, theorems)
     g_side = partial(_side_searches, "g", g, h, region, kinds, cfg)

@@ -5,21 +5,20 @@ velocity field together with its exact symbolic Jacobian/Hessian, the
 acceleration field (Jacobian contracted with the velocity), and the
 pushforwards of velocity and acceleration under a coordinate map.
 
-Every map evaluates through one path. Its float interface (``_values``,
-``_jacobian_rows`` and ``_hessian_entries``, at a sequence of Python
-floats) returns None where the point is not evaluable and builds no
-message; Newton, RKF45 and a root's spectrum call it directly. One hook,
-``_raise_domain_error(order, args)``, raises the
-:class:`~critflow.expr.DomainError` that names the cause. ``value``,
-``jacobian`` and ``hessian`` are the float call plus that hook
-(:func:`_evaluated`), and ``jet`` gathers their results.
-
-A :class:`VectorMap`'s float interface is its compiled kernels: one
-generated function per derivative order (values, Jacobian or Hessian) that
-returns every entry in one call as a flat tuple, with repeated
-subexpressions computed once (see :func:`~critflow.expr.compile_kernel`),
-bit-identical to evaluating each entry's tree. ``value_grid`` uses one
-broadcasting kernel for all components.
+Every map is a :class:`VectorMap` and evaluates through one path. Its
+entries of each derivative order (``_entries``: values, Jacobian or
+Hessian, flat) are compiled on first use into one kernel that returns them
+all in one call as a flat tuple, with repeated subexpressions computed once
+(see :func:`~critflow.expr.compile_kernel`), bit-identical to evaluating
+each entry's tree. On top of the kernels sits the float interface
+(``_values``, ``_jacobian_rows`` and ``_hessian_entries``, at a sequence
+of Python floats), which returns None where the point is not evaluable and
+builds no message; Newton, RKF45 and a root's spectrum call it directly.
+One hook, ``_raise_domain_error(order, args)``, raises the
+:class:`~critflow.expr.DomainError` that names the first entry that is not
+evaluable. ``value``, ``jacobian`` and ``hessian`` are the kernel call
+plus that hook (:func:`_evaluated`), ``jet`` gathers their results, and
+``value_grid`` compiles the values into one broadcasting kernel.
 
 A coordinate map caches what the checks derive from it: the matrix, offset
 and inverse of a declared-linear map (``TransformationMap.linear_part``)
@@ -29,17 +28,23 @@ A field's parameters are fixed when it is built, and so is its
 acceleration. Root searches get it from :func:`acceleration_map`, which
 builds it once per field and caches it there. There is one acceleration
 Jacobian, the symbolic field :func:`acceleration_field` with exact first
-partials. A plain :class:`VectorField` uses it directly. An
-:class:`AffineConjugateField` g = A f(A^-1 (y - b)) conjugates its base's:
-under an affine map the curvature term of the pushforward vanishes, so g's
-acceleration is A F(x) with Jacobian A DF(x) A^-1
-(:class:`JetAccelerationMap`), and g's large substituted trees are never
-differentiated. Both are one construction, :class:`_AffineConjugation`,
-applied to two inner maps: the base f and the base's acceleration map F.
+partials. A plain :class:`VectorField` uses it directly.
+
+Under an invertible affine map y = A x + b the transformed system is an
+:class:`AffineConjugateField` g = A f(A^-1 (y - b)). Its entries are f's
+own, composed with the map (:func:`_conjugated_entries`): each state leaf
+becomes the pull-back, the output index is pushed forward by A and each
+derivative index by A^-1, with every sum in index order. The curvature
+term of the pushforward vanishes under an affine map, so g's acceleration
+is A F(A^-1 (y - b)) with Jacobian A DF A^-1, and
+:class:`JetAccelerationMap` composes the entries of the base's
+acceleration F the same way. g's large substituted trees are only printed,
+never differentiated or compiled.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -85,10 +90,6 @@ class JetValue:
     hessian: np.ndarray | None = None
 
 
-#: a map's float interface, by derivative order
-_FLOAT_INTERFACE = ("_values", "_jacobian_rows", "_hessian_entries")
-
-
 def _floats(point, n: int) -> list[float]:
     """``point`` as a list of Python floats, the kernels' arguments."""
     if len(point) != n:
@@ -102,13 +103,13 @@ def _all_finite(flat) -> bool:
     return math.isfinite(sum(flat)) or all(map(math.isfinite, flat))
 
 
-def _evaluated(m, order: int, point):
-    """The float interface of ``m`` for the derivative ``order`` at
-    ``point``; where it is None, ``m._raise_domain_error`` raises the
+def _evaluated(m: VectorMap, order: int, point) -> tuple:
+    """The entries of ``m`` of the derivative ``order`` at ``point``, flat;
+    where they are not evaluable, ``m._raise_domain_error`` raises the
     :class:`DomainError` that names the cause. Every map's ``value``,
     ``jacobian`` and ``hessian`` come down to this."""
     args = _floats(point, m.n_in)
-    out = getattr(m, _FLOAT_INTERFACE[order])(args)
+    out = m._entries_at(order, args)
     if out is None:
         m._raise_domain_error(order, args)
     return out
@@ -118,8 +119,9 @@ class VectorMap:
     """Vector of expressions over named inputs, with cached symbolic
     partials. Immutable once constructed.
 
-    Each derivative order is compiled on first use into one kernel that
-    returns all of its entries, bit-identical to
+    The entries of each derivative order (``_entries``: the components and
+    their symbolic partials, flat and row-major) are compiled on first use
+    into one kernel that returns them all, bit-identical to
     :func:`~critflow.expr.evaluate` on each: the float interface, None
     where an entry is not evaluable or not finite. There ``value``,
     ``jacobian`` and ``hessian`` raise :class:`~critflow.expr.DomainError`
@@ -245,7 +247,7 @@ class VectorMap:
         return np.array(_evaluated(self, 0, point))
 
     def jacobian(self, point) -> np.ndarray:
-        return np.array(_evaluated(self, 1, point))
+        return np.array(_evaluated(self, 1, point)).reshape(self.n_out, self.n_in)
 
     def hessian(self, point) -> np.ndarray:
         n = self.n_in
@@ -253,7 +255,7 @@ class VectorMap:
 
     @cached_property
     def _grid_kernel(self):
-        return compile_array(self.components, self._args)
+        return compile_array(self._entries(0), self._args)
 
     def value_grid(self, points: np.ndarray) -> np.ndarray:
         """Vectorized evaluation over rows of ``points``, through one array
@@ -290,90 +292,10 @@ class VectorField(VectorMap):
         return acceleration_field(self)
 
 
-class _AffineConjugation:
-    """The map y -> A m(A^-1 y - A^-1 b) of an inner map m, under an
-    invertible affine map x -> A x + b: the float interface and the hook
-    of :class:`AffineConjugateField` (m = its base) and of
-    :class:`JetAccelerationMap` (m = the base's acceleration map).
-
-    A class using it sets ``name``, ``n_in``, the inner map ``_inner``,
-    the matrices ``_mat`` (A) and ``_inv`` (A^-1), the offset
-    ``_inv_offset`` (A^-1 b), and two kernels compiled by
-    :func:`_affine_kernel`: the pull-back ``_pull`` and the push-forward
-    ``_push``. Values go through those kernels, each sum in index order.
-    Jacobians and Hessians pull back through ``_inv.dot(y) - _inv_offset``
-    and push forward by numpy products; the two pull-backs round
-    differently, and each order keeps its own. Where m is not evaluable at
-    the pull-back, or a push-forward overflows, the float interface is
-    None and the hook names which.
-    """
-
-    def _pull_back(self, ys) -> list[float]:
-        return (self._inv.dot(ys) - self._inv_offset).tolist()
-
-    def _values(self, ys) -> tuple | None:
-        xs = self._inner._values(self._pull(*ys))
-        if xs is None:
-            return None
-        out = self._push(*xs)
-        return out if _all_finite(out) else None
-
-    # ``a.dot(b)`` reaches the same BLAS call as ``a @ b`` with less
-    # dispatch overhead on these tiny operands
-
-    def _jacobian_rows(self, ys) -> list | None:
-        jac = self._inner._jacobian_rows(self._pull_back(ys))
-        if jac is None:
-            return None
-        pushed = self._mat.dot(jac).dot(self._inv)
-        return pushed.tolist() if _all_finite(pushed.ravel().tolist()) else None
-
-    def _hessian_entries(self, ys) -> list | None:
-        hess, n = self._inner._hessian_entries(self._pull_back(ys)), self.n_in
-        if hess is None:
-            return None
-        pushed = np.einsum("ip,pqr,qj,rk->ijk", self._mat, np.reshape(hess, (n, n, n)),
-                           self._inv, self._inv).ravel().tolist()
-        return pushed if _all_finite(pushed) else None
-
-    def _raise_domain_error(self, order: int, ys):
-        """The inner map's error where it is not evaluable at the pull-back,
-        or else this map's "non-finite result" for the push-forward."""
-        xs = list(self._pull(*ys)) if order == 0 else self._pull_back(ys)
-        if getattr(self._inner, _FLOAT_INTERFACE[order])(xs) is None:
-            self._inner._raise_domain_error(order, xs)
-        raise DomainError(f"{self.name} is not evaluable at {list(ys)}: non-finite result")
-
-
-class JetAccelerationMap(_AffineConjugation):
-    """Acceleration field of an :class:`AffineConjugateField` g.
-
-    With x = A^-1 y - A^-1 b, value = A F(x) and jacobian = A DF(x) A^-1,
-    where F is ``acceleration_map(g.base)``: the symbolic map, with the
-    kernels that the base's own perpetual search compiles. It is g's own
-    conjugation (:class:`_AffineConjugation`, with g's matrices and
-    kernels) applied to F instead of g's base, so it evaluates as g does.
-    Its Hessian is never asked for, nothing is compiled and nothing is
-    cached per point. The name dates from an earlier construction that
-    contracted g's jets; it stays, and so do its one-line ``value`` and
-    ``jacobian``, because the benchmark's layer tracer patches this class
-    and its own methods by name.
-    """
-
-    def __init__(self, field: AffineConjugateField):
-        self.name = f"{field.name}_accel"
-        self.n_in = field.n_in
-        self._inner = acceleration_map(field.base)
-        self._mat, self._inv, self._inv_offset = field._mat, field._inv, field._inv_offset
-        self._pull, self._push = field._pull, field._push
-
-    value, jacobian = VectorMap.value, VectorMap.jacobian
-
-
 def acceleration_map(f: VectorField):
     """The acceleration field root searches use: symbolic for a plain
-    :class:`VectorField`, its base's conjugated by the map for an
-    :class:`AffineConjugateField`.
+    :class:`VectorField`, and for an :class:`AffineConjugateField` its
+    base's composed with the map (:class:`JetAccelerationMap`).
 
     Built on first use and cached on the field, which is immutable, so
     every search, check and caller of one field shares one map and its
@@ -490,44 +412,84 @@ def substitute(e: Expression, mapping: Mapping[str, Expression]) -> Expression:
     return _BINARY_BUILDERS[e.op](substitute(e.left, mapping), substitute(e.right, mapping))
 
 
-def _affine_kernel(matrix: np.ndarray, offset: np.ndarray | None, names):
-    """One compiled kernel for ``matrix @ v`` (minus ``offset``) on Python
-    floats: entry i is ``((m_i0 * v_0 + m_i1 * v_1) + ...) - offset_i``,
-    summed in index order. The nodes are built unfolded, so a zero or unit
-    coefficient keeps its operation."""
-    entries = []
-    for i, row in enumerate(matrix.tolist()):
-        total = None
-        for m, name in zip(row, names):
-            term = Binary("*", Const(m), Name(name))
-            total = term if total is None else Binary("+", total, term)
-        if offset is not None:
-            total = Binary("-", total, Const(float(offset[i])))
-        entries.append(total)
-    return compile_kernel(entries, names)
+def _rebuilt(e: Expression, leaves: Mapping[str, Expression], memo: dict) -> Expression:
+    """``e`` with the named leaves replaced. Unlike :func:`substitute` it
+    folds nothing, so every other node keeps its operation and operands and
+    rounds as before. Each node is rebuilt once, so subtrees that ``e``
+    shares stay shared; ``memo`` maps a node's id to it and its copy."""
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit[1]
+    if isinstance(e, Name):
+        out = leaves.get(e.ident, e)
+    elif isinstance(e, Const):
+        out = e
+    elif isinstance(e, Unary):
+        out = Unary(e.op, _rebuilt(e.arg, leaves, memo))
+    else:
+        out = Binary(e.op, _rebuilt(e.left, leaves, memo), _rebuilt(e.right, leaves, memo))
+    memo[id(e)] = (e, out)  # holding e keeps its id from being reused
+    return out
 
 
-class AffineConjugateField(_AffineConjugation, VectorField):
-    """Transformed system under an affine map, evaluated by composition.
+def _index_sum(terms: list[Expression]) -> Expression:
+    """``((t0 + t1) + t2) + ...``, unfolded."""
+    return functools.reduce(lambda total, term: Binary("+", total, term), terms)
 
-    Carries the substituted symbolic components (so serialization and the
-    symbolic API behave like any other field) but computes values and
-    partials as A f(A^-1 y - A^-1 b) with exact chain-rule contractions
-    (:class:`_AffineConjugation` with its base as the inner map), which
-    avoids the cost of the large substituted trees. The pull-back and
-    push-forward kernels are compiled here once and shared with its
-    acceleration map.
+
+def _conjugated_entries(base: VectorMap, order: int, linear: LinearPart,
+                        names: Sequence[str]) -> list[Expression]:
+    """The entries of ``order`` (flat, row-major) of y -> A m(A^-1 (y - b))
+    over the inputs ``names``, for the map m = ``base`` and y = A x + b.
+
+    Each state leaf of m's entries becomes the pull-back
+    ``((A^-1_i0 * y_0 + A^-1_i1 * y_1) + ...) - (A^-1 b)_i``; then the
+    output index is pushed forward by A, as sum_p A_ip * e, and each
+    derivative index by A^-1, as sum_q e * A^-1_qj. Every sum runs in index
+    order and every node is built unfolded, so a zero or unit coefficient
+    keeps its operation and the kernel of these entries rounds as that
+    float product does."""
+    n, inv = len(names), linear.inverse.tolist()
+    offset = (linear.inverse @ linear.offset).tolist()
+    pulled = {x: Binary("-", _index_sum([Binary("*", Const(m), Name(y))
+                                         for m, y in zip(row, names)]), Const(c))
+              for x, row, c in zip(base.input_names, inv, offset)}
+    memo: dict = {}
+    entries = [_rebuilt(e, pulled, memo) for e in base._entries(order)]
+    size = n ** order
+    entries = [_index_sum([Binary("*", Const(a), entries[p * size + k])
+                           for p, a in enumerate(row)])
+               for row in linear.matrix.tolist() for k in range(size)]
+    for axis in range(order):
+        stride = n ** (order - 1 - axis)
+        pushed = []
+        for k in range(len(entries)):
+            j = k // stride % n  # entry k's derivative index on this axis
+            first = k - j * stride
+            pushed.append(_index_sum([Binary("*", entries[first + q * stride], Const(inv[q][j]))
+                                      for q in range(n)]))
+        entries = pushed
+    return entries
+
+
+class AffineConjugateField(VectorField):
+    """Transformed system g = A f(A^-1 (y - b)) under an invertible affine
+    map y = A x + b.
+
+    Carries the substituted symbolic components, so serialization and the
+    symbolic API behave like any other field, but evaluates f's own entries
+    composed with the map (:func:`_conjugated_entries`): g's values, its
+    Jacobian A Df A^-1 and its Hessian, each compiled into one kernel like
+    any map's. The large substituted trees are never differentiated.
     """
 
     def __init__(self, system: SystemDefinition, base: VectorField, linear: LinearPart):
         super().__init__(system)
-        self.base = self._inner = base
-        self._mat = linear.matrix
-        self._inv = linear.inverse
-        self._offset = linear.offset
-        self._inv_offset = linear.inverse @ linear.offset
-        self._pull = _affine_kernel(self._inv, self._inv_offset, self.input_names)
-        self._push = _affine_kernel(self._mat, None, base.input_names)
+        self.base = base
+        self.linear = linear
+
+    def _entries(self, order: int) -> list[Expression]:
+        return _conjugated_entries(self.base, order, self.linear, self.input_names)
 
     @cached_property
     def _acceleration(self):
@@ -535,11 +497,31 @@ class AffineConjugateField(_AffineConjugation, VectorField):
 
     # VectorMap's, defined here again because the benchmark's layer tracer
     # patches each class's own methods
-    value, jacobian, hessian = VectorMap.value, VectorMap.jacobian, VectorMap.hessian
+    value, jacobian, hessian, value_grid = (VectorMap.value, VectorMap.jacobian,
+                                            VectorMap.hessian, VectorMap.value_grid)
 
-    def value_grid(self, points: np.ndarray) -> np.ndarray:
-        pulled = (np.asarray(points, dtype=float) - self._offset) @ self._inv.T
-        return self.base.value_grid(pulled) @ self._mat.T
+
+class JetAccelerationMap(VectorMap):
+    """Acceleration field of an :class:`AffineConjugateField` g.
+
+    Under an affine map the curvature term of the pushforward vanishes, so
+    g's acceleration is A F(A^-1 (y - b)) with Jacobian A DF A^-1, where F
+    is ``acceleration_map(g.base)``, the base's symbolic acceleration. It
+    is a map over g's inputs and parameters whose entries are F's composed
+    with the map, as g's are f's; its components are those of order 0.
+    The name dates from an earlier construction that contracted g's jets;
+    it stays, and so do its one-line ``value`` and ``jacobian``, because
+    the benchmark's layer tracer patches this class and its own methods by
+    name.
+    """
+
+    def __init__(self, field: AffineConjugateField):
+        self.base, self.linear = acceleration_map(field.base), field.linear
+        super().__init__(f"{field.name}_accel", field.input_names, field.parameters,
+                         _conjugated_entries(self.base, 0, self.linear, field.input_names))
+
+    _entries = AffineConjugateField._entries
+    value, jacobian = VectorMap.value, VectorMap.jacobian
 
 
 def acceleration_field(f: VectorField) -> VectorField:
@@ -589,7 +571,9 @@ def transformed_system(f: VectorField, h: TransformationMap) -> VectorField:
     compile the composed components, so a component whose
     :func:`~critflow.expr.nesting_depth` exceeds ``MAX_NESTING_DEPTH`` (the
     bound that loading applies to each file) raises :class:`ExpressionError`.
-    Under an affine map the result evaluates by composition instead.
+    Under an invertible affine map the result is an
+    :class:`AffineConjugateField`, which compiles f's own trees composed
+    with the map instead.
     """
     h_inverse = h.inverse
     if h_inverse is None:

@@ -56,7 +56,7 @@ def _received(stream):
     try:
         ok, payload = pickle.load(stream)
     except EOFError:
-        raise RuntimeError("the search worker ended without sending its results") from None
+        raise RuntimeError("the forked worker ended without sending its result") from None
     if ok:
         return payload
     if isinstance(payload, tuple):  # the type and message of an exception

@@ -621,7 +621,7 @@ def test_a_worker_that_ends_without_results_raises_and_leaves_no_process(quad_fi
     monkeypatch.setattr(critflow.conjugacy, "fixed_point_search", ending_in_the_child)
     with pytest.raises(RuntimeError) as caught:
         cf.run_verification(quad_field, affine_map_1d(2.0, 5.0), REGION)
-    assert str(caught.value) == "the search worker ended without sending its results"
+    assert str(caught.value) == "the forked worker ended without sending its result"
     assert_no_child_process()
 
 

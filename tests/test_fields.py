@@ -7,7 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import critflow as cf
-from critflow.fields import AffineConjugateField, acceleration_map, substitute
+from critflow.fields import (AffineConjugateField, JetAccelerationMap, acceleration_map,
+                             substitute)
 from critflow.io import load_system
 
 from conftest import (affine_map_1d, fd_gradient, fd_hessian_entry,
@@ -317,26 +318,35 @@ def test_value_grid_matches_pointwise(quad_field):
 # ---------------------------------------------------------------------------
 # Compiled kernels against the tree-walking evaluator
 
-def _first_failure(entries, labels, env):
+def _first_failure(entries, labels, env, memo):
     """Entry values by :func:`evaluate`, or the label of the first entry
-    it rejects."""
+    it rejects. ``memo`` holds each entry's value, or None, by id, so an
+    entry asked for again at the same ``env`` is walked once."""
     values = []
     for e, label in zip(entries, labels):
-        try:
-            values.append(cf.evaluate(e, env))
-        except cf.DomainError:
+        if id(e) not in memo:
+            try:
+                memo[id(e)] = cf.evaluate(e, env)
+            except cf.DomainError:
+                memo[id(e)] = None
+        if memo[id(e)] is None:
             return None, label
+        values.append(memo[id(e)])
     return values, None
 
 
 def _entry_table(m: cf.VectorMap):
     n = m.n_in
-    value = (list(m.components), [f"component {i}" for i in range(m.n_out)])
-    jac = ([e for row in m.jacobian_exprs for e in row],
-           [f"jacobian[{i},{j}]" for i in range(m.n_out) for j in range(n)])
-    hess = ([e for plane in m.hessian_exprs for row in plane for e in row],
-            [f"hessian[{i},{j},{k}]" for i in range(m.n_out) for j in range(n)
-             for k in range(n)])
+    entries = [m._entries(order) for order in range(3)]
+    if not isinstance(m, (AffineConjugateField, JetAccelerationMap)):
+        # a map's entries are its components and their symbolic partials;
+        # an affine conjugate's are its base's composed with the map
+        assert entries == [list(m.components), [e for row in m.jacobian_exprs for e in row],
+                           [e for plane in m.hessian_exprs for row in plane for e in row]]
+    value = (entries[0], [f"component {i}" for i in range(m.n_out)])
+    jac = (entries[1], [f"jacobian[{i},{j}]" for i in range(m.n_out) for j in range(n)])
+    hess = (entries[2], [f"hessian[{i},{j},{k}]" for i in range(m.n_out) for j in range(n)
+                         for k in range(n)])
     return {"value": value, "jacobian": jac, "hessian": hess,
             "jet": tuple(a + b + c for a, b, c in zip(value, jac, hess))}
 
@@ -365,8 +375,6 @@ def _float_interface_agrees(m, y) -> int:
     exactly where they raise; the number of methods that raised."""
     raised = 0
     for method in _FLOAT_INTERFACE:
-        if not hasattr(m, method):  # an acceleration map has no hessian
-            continue
         quiet = _float_interface(m, method, list(y))
         try:
             loud = getattr(m, method)(np.array(y))
@@ -391,6 +399,16 @@ def _plain_conjugated(linear, base, y) -> list[float]:
     x = [_plain_dot(row, list(y)) - c for row, c in zip(linear.inverse.tolist(), offset)]
     v = base.value(x).tolist()
     return [_plain_dot(row, v) for row in linear.matrix.tolist()]
+
+
+def _plain_conjugated_jacobian(linear, base, y) -> list[float]:
+    """A Dbase(A^-1 y - A^-1 b) A^-1 on Python floats, flat: the rows pushed
+    forward by A, then the columns by A^-1, each sum in index order."""
+    offset = (linear.inverse @ linear.offset).tolist()
+    x = [_plain_dot(row, list(y)) - c for row, c in zip(linear.inverse.tolist(), offset)]
+    columns = base.jacobian(x).T.tolist()
+    pushed = [[_plain_dot(row, col) for col in columns] for row in linear.matrix.tolist()]
+    return [_plain_dot(row, col) for row in pushed for col in linear.inverse.T.tolist()]
 
 
 def test_affine_conjugated_values_are_the_plain_float_product():
@@ -452,6 +470,28 @@ def test_affine_conjugated_values_are_the_plain_float_product():
     assert inside > 30 and outside > 30, (inside, outside)
 
 
+def test_affine_conjugates_of_a_base_at_the_loading_bound_evaluate():
+    # g's entries nest deeper than f's by the pull-back and push-forward
+    # sums; over a base at the bound that loading applies, g and its
+    # acceleration still compile and evaluate, bit for bit the plain float
+    # products
+    rng = random.Random(600)
+    for n in (1, 2, 4):
+        names = ["x"] if n == 1 else [f"x{i + 1}" for i in range(n)]
+        f = make_field("deep", names, {}, [
+            " + ".join(f"0.01*{names[k % n]}*{names[(k + i) % n]}" for k in range(594))
+            for i in range(n)])
+        assert {cf.expr.nesting_depth(c) for c in f.components} == {cf.expr.MAX_NESTING_DEPTH}
+        h = random_affine_map(rng, n, cf.AnalysisRegion.of(*[(-2.5, 2.5)] * n))
+        g = cf.transformed_system(f, h)
+        y = [rng.uniform(-2.0, 2.0) for _ in range(n)]
+        assert _bits(g.value(y)) == _bits(_plain_conjugated(h.linear_part, f, y))
+        assert _bits(g.jacobian(y).ravel()) == _bits(
+            _plain_conjugated_jacobian(h.linear_part, f, y))
+        assert _bits(acceleration_map(g).jacobian(y).ravel()) == _bits(
+            _plain_conjugated_jacobian(h.linear_part, acceleration_map(f), y))
+
+
 def test_declared_affine_map_reads_its_linear_part_without_a_hessian(monkeypatch):
     # its symbolic Hessian entries all fold to zero, which proves linearity
     compiled = []
@@ -469,8 +509,9 @@ def test_declared_affine_map_reads_its_linear_part_without_a_hessian(monkeypatch
 
 
 def test_jets_reuse_the_kernel_of_each_derivative_order(monkeypatch):
-    # a map compiles one kernel per order however it is asked: its jets
-    # are its value, Jacobian and Hessian, bit for bit
+    # a map compiles one kernel per order however it is asked, an affine
+    # conjugate as well: its jets are its value, Jacobian and Hessian, bit
+    # for bit
     compiled = []
     compile_kernel = cf.fields.compile_kernel
     monkeypatch.setattr(cf.fields, "compile_kernel",
@@ -495,11 +536,7 @@ def test_jets_reuse_the_kernel_of_each_derivative_order(monkeypatch):
             j = m.jet(x)
             assert j.hessian is None
             assert _bits([*j.value, *j.jacobian.ravel()]) == _bits([*v, *jac.ravel()])
-        if m is g:
-            # g composes its base's kernels, which f compiled above
-            assert len(compiled) == before and not g._kernels
-        else:
-            assert len(compiled) - before == 3 and sorted(m._kernels) == [0, 1, 2], m.name
+        assert len(compiled) - before == 3 and sorted(m._kernels) == [0, 1, 2], m.name
 
 
 def _kernel_probe_maps(rng):
@@ -517,6 +554,16 @@ def _kernel_probe_maps(rng):
                              [cf.parse_expression(s, {"x1", "x2"}) for s in walls]))
     maps.append(cf.VectorMap("overflow", ["x1", "x2"], {},
                              [cf.parse_expression("x1 - 1e308 * exp(x2)", {"x1", "x2"})]))
+    # affine conjugates and their accelerations; at n = 2 the base is not
+    # evaluable for x1 < -0.5 or x1 = 0.5
+    for n in (1, 2, 3):
+        f = random_polynomial_field(rng, n, degree=2)
+        if n == 2:
+            f = make_field("walled", f.input_names, {}, [
+                f"{src} + sqrt(x1 + 0.5) - 1/(x1 - 0.5)" for src in f.source_strings()])
+        g = cf.transformed_system(f, random_affine_map(rng, n, cf.AnalysisRegion.of(
+            *[(-2.5, 2.5)] * n)))
+        maps += [g, acceleration_map(g)]
     return maps
 
 
@@ -529,8 +576,9 @@ def test_kernels_match_tree_walk_bit_for_bit_and_name_failing_entry():
             x = np.array([rng.choice([rng.uniform(-2.0, 2.0), 0.0, 0.5])
                           for _ in range(m.n_in)])
             env = {**m.parameters, **dict(zip(m.input_names, x.tolist()))}
+            memo = {}  # the jet's entries are the value's, Jacobian's and Hessian's
             for method, (entries, labels) in table.items():
-                expected, bad_label = _first_failure(entries, labels, env)
+                expected, bad_label = _first_failure(entries, labels, env, memo)
                 if method != "jet":  # the float interface: None exactly there
                     quiet = _float_interface(m, method, x.tolist())
                     assert (quiet is None) == (bad_label is not None), (m.name, method, x)
@@ -573,13 +621,9 @@ def test_acceleration_map_is_cached_and_matches_fresh_symbolic_field():
             assert _bits(accel.jacobian(x).ravel()) == _bits(fresh.jacobian(x).ravel())
 
 
-def test_affine_acceleration_map_is_the_conjugated_base_acceleration(monkeypatch):
+def test_affine_acceleration_map_is_the_conjugated_base_acceleration():
     # under y = A x + b the curvature term vanishes: g's acceleration is
     # A F(x) with Jacobian A DF(x) A^-1, F being the base's own symbolic map
-    compiled = []
-    compile_kernel = cf.fields.compile_kernel
-    monkeypatch.setattr(cf.fields, "compile_kernel",
-                        lambda *args: compiled.append(args) or compile_kernel(*args))
     rng = random.Random(1729)
     for n in (1, 2, 3, 4):
         region = cf.AnalysisRegion.of(*[(-2.5, 2.5)] * n)
@@ -587,22 +631,16 @@ def test_affine_acceleration_map_is_the_conjugated_base_acceleration(monkeypatch
         h = random_affine_map(rng, n, region)
         g = cf.transformed_system(f, h)
         assert isinstance(g, AffineConjugateField)
-        a, a_inv, b = h.linear_part.matrix, h.linear_part.inverse, h.linear_part.offset
         base_accel = acceleration_map(f)
-        base_accel.value(np.zeros(n)), base_accel.jacobian(np.zeros(n))
         points = [np.array([rng.uniform(-2.0, 2.0) for _ in range(n)]) for _ in range(6)]
-
-        # building and calling g's map compiles nothing once the base's ran
-        before = len(compiled)
         accel = acceleration_map(g)
         assert acceleration_map(g) is accel
         got = [(accel.value(y), accel.jacobian(y)) for y in points]
-        assert len(compiled) == before, n
 
         for y, (got_value, got_jac) in zip(points, got):
-            x = a_inv @ y - a_inv @ b
             assert _bits(got_value) == _bits(_plain_conjugated(h.linear_part, base_accel, y))
-            assert _bits(got_jac.ravel()) == _bits((a @ base_accel.jacobian(x) @ a_inv).ravel())
+            assert _bits(got_jac.ravel()) == _bits(
+                _plain_conjugated_jacobian(h.linear_part, base_accel, y))
             # the identity itself: D2g[g] + Dg Dg from g's own partials
             v, jac, hess = g.value(y), g.jacobian(y), g.hessian(y)
             for have, want in ((got_value, jac @ v),
@@ -656,7 +694,9 @@ def test_searches_and_integration_past_the_domain_edge_build_no_message(monkeypa
             before = len(outside)
             search(field, region)
             assert len(outside) > before, (field.name, search.__name__)
-    assert {name for name, _ in outside} == {"sqrt_branch", "sqrt_branch_accel"}
+    assert {name for name, _ in outside} == {"sqrt_branch", "sqrt_branch_accel",
+                                             "sqrt_branch_via_affine",
+                                             "sqrt_branch_via_affine_accel"}
     # the flow from y = 0.5 reaches the wall y = 0 near t = 0.88, where f's
     # step collapses; g's lands on z = 5 and stays there
     config = cf.IntegratorConfig(t_end=2.0)
@@ -680,28 +720,28 @@ def test_rkf45_started_outside_the_domain_raises_step_underflow():
 
 def test_float_interface_is_none_outside_the_domain_and_value_names_the_cause():
     f, g = _sqrt_branch_and_conjugate()
-    sqrt_message = "of {} is not evaluable at [-1.0]: sqrt of negative value -1.0"
-    # g at z = 3 pulls back to y = -1
-    for field, point in ((f, -1.0), (g, 3.0)):
+    sqrt_message = "of {} is not evaluable at [{}]: sqrt of negative value -1.0"
+    # g at z = 3 pulls back to y = -1, and names its own entry at z = 3
+    for field, point, name in ((f, -1.0, "sqrt_branch"), (g, 3.0, "sqrt_branch_via_affine")):
         accel = acceleration_map(field)
         for m in (field, accel):
             assert m._values([point]) is None
             assert m._jacobian_rows([point]) is None
         with pytest.raises(cf.DomainError) as exc:
             field.value([point])
-        assert str(exc.value) == "component 0 " + sqrt_message.format("sqrt_branch")
+        assert str(exc.value) == "component 0 " + sqrt_message.format(name, point)
         with pytest.raises(cf.DomainError) as exc:
             field.jacobian([point])
-        assert str(exc.value) == "jacobian[0,0] " + sqrt_message.format("sqrt_branch")
+        assert str(exc.value) == "jacobian[0,0] " + sqrt_message.format(name, point)
         with pytest.raises(cf.DomainError) as exc:
             field.hessian([point])
-        assert str(exc.value) == "hessian[0,0,0] " + sqrt_message.format("sqrt_branch")
+        assert str(exc.value) == "hessian[0,0,0] " + sqrt_message.format(name, point)
         with pytest.raises(cf.DomainError) as exc:
             accel.value([point])
-        assert str(exc.value) == "component 0 " + sqrt_message.format("sqrt_branch_accel")
+        assert str(exc.value) == "component 0 " + sqrt_message.format(name + "_accel", point)
         with pytest.raises(cf.DomainError) as exc:
             accel.jacobian([point])
-        assert str(exc.value) == "jacobian[0,0] " + sqrt_message.format("sqrt_branch_accel")
+        assert str(exc.value) == "jacobian[0,0] " + sqrt_message.format(name + "_accel", point)
     with pytest.raises(cf.DomainError) as exc:
         f.jacobian([0.0])
     assert str(exc.value) == "jacobian[0,0] of sqrt_branch is not evaluable at [0.0]: division by zero"
@@ -717,11 +757,13 @@ def test_float_interface_is_none_where_the_push_forward_overflows():
     assert g._jacobian_rows([0.0]) is None
     with pytest.raises(cf.DomainError) as exc:
         g.value([4.0])
-    assert str(exc.value) == "big_via_affine is not evaluable at [4.0]: non-finite result"
+    assert str(exc.value) == ("component 0 of big_via_affine is not evaluable at [4.0]: "
+                              "non-finite result inf")
     accel = acceleration_map(cf.transformed_system(
         make_field("fast", ["x"], {}, ["1e154 * x"]), affine_map_1d(4.0, 0.0)))
     assert accel._values([4.0]) is None
     assert accel._jacobian_rows([0.0]) is None
     with pytest.raises(cf.DomainError) as exc:
         accel.value([4.0])
-    assert str(exc.value) == "fast_via_affine_accel is not evaluable at [4.0]: non-finite result"
+    assert str(exc.value) == ("component 0 of fast_via_affine_accel is not evaluable at [4.0]: "
+                              "non-finite result inf")

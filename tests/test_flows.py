@@ -275,10 +275,11 @@ def test_float_step_matches_array_form_on_domain_wall(monkeypatch):
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_float_step_matches_array_form_when_stage_values_overflow(monkeypatch):
     # past x = 0.5 the base value is 1e308, which the map's factor 4
-    # overflows to inf in the composed field, while the base stays finite
-    # at -inf. A fifth stage landing there makes x4 -inf and the error
-    # estimate inf, so |err| / scale is NaN: the step must be rejected, as
-    # np.max rejects it, not accepted
+    # overflows to inf in g, while the base stays finite. g is not
+    # evaluable there, so a stage that lands past the wall makes the step
+    # halve, in the float form as in the array form, until the step
+    # underflows from each start. (A NaN error ratio, which must reject a
+    # step, is covered by the 2-D input of the blow-up test above.)
     base = make_field("step", ["x"], {}, ["1 + 5e307 * (1 + sign(x - 0.5))"])
     g = cf.transformed_system(base, affine_map_1d(4.0, 0.0, domain=(-1e3, 1e3)))
     assert isinstance(g, AffineConjugateField)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import os
 import random
 from pathlib import Path
 
@@ -362,7 +363,8 @@ def test_cli_verify_exit_one_on_failure(tmp_path):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--tol", "nan"], ["--tol", "-1"], ["--tol", "inf"], ["--T", "nan"]])
+    ["--tol", "nan"], ["--tol", "-1"], ["--tol", "inf"], ["--T", "nan"], ["--T", "0"],
+    ["--T", "-1"]])
 def test_cli_verify_rejects_bad_tolerances(flags, capsys):
     assert run_cli("verify", DATA / "example1.json", DATA / "affine_map.json", *flags) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -516,6 +518,25 @@ def test_cli_portrait_raises_the_trajectory_error_before_the_grid_error(tmp_path
         run_cli("portrait", DATA / "planar.json", "--grid", "7x7", "--trajectories", "2",
                 "--T", "1.0", "--out", tmp_path / "portrait")
     assert str(caught.value) == raised
+    assert_no_child_process()
+
+
+def test_cli_portrait_grid_worker_that_ends_without_its_result_raises_and_leaves_no_process(
+        tmp_path, monkeypatch):
+    if not critflow.worker._worker_usable():
+        pytest.skip("no worker: the grid writer would end this process")
+    here = os.getpid()
+    original = critflow.cli.write_grid_csv
+
+    def ending_in_the_child(*args):
+        if os.getpid() != here:
+            os._exit(1)
+        return original(*args)
+    monkeypatch.setattr(critflow.cli, "write_grid_csv", ending_in_the_child)
+    with pytest.raises(RuntimeError) as caught:
+        run_cli("portrait", DATA / "planar.json", "--grid", "7x7", "--trajectories", "2",
+                "--T", "1.0", "--out", tmp_path / "portrait")
+    assert str(caught.value) == "the forked worker ended without sending its result"
     assert_no_child_process()
 
 
