@@ -417,19 +417,23 @@ def to_source(e: Expression) -> str:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def evaluate(e: Expression, env: Mapping[str, float]) -> float:
+def evaluate(e: Expression, env: Mapping[str, float], memo: dict | None = None) -> float:
     """Evaluate at the point described by ``env`` (name -> value).
 
     Raises :class:`DomainError` when the point is outside the expression's
     real domain or the result is not finite.
+
+    Each distinct subtree object is evaluated once. Passing the same
+    ``memo`` dict to several calls with the same ``env`` extends that to
+    subtrees the expressions share.
     """
-    result = _eval(e, env)
+    result = _eval(e, env, {} if memo is None else memo)
     if not math.isfinite(result):
         raise DomainError(f"non-finite result {result!r}")
     return result
 
 
-def _eval(e: Expression, env: Mapping[str, float]) -> float:
+def _eval(e: Expression, env: Mapping[str, float], memo: dict) -> float:
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Name):
@@ -437,30 +441,39 @@ def _eval(e: Expression, env: Mapping[str, float]) -> float:
             return env[e.ident]
         except KeyError:
             raise UnknownIdentifierError(e.ident, 0) from None
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit[1]
     try:
         if isinstance(e, Unary):
+            arg = _eval(e.arg, env, memo)
             if e.op == "neg":
-                return -_eval(e.arg, env)
-            arg = _eval(e.arg, env)
-            try:
-                return _SCALAR_FUNCS[e.op](arg)
-            except ValueError:  # sin or cos of an infinity
-                raise DomainError(f"{e.op} of {arg!r}") from None
-        left = _eval(e.left, env)
-        if e.op == "^":
+                value = -arg
+            else:
+                try:
+                    value = _SCALAR_FUNCS[e.op](arg)
+                except ValueError:  # sin or cos of an infinity
+                    raise DomainError(f"{e.op} of {arg!r}") from None
+        elif e.op == "^":
+            left = _eval(e.left, env, memo)
             if _is_integer_literal(e.right):
-                return _k_ipow(left, int(e.right.value))
-            return _k_gpow(left, _eval(e.right, env))
-        right = _eval(e.right, env)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        return _k_div(left, right)
+                value = _k_ipow(left, int(e.right.value))
+            else:
+                value = _k_gpow(left, _eval(e.right, env, memo))
+        else:
+            left, right = _eval(e.left, env, memo), _eval(e.right, env, memo)
+            if e.op == "+":
+                value = left + right
+            elif e.op == "-":
+                value = left - right
+            elif e.op == "*":
+                value = left * right
+            else:
+                value = _k_div(left, right)
     except OverflowError:
         raise DomainError("overflow during evaluation") from None
+    memo[id(e)] = (e, value)  # holding e keeps its id from being reused
+    return value
 
 
 def free_variables(e: Expression) -> frozenset[str]:

@@ -10,13 +10,13 @@ entries of each derivative order (``_entries``: values, Jacobian or
 Hessian, flat) are compiled on first use into one kernel that returns them
 all in one call as a flat tuple, with repeated subexpressions computed once
 (see :func:`~critflow.expr.compile_kernel`), bit-identical to evaluating
-each entry's tree. On top of the kernels sits the float interface
-(``_values``, ``_jacobian_rows`` and ``_hessian_entries``, at a sequence
-of Python floats), which returns None where the point is not evaluable and
-builds no message; Newton, RKF45 and a root's spectrum call it directly.
-One hook, ``_raise_domain_error(order, args)``, raises the
-:class:`~critflow.expr.DomainError` that names the first entry that is not
-evaluable. ``value``, ``jacobian`` and ``hessian`` are the kernel call
+each entry's tree. The kernel call is the float interface
+(``_entries_at(order, args)`` at a sequence of Python floats, and
+``_values`` for order 0), which returns the flat tuple, or None where the
+point is not evaluable, and builds no message; Newton, RKF45 and a root's
+spectrum call it directly. One hook, ``_raise_domain_error(order, args)``,
+raises the :class:`~critflow.expr.DomainError` that names the first entry
+that is not evaluable. ``value``, ``jacobian`` and ``hessian`` are the kernel call
 plus that hook (:func:`_evaluated`), ``jet`` gathers their results, and
 ``value_grid`` compiles the values into one broadcasting kernel.
 
@@ -122,8 +122,9 @@ class VectorMap:
     The entries of each derivative order (``_entries``: the components and
     their symbolic partials, flat and row-major) are compiled on first use
     into one kernel that returns them all, bit-identical to
-    :func:`~critflow.expr.evaluate` on each: the float interface, None
-    where an entry is not evaluable or not finite. There ``value``,
+    :func:`~critflow.expr.evaluate` on each. ``_entries_at`` calls it: the
+    float interface, which gives None where an entry is not evaluable or
+    not finite. There ``value``,
     ``jacobian`` and ``hessian`` raise :class:`~critflow.expr.DomainError`
     naming the first entry (row-major) that is not evaluable.
     """
@@ -214,34 +215,25 @@ class VectorMap:
 
     def _raise_domain_error(self, order: int, args):
         """Raise the :class:`DomainError` naming the first entry of
-        ``order`` that :func:`~critflow.expr.evaluate` rejects at ``args``."""
+        ``order`` that :func:`~critflow.expr.evaluate` rejects at ``args``.
+        One memo serves all the entries, so each distinct node is walked
+        once however often the entries share it."""
         args = list(args)
         env = {**self.parameters, **dict(zip(self.input_names, args))}
+        memo: dict = {}
         for k, e in enumerate(self._entries(order)):
             try:
-                evaluate(e, env)
+                evaluate(e, env, memo)
             except DomainError as err:
                 raise DomainError(f"{self._label(order, k)} of {self.name} is not "
                                   f"evaluable at {args}: {err}") from None
         raise DomainError(f"{self.name} is not evaluable at {args}")
 
     # -- evaluation ---------------------------------------------------------
-    #
-    # The float interface: values as a tuple, the Jacobian as rows and the
-    # Hessian flat, at a sequence of Python floats of the right length.
-    # Outside the domain each returns None, with no message built: Newton's
-    # residuals and steps, the RKF45 stages and a root's spectrum only need
-    # to know that the point is not evaluable.
 
     def _values(self, args) -> tuple | None:
+        """``_entries_at(0, args)``: the values as a tuple, or None."""
         return self._entries_at(0, args)
-
-    def _jacobian_rows(self, args) -> list | None:
-        out, n = self._entries_at(1, args), self.n_in
-        return None if out is None else [out[k:k + n] for k in range(0, len(out), n)]
-
-    def _hessian_entries(self, args) -> tuple | None:
-        return self._entries_at(2, args)
 
     def value(self, point) -> np.ndarray:
         return np.array(_evaluated(self, 0, point))

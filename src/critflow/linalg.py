@@ -2,15 +2,17 @@
 
 Eigenvalues are computed by closed form for orders 1 and 2 and by LAPACK,
 through ``numpy.linalg.eigvals``, for order >= 3. Linear systems go
-through partially pivoted elimination on Python floats for every size:
-written out on scalars for orders 1 to 3, and one list elimination
-(:func:`_eliminate`) for larger orders and for :func:`min_pivot`. Spectra
-are compared as multisets via a matching distance, never element-wise by
-index.
+through partially pivoted elimination on Python floats, written out on
+scalars for each size and compiled on first use (:func:`_elimination`).
+:func:`solve_linear`, :func:`min_pivot` and Newton's steps all run it,
+the last on the flat row-major Jacobian tuple of a field's kernel.
+Spectra are compared as multisets via a matching distance, never
+element-wise by index.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import permutations
@@ -25,6 +27,9 @@ __all__ = [
 
 
 class SingularMatrixError(ValueError):
+    """Raised where the smallest pivot magnitude of the elimination,
+    ``pivot``, is zero or at or below 1e-13 ||m||_inf, for every size."""
+
     def __init__(self, pivot: float, threshold: float):
         super().__init__(f"singular matrix: pivot magnitude {pivot:.3e} below {threshold:.3e}")
         self.pivot = pivot
@@ -119,47 +124,73 @@ def spectrum_distance(a: Spectrum, b: Spectrum) -> float:
 # ---------------------------------------------------------------------------
 # Linear solve
 
-def _eliminate(a: list[list[float]], b: list[float] | None) -> list[float]:
-    """In-place partially pivoted elimination on Python floats; returns the
-    pivot magnitudes. The first of equal magnitudes wins the pivot (a NaN,
-    once met, as for ``np.argmax``), zero factors skip their update, and
-    entries below the diagonal are left as they are: nothing reads them."""
-    n = len(a)
-    pivots = []
-    for col in range(n):
-        p, best = col, abs(a[col][col])
-        for row in range(col + 1, n):
-            v = abs(a[row][col])
-            if v > best or (v != v and best == best):
-                p, best = row, v
-        pivots.append(best)
-        if p != col:
-            a[col], a[p] = a[p], a[col]
-            if b is not None:
-                b[col], b[p] = b[p], b[col]
-        top = a[col]
-        diag = top[col]
-        if diag == 0.0:
-            continue
-        for row in range(col + 1, n):
-            cur = a[row]
-            factor = cur[col] / diag
-            if factor != 0.0:
-                for k in range(col + 1, n):
-                    cur[k] -= factor * top[k]
-                if b is not None:
-                    b[row] -= factor * b[col]
-    return pivots
+@functools.cache
+def _elimination(n: int):
+    """Partially pivoted elimination for n x n systems, compiled from
+    generated source on first use: ``eliminate(a, b)`` takes the matrix as
+    a flat row-major sequence of n * n Python floats and the right-hand
+    side as n, and returns the solution as a list (None where the matrix is
+    singular), the smallest pivot magnitude and the singularity threshold.
+
+    Entry (i, j) of the row in position i is ``a<i>_<j>``. The first of
+    equal pivot magnitudes wins (a NaN, once met, as for ``np.argmax``), a
+    zero diagonal or a zero factor skips its update, and entries left of
+    the diagonal are never updated: nothing reads them. The threshold is
+    1e-13 times the largest row sum of magnitudes, and the smallest pivot
+    is NaN if any pivot is, as for ``np.min``."""
+    idx = range(n)
+    lines = ["def eliminate(a, b):",
+             f"    {''.join(f'a{i}_{j}, ' for i in idx for j in idx)}= a",
+             f"    {''.join(f'b{i}, ' for i in idx)}= b",
+             "    norm = 0.0"]
+    for i in idx:
+        lines += [f"    total = {' + '.join(f'abs(a{i}_{j})' for j in idx)}",
+                  "    if total > norm:", "        norm = total"]
+    for c in idx:
+        lines.append(f"    p, best = {c}, abs(a{c}_{c})")
+        for r in range(c + 1, n):
+            lines += [f"    v = abs(a{r}_{c})", "    if v > best or (v != v and best == best):",
+                      f"        p, best = {r}, v"]
+        lines += (["    worst = best"] if c == 0 else
+                  ["    if best < worst or best != best:", "        worst = best"])
+        for r in range(c + 1, n):  # swap the pivot row's columns c.. into place
+            row = [f"a{{0}}_{j}" for j in range(c, n)] + ["b{0}"]
+            top, other = ", ".join(row).format(c), ", ".join(row).format(r)
+            lines += [f"    {'if' if r == c + 1 else 'elif'} p == {r}:",
+                      f"        {top}, {other} = {other}, {top}"]
+        if c + 1 < n:
+            lines.append(f"    if a{c}_{c} != 0.0:")
+        for r in range(c + 1, n):
+            lines += [f"        f = a{r}_{c} / a{c}_{c}", "        if f != 0.0:"]
+            lines += [f"            a{r}_{j} -= f * a{c}_{j}" for j in range(c + 1, n)]
+            lines.append(f"            b{r} -= f * b{c}")
+    lines += ["    threshold = 1e-13 * norm",
+              "    if worst <= threshold or worst == 0.0:",
+              "        return None, worst, threshold"]
+    for i in reversed(idx):
+        terms = "".join(f" - a{i}_{j} * x{j}" for j in range(i + 1, n))
+        lines.append(f"    x{i} = (b{i}{terms}) / a{i}_{i}")
+    lines.append(f"    return [{', '.join(f'x{i}' for i in idx)}], worst, threshold")
+    scope = {}
+    exec(compile("\n".join(lines) + "\n", f"<critflow-elimination-{n}>", "exec"), scope)
+    return scope["eliminate"]
 
 
-def _smallest(pivots: list[float]) -> float:
-    # np.min's rule: a NaN anywhere is the minimum
-    return math.nan if any(v != v for v in pivots) else min(pivots)
+def _solve(a, b) -> list[float]:
+    """:func:`solve_linear` on Python floats, without validation: ``a`` is
+    a square matrix of finite floats, flat and row-major, and ``b`` the n
+    floats of the right-hand side."""
+    x, worst, threshold = _elimination(len(b))(a, b)
+    if x is None:
+        raise SingularMatrixError(worst, threshold)
+    return x
 
 
 def min_pivot(m) -> float:
-    """Smallest pivot magnitude met during pivoted elimination."""
-    return _smallest(_eliminate(_as_square(m).tolist(), None))
+    """Smallest pivot magnitude met during the elimination of
+    :func:`solve_linear`, run with a zero right-hand side."""
+    a = _as_square(m)
+    return _elimination(len(a))(a.ravel().tolist(), [0.0] * len(a))[1]
 
 
 def is_degenerate(m, tol: float = 1e-10) -> bool:
@@ -174,117 +205,12 @@ def is_degenerate(m, tol: float = 1e-10) -> bool:
 
 def solve_linear(m, rhs) -> np.ndarray:
     """Solve m @ x = rhs by partially pivoted Gaussian elimination on Python
-    floats. Raises ``ValueError`` unless m is square and finite, and
-    :class:`SingularMatrixError` for a pivot at or below 1e-13 ||m||_inf."""
+    floats, one generated elimination per size (:func:`_elimination`).
+    Raises ``ValueError`` unless m is square and finite, and
+    :class:`SingularMatrixError` where the smallest pivot is at or below
+    1e-13 ||m||_inf."""
     a = _as_square(m)
-    return np.array(_solve_rows(a.tolist(), np.array(rhs, dtype=float).reshape(len(a)).tolist()))
-
-
-def _solve_rows(rows, b: list[float]) -> list[float]:
-    """:func:`solve_linear` on Python floats, without validation: ``rows``
-    are the n rows of a square matrix of finite floats (lists or tuples,
-    left unchanged) and ``b`` the right-hand side, a list of n floats. The
-    unrolled solvers take n <= 3, and :func:`_eliminate` every larger n."""
-    small = _SMALL_SOLVES.get(len(rows))
-    return small(rows, b) if small else _solve_general(rows, b)
-
-
-def _solve_general(rows, b: list[float]) -> list[float]:
-    a = [list(row) for row in rows]
-    b = list(b)
-    n = len(a)
-    norm = 0.0
-    for row in a:
-        total = 0.0
-        for v in row:
-            total += abs(v)
-        if total > norm:
-            norm = total
-    threshold = 1e-13 * norm
-    worst = _smallest(_eliminate(a, b))
-    if worst <= threshold or worst == 0.0:
-        raise SingularMatrixError(worst, threshold)
-    x = [0.0] * n
-    for row in range(n - 1, -1, -1):
-        cur = a[row]
-        total = b[row]
-        for k in range(row + 1, n):
-            total -= cur[k] * x[k]
-        x[row] = total / cur[row]
-    return x
-
-
-def _solve_1x1(a, b: list[float]) -> list[float]:
-    ((a00,),), (b0,) = a, b
-    if a00 == 0.0:
-        raise SingularMatrixError(0.0, 0.0)
-    return [b0 / a00]
-
-
-def _solve_2x2(a, b: list[float]) -> list[float]:
-    (a00, a01), (a10, a11) = a
-    b0, b1 = b
-    norm = max(abs(a00) + abs(a01), abs(a10) + abs(a11))
-    threshold = 1e-13 * norm
-    if abs(a10) > abs(a00):
-        a00, a01, b0, a10, a11, b1 = a10, a11, b1, a00, a01, b0
-    pivot0 = abs(a00)
-    if pivot0 <= threshold or pivot0 == 0.0:
-        raise SingularMatrixError(pivot0, threshold)
-    factor = a10 / a00
-    a11 -= factor * a01
-    b1 -= factor * b0
-    pivot1 = abs(a11)
-    if pivot1 <= threshold or pivot1 == 0.0:
-        raise SingularMatrixError(pivot1, threshold)
-    x1 = b1 / a11
-    return [(b0 - a01 * x1) / a00, x1]
-
-
-def _solve_3x3(a, b: list[float]) -> list[float]:
-    # partially pivoted elimination written out on scalars; the first of
-    # equal magnitudes wins the pivot, and zero factors skip their update
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
-    r0, r1, r2 = (a00, a01, a02, b[0]), (a10, a11, a12, b[1]), (a20, a21, a22, b[2])
-    norm = max(abs(a00) + abs(a01) + abs(a02), abs(a10) + abs(a11) + abs(a12),
-               abs(a20) + abs(a21) + abs(a22))
-    threshold = 1e-13 * norm
-    if abs(a10) > abs(a00):
-        if abs(a20) > abs(a10):
-            r0, r2 = r2, r0
-        else:
-            r0, r1 = r1, r0
-    elif abs(a20) > abs(a00):
-        r0, r2 = r2, r0
-    p00, p01, p02, p03 = r0
-    if abs(p00) <= threshold or p00 == 0.0:
-        raise SingularMatrixError(abs(p00), threshold)
-    rows = []
-    for c0, c1, c2, c3 in (r1, r2):
-        factor = c0 / p00
-        if factor != 0.0:
-            c1 -= factor * p01
-            c2 -= factor * p02
-            c3 -= factor * p03
-        rows.append((c1, c2, c3))
-    (p11, p12, p13), (q11, q12, q13) = rows
-    if abs(q11) > abs(p11):
-        p11, p12, p13, q11, q12, q13 = q11, q12, q13, p11, p12, p13
-    if abs(p11) <= threshold or p11 == 0.0:
-        raise SingularMatrixError(abs(p11), threshold)
-    factor = q11 / p11
-    if factor != 0.0:
-        q12 -= factor * p12
-        q13 -= factor * p13
-    if abs(q12) <= threshold or q12 == 0.0:
-        raise SingularMatrixError(abs(q12), threshold)
-    x2 = q13 / q12
-    x1 = (p13 - p12 * x2) / p11
-    x0 = (p03 - p01 * x1 - p02 * x2) / p00
-    return [x0, x1, x2]
-
-
-_SMALL_SOLVES = {1: _solve_1x1, 2: _solve_2x2, 3: _solve_3x3}
+    return np.array(_solve(a.ravel().tolist(), np.array(rhs, dtype=float).reshape(len(a)).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ of 10% of each dimension's span); converged roots outside the region
 proper are kept but flagged ``boundary``.
 
 Newton runs on Python floats from end to end. The solved map's kernel
-tuples (``_values``, ``_jacobian_rows``) feed a ``math.hypot`` residual and
-the scalar solvers of :mod:`critflow.linalg`, trial points stay lists, and
-an array is built only for a returned root. At a point outside the solved
+tuples (``_values``, and ``_entries_at(1, x)``, the Jacobian flat and
+row-major) feed a ``math.hypot`` residual and the generated elimination of
+:mod:`critflow.linalg`, trial points stay lists, and an array is built
+only for a returned root. At a point outside the solved
 map's domain those tuples are None: a trial there counts as infinitely
 bad, a step there ends the run as "domain-error", and no error message is
 built. The sufficient-decrease test compares products,
@@ -35,7 +36,7 @@ import numpy as np
 from .expr import DomainError
 from .fields import VectorField, VectorMap, acceleration_map
 from .linalg import (EigenConvergenceError, SingularMatrixError, Spectrum,
-                     _solve_rows, eigenvalues, is_degenerate)
+                     _solve, eigenvalues, is_degenerate)
 from .region import AnalysisRegion, lattice_points
 
 __all__ = [
@@ -153,11 +154,11 @@ def _step(fieldmap: VectorMap, x: list[float], fx, work: PointSearch) -> list[fl
     """The Newton step at ``x``, or None where the Jacobian is not
     evaluable; raises SingularMatrixError."""
     work.jacobian_evals += 1
-    jac = fieldmap._jacobian_rows(x)
+    jac = fieldmap._entries_at(1, x)
     if jac is None:
         return None
     work.solves += 1
-    return _solve_rows(jac, [-v for v in fx])
+    return _solve(jac, [-v for v in fx])
 
 
 def _polish(fieldmap: VectorMap, x, fx, r, work: PointSearch):
@@ -289,10 +290,10 @@ def _collect_roots(fieldmap: VectorMap, region: AnalysisRegion, cfg: SolverConfi
 
 
 def _spectrum_of(fieldmap: VectorMap, location) -> tuple[Spectrum | None, bool, str]:
-    rows = fieldmap._jacobian_rows(location.tolist())
-    if rows is None:
+    flat = fieldmap._entries_at(1, location.tolist())
+    if flat is None:
         return None, True, "field Jacobian not evaluable at this point"
-    jac = np.array(rows)
+    jac = np.array(flat).reshape(fieldmap.n_out, fieldmap.n_in)
     try:
         spec = eigenvalues(jac)
     except EigenConvergenceError:

@@ -6,6 +6,7 @@ lines; a failing criterion fails its test). Criterion 4's run is cached so
 criterion 8 can compare a byte-identical rerun.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -399,4 +400,5 @@ def test_criterion_8_determinism():
     assert first == second, "criterion 4 reruns must be byte-identical"
     assert first.encode("utf-8") == second.encode("utf-8")
     _announce(8, f"two runs of the 200-system suite produced byte-identical "
-                 f"{len(first)}-byte reports")
+                 f"{len(first)}-byte reports, sha256 "
+                 f"{hashlib.sha256(first.encode('utf-8')).hexdigest()}")

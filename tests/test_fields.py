@@ -7,6 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import critflow as cf
+from critflow import expr
+from critflow.expr import Binary, Const, Name, Unary
 from critflow.fields import (AffineConjugateField, JetAccelerationMap, acceleration_map,
                              substitute)
 from critflow.io import load_system
@@ -355,18 +357,19 @@ def _bits(values) -> list[str]:
     return [float(v).hex() for v in values]
 
 
-_FLOAT_INTERFACE = {"value": "_values", "jacobian": "_jacobian_rows",
-                    "hessian": "_hessian_entries"}
+#: the derivative order of each method's entries, as ``_entries_at`` takes it
+_FLOAT_INTERFACE = {"value": 0, "jacobian": 1, "hessian": 2}
 
 
 def _float_interface(m, method: str, args):
     """What the float interface behind ``method`` gives at ``args``, flat,
-    or None."""
-    out = getattr(m, _FLOAT_INTERFACE[method])(args)
-    if out is None or method != "jacobian":
-        return out
-    assert all(len(row) == m.n_in for row in out), (m.name, out)
-    return [v for row in out for v in row]
+    or None; ``_values`` gives what order 0 does."""
+    order = _FLOAT_INTERFACE[method]
+    out = m._entries_at(order, args)
+    if order == 0:
+        assert m._values(args) == out, (m.name, args)
+    assert out is None or len(out) == m.n_out * m.n_in ** order, (m.name, out)
+    return out
 
 
 def _float_interface_agrees(m, y) -> int:
@@ -726,7 +729,7 @@ def test_float_interface_is_none_outside_the_domain_and_value_names_the_cause():
         accel = acceleration_map(field)
         for m in (field, accel):
             assert m._values([point]) is None
-            assert m._jacobian_rows([point]) is None
+            assert m._entries_at(1, [point]) is None
         with pytest.raises(cf.DomainError) as exc:
             field.value([point])
         assert str(exc.value) == "component 0 " + sqrt_message.format(name, point)
@@ -745,7 +748,7 @@ def test_float_interface_is_none_outside_the_domain_and_value_names_the_cause():
     with pytest.raises(cf.DomainError) as exc:
         f.jacobian([0.0])
     assert str(exc.value) == "jacobian[0,0] of sqrt_branch is not evaluable at [0.0]: division by zero"
-    assert f._jacobian_rows([0.0]) is None
+    assert f._entries_at(1, [0.0]) is None
     assert f._values([0.0]) == (-0.0,)
 
 
@@ -754,7 +757,7 @@ def test_float_interface_is_none_where_the_push_forward_overflows():
     g = cf.transformed_system(make_field("big", ["x"], {}, ["1e308 * x"]),
                               affine_map_1d(4.0, 0.0))
     assert g._values([4.0]) is None
-    assert g._jacobian_rows([0.0]) is None
+    assert g._entries_at(1, [0.0]) is None
     with pytest.raises(cf.DomainError) as exc:
         g.value([4.0])
     assert str(exc.value) == ("component 0 of big_via_affine is not evaluable at [4.0]: "
@@ -762,8 +765,28 @@ def test_float_interface_is_none_where_the_push_forward_overflows():
     accel = acceleration_map(cf.transformed_system(
         make_field("fast", ["x"], {}, ["1e154 * x"]), affine_map_1d(4.0, 0.0)))
     assert accel._values([4.0]) is None
-    assert accel._jacobian_rows([0.0]) is None
+    assert accel._entries_at(1, [0.0]) is None
     with pytest.raises(cf.DomainError) as exc:
         accel.value([4.0])
     assert str(exc.value) == ("component 0 of fast_via_affine_accel is not evaluable at [4.0]: "
                               "non-finite result inf")
+
+
+def test_domain_error_walks_each_shared_node_once_per_call(monkeypatch):
+    # three entries reach one sqrt(x) node along 2^12 paths each; the last
+    # entry is the first that is not evaluable
+    shared = Unary("sqrt", Name("x"))
+    for _ in range(12):
+        shared = Binary("+", shared, shared)
+    failing = Unary("sqrt", Binary("-", Name("x"), Const(5.0)))
+    m = cf.VectorMap("shared", ["x"], {}, [shared, shared, Binary("*", Const(2.0), shared),
+                                           failing])
+    calls = []
+    sqrt = expr._SCALAR_FUNCS["sqrt"]
+    monkeypatch.setitem(expr._SCALAR_FUNCS, "sqrt", lambda v: calls.append(v) or sqrt(v))
+    for _ in range(2):  # the memo lives for one call
+        with pytest.raises(cf.DomainError) as exc:
+            m.value([4.0])
+        assert str(exc.value) == ("component 3 of shared is not evaluable at [4.0]: "
+                                  "sqrt of negative value -1.0")
+    assert calls == [4.0, -1.0] * 2

@@ -1,8 +1,15 @@
+import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import critflow as cf
+from critflow import linalg
 from critflow.linalg import Spectrum, is_degenerate, min_pivot
 
 from conftest import identity_map, make_field
@@ -279,6 +286,8 @@ def _array_eliminate(a: np.ndarray, b):
 
 
 def _array_solve(m, rhs):
+    """:func:`_array_eliminate`, then back substitution on Python floats
+    with every sum in index order."""
     a = np.array(m, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
@@ -287,10 +296,13 @@ def _array_solve(m, rhs):
     worst = float(np.min(_array_eliminate(a, b)))
     if worst <= threshold or worst == 0.0:
         raise cf.SingularMatrixError(worst, threshold)
-    x = np.empty(len(b))
+    rows, x = a.tolist(), [0.0] * len(b)
     for row in range(len(b) - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1:] @ x[row + 1:]) / a[row, row]
-    return x
+        total = float(b[row])
+        for k in range(row + 1, len(b)):
+            total -= rows[row][k] * x[k]
+        x[row] = total / rows[row][row]
+    return np.array(x)
 
 
 def _awkward_matrices(rng, n):
@@ -300,7 +312,8 @@ def _awkward_matrices(rng, n):
     zero_col = ties.copy()
     zero_col[:, rng.integers(n)] = 0.0
     repeated = rng.uniform(-4, 4, size=(n, n))
-    repeated[rng.integers(1, n)] = repeated[0]
+    if n > 1:
+        repeated[rng.integers(1, n)] = repeated[0]
     both = repeated.copy()
     both[:, rng.integers(n)] = 0.0
     near = repeated.copy()
@@ -312,7 +325,7 @@ def test_list_elimination_keeps_the_array_pivots_for_every_size():
     rng = np.random.default_rng(2024)
     solved = raised = 0
     for _ in range(60):
-        n = int(rng.integers(4, 7))
+        n = int(rng.integers(1, 8))
         for m in _awkward_matrices(rng, n):
             want = _array_eliminate(m.copy(), None)
             assert min_pivot(m) == float(np.min(want))
@@ -333,7 +346,7 @@ def test_list_elimination_keeps_the_array_pivots_for_every_size():
             oracle = np.linalg.solve(m, rhs)
             bound = 1e-12 * np.linalg.cond(m) * max(1.0, float(np.linalg.norm(oracle)))
             assert float(np.linalg.norm(got - oracle)) <= bound
-            assert float(np.linalg.norm(got - ref)) <= bound
+            assert got.tobytes() == ref.tobytes()
             solved += 1
     assert solved > 100 and raised > 100
     for bad in (np.inf, -np.inf, np.nan):
@@ -343,6 +356,20 @@ def test_list_elimination_keeps_the_array_pivots_for_every_size():
             _array_solve(m, np.ones(5))
         with pytest.raises(ValueError):
             cf.solve_linear(m, np.ones(5))
+
+
+def test_eliminations_are_built_once_per_dimension_and_not_on_import(monkeypatch):
+    src = Path(cf.__file__).resolve().parent.parent
+    code = "import critflow, critflow.linalg; print(critflow.linalg._elimination.cache_info())"
+    imported = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert "currsize=0" in imported.stdout
+    built = functools.cache(linalg._elimination.__wrapped__)
+    monkeypatch.setattr(linalg, "_elimination", built)
+    for n in (2, 3, 2, 4):
+        assert cf.solve_linear(2.0 * np.eye(n), np.ones(n)).tolist() == [0.5] * n
+    info = built.cache_info()
+    assert (info.misses, info.currsize, info.hits) == (3, 3, 1)
 
 
 def test_spectrum_lists_negative_imaginary_member_of_a_pair_first():
