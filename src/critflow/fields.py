@@ -16,9 +16,10 @@ each entry's tree. The kernel call is the float interface
 point is not evaluable, and builds no message; Newton, RKF45 and a root's
 spectrum call it directly. One hook, ``_raise_domain_error(order, args)``,
 raises the :class:`~critflow.expr.DomainError` that names the first entry
-that is not evaluable. ``value``, ``jacobian`` and ``hessian`` are the kernel call
-plus that hook (:func:`_evaluated`), ``jet`` gathers their results, and
-``value_grid`` compiles the values into one broadcasting kernel.
+that is not evaluable. ``value``, ``jacobian`` and ``hessian`` are the
+kernel call plus that hook (:func:`_evaluated`), ``jet`` gathers their
+results, and ``value_grid`` compiles the values into one broadcasting
+kernel.
 
 A coordinate map caches what the checks derive from it: the matrix, offset
 and inverse of a declared-linear map (``TransformationMap.linear_part``)
@@ -124,9 +125,9 @@ class VectorMap:
     into one kernel that returns them all, bit-identical to
     :func:`~critflow.expr.evaluate` on each. ``_entries_at`` calls it: the
     float interface, which gives None where an entry is not evaluable or
-    not finite. There ``value``,
-    ``jacobian`` and ``hessian`` raise :class:`~critflow.expr.DomainError`
-    naming the first entry (row-major) that is not evaluable.
+    not finite. There ``value``, ``jacobian`` and ``hessian`` raise
+    :class:`~critflow.expr.DomainError` naming the first entry (row-major)
+    that is not evaluable.
     """
 
     def __init__(self, name: str, input_names: Sequence[str],

@@ -13,10 +13,10 @@ Newton runs on Python floats from end to end. The solved map's kernel
 tuples (``_values``, and ``_entries_at(1, x)``, the Jacobian flat and
 row-major) feed a ``math.hypot`` residual and the generated elimination of
 :mod:`critflow.linalg`, trial points stay lists, and an array is built
-only for a returned root. At a point outside the solved
-map's domain those tuples are None: a trial there counts as infinitely
-bad, a step there ends the run as "domain-error", and no error message is
-built. The sufficient-decrease test compares products,
+only for a returned root. At a point outside the solved map's domain
+those tuples are None: a trial there counts as infinitely bad, a step
+there ends the run as "domain-error", and no error message is built.
+The sufficient-decrease test compares products,
 ``rt * rt <= r * r * (1 - 1e-4 t)``: a float ``** 2`` raises
 ``OverflowError`` above 1.34e154, where a product gives inf, and a steep
 field's residual norm can pass that. Where ``r * r`` is inf the products
