@@ -23,7 +23,7 @@ from .linalg import (
     eigenvalues, solve_linear, spectrum_distance,
 )
 from .fields import (
-    JetValue, VectorMap, VectorField, TransformationMap, InverseMismatchError,
+    VectorMap, VectorField, TransformationMap, InverseMismatchError,
     acceleration_field, pushforward_velocity, pushforward_acceleration,
     transformed_system, image_region,
 )
@@ -56,7 +56,7 @@ __all__ = [
     "Spectrum", "SingularMatrixError", "EigenConvergenceError",
     "eigenvalues", "solve_linear", "spectrum_distance",
     # fields
-    "JetValue", "VectorMap", "VectorField", "TransformationMap",
+    "VectorMap", "VectorField", "TransformationMap",
     "InverseMismatchError", "acceleration_field",
     "pushforward_velocity", "pushforward_acceleration",
     "transformed_system", "image_region",

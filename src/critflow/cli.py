@@ -104,11 +104,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _solver_config(args) -> SolverConfig:
-    try:
-        return SolverConfig(seed_count=args.seeds, rng_seed=args.rng_seed,
-                            velocity_floor=args.eps_v, root_tol=args.root_tol)
-    except ValueError as err:
-        raise InputError(str(err)) from err
+    if args.seeds < 1:
+        raise InputError(f"--seeds {args.seeds}: must be >= 1")
+    if not 0.0 < args.eps_v < math.inf:
+        raise InputError(f"--eps-v {args.eps_v!r}: must be finite and positive")
+    if not 0.0 < args.root_tol < SolverConfig.dedup_tol:
+        raise InputError(f"--root-tol {args.root_tol!r}: must be positive and smaller than "
+                         f"{SolverConfig.dedup_tol!r}, the distance within which roots count once")
+    return SolverConfig(seed_count=args.seeds, rng_seed=args.rng_seed,
+                        velocity_floor=args.eps_v, root_tol=args.root_tol)
 
 
 def _resolve_region(args, loaded: LoadedSystem) -> AnalysisRegion:
@@ -212,6 +216,9 @@ def cmd_verify(args) -> int:
     if lmap.map.inverse is None:
         raise InputError(f"{lmap.path}: 'verify' needs the map's 'inverse'")
     theorems = [t.strip() for t in args.theorems.split(",") if t.strip()]
+    if not theorems:
+        raise InputError(f"--theorems {args.theorems!r}: names no check; "
+                         f"choose from {','.join(THEOREM_IDS)}")
     unknown = set(theorems) - set(THEOREM_IDS)
     if unknown:
         raise InputError(f"--theorems: unknown ids {sorted(unknown)}")

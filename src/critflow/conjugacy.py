@@ -10,7 +10,8 @@ Five checks, each producing a verdict plus per-point records:
   nonlinear maps get advisory details instead of a verdict);
 * ``t3``: eigenvalue spectra at matched points agree, and the Jacobians
   satisfy the similarity identities J' = Dh J Dh^-1 (velocity side) and
-  likewise for the acceleration side;
+  likewise for the acceleration side, read from the matched points, which
+  keep the spectrum and Jacobian their search computed;
 * ``r1``: transformed-system critical points with no preimage among the
   mapped ones ("newly created" points).
 
@@ -45,11 +46,10 @@ from typing import Sequence
 import numpy as np
 
 from .expr import DomainError
-from .fields import (TransformationMap, VectorField, acceleration_map,
-                     image_region, transformed_system)
+from .fields import TransformationMap, VectorField, image_region, transformed_system
 from .flows import (BlowUpError, IntegratorConfig, StepUnderflowError, _sampled_states,
                     integrate)
-from .linalg import EigenConvergenceError, eigenvalues, min_pivot, spectrum_distance
+from .linalg import min_pivot, spectrum_distance
 from .points import (FIXED, PERPETUAL, SolverConfig, fixed_point_search,
                      perpetual_point_search)
 from .region import AnalysisRegion, lattice_points
@@ -269,8 +269,9 @@ def _match_points(f, h, g, region, cfg, kind, searches: dict | None):
     """Greedily match h(x*) for the critical points x* of f against the
     independently discovered critical points of g; the two searches are
     taken from ``searches`` or run and stored there. Returns the records,
-    the unmatched target points, the worst matched distance and whether
-    every source point was matched."""
+    the unmatched target points, the worst matched distance, whether
+    every source point was matched, and the matched (record, point of f,
+    point of g) triples in source order."""
     searches = {} if searches is None else searches
     for side, fld in (("f", f), ("g", g)):
         if (side, kind) not in searches:
@@ -279,6 +280,7 @@ def _match_points(f, h, g, region, cfg, kind, searches: dict | None):
     match_tol = _match_tol(cfg)
     taken = [False] * len(g_points)
     records: list[MatchRecord] = []
+    pairs = []
     worst = 0.0
     all_matched = True
     for p in f_points:
@@ -302,9 +304,10 @@ def _match_points(f, h, g, region, cfg, kind, searches: dict | None):
         if best_j >= 0 and best_d <= match_tol:
             taken[best_j] = True
             worst = max(worst, best_d)
+            q = g_points[best_j]
             records.append(MatchRecord(source=tuple(p.location), mapped=tuple(mapped),
-                                       matched=tuple(g_points[best_j].location),
-                                       kind=p.kind, residual=best_d))
+                                       matched=tuple(q.location), kind=p.kind, residual=best_d))
+            pairs.append((records[-1], p, q))
         else:
             all_matched = False
             records.append(MatchRecord(
@@ -312,7 +315,7 @@ def _match_points(f, h, g, region, cfg, kind, searches: dict | None):
                 residual=best_d if best_d < math.inf else None,
                 note="image does not coincide with any discovered target point"))
     unmatched_targets = [q for j, q in enumerate(g_points) if not taken[j]]
-    return records, unmatched_targets, worst, all_matched
+    return records, unmatched_targets, worst, all_matched, pairs
 
 
 def verify_point_mapping(f: VectorField, h: TransformationMap, g: VectorField,
@@ -323,8 +326,8 @@ def verify_point_mapping(f: VectorField, h: TransformationMap, g: VectorField,
     of g. For perpetual points the verdict requires a linear map; nonlinear
     maps yield not-applicable with advisory details.
     """
-    records, unmatched, worst, all_matched = _match_points(f, h, g, region, cfg, kind,
-                                                           searches)
+    records, unmatched, worst, all_matched, _ = _match_points(f, h, g, region, cfg, kind,
+                                                              searches)
     for q in unmatched:
         records.append(MatchRecord(matched=tuple(q.location), kind=q.kind,
                                    note="target point has no preimage among mapped points"))
@@ -353,6 +356,10 @@ def verify_spectrum_preservation(f: VectorField, h: TransformationMap,
     """Check eigenvalue preservation at matched critical points, plus the
     two similarity identities as relative matrix residuals.
 
+    Each point's spectrum and Jacobian are the ones its search computed
+    there, so this check evaluates neither. A pair whose spectrum is
+    missing on either side fails with that point's note.
+
     Requires a linear map with invertible Jacobian (diffeomorphism
     hypothesis); anything else is not-applicable.
     """
@@ -371,24 +378,15 @@ def verify_spectrum_preservation(f: VectorField, h: TransformationMap,
     any_pair = False
     ok = True
     for kind in (FIXED, PERPETUAL):
-        matched = _match_points(f, h, g, region, cfg, kind, searches)[0]
-        if kind == FIXED:
-            src_field, dst_field = f, g
-        else:
-            src_field, dst_field = acceleration_map(f), acceleration_map(g)
-        for rec in matched:
-            if rec.matched is None:
-                continue
+        for rec, p, q in _match_points(f, h, g, region, cfg, kind, searches)[4]:
             any_pair = True
-            try:
-                j_src = src_field.jacobian(np.array(rec.source))
-                j_dst = dst_field.jacobian(np.array(rec.matched))
-                sd = spectrum_distance(eigenvalues(j_src), eigenvalues(j_dst))
-                sim = _similarity(linear.matrix, linear.inverse, j_src, j_dst)
-            except (DomainError, EigenConvergenceError) as err:
-                records.append(replace(rec, note=f"spectra not evaluable: {err}"))
+            missing = next((pt for pt in (p, q) if pt.spectrum is None), None)
+            if missing is not None:
+                records.append(replace(rec, note=f"spectra not evaluable: {missing.note}"))
                 ok = False
                 continue
+            sd = spectrum_distance(p.spectrum, q.spectrum)
+            sim = _similarity(linear.matrix, linear.inverse, p.jacobian, q.jacobian)
             worst_sd = max(worst_sd, sd)
             worst_sim = max(worst_sim, sim)
             if sd > spectrum_tol or sim > similarity_tol:
@@ -445,7 +443,8 @@ def run_verification(f: VectorField, h: TransformationMap,
                      similarity_tol: float = 1e-7,
                      cfg: SolverConfig = SolverConfig()) -> tuple[ConjugacyReport, VectorField]:
     """Run the requested checks against the transformed system built from
-    h's declared inverse.
+    h's declared inverse. ``theorems`` names at least one check of
+    ``THEOREM_IDS``; anything else raises :class:`ValueError`.
 
     The point searches the checks read run first, each once, and the
     checks share them through one ``searches`` mapping. g's searches,
@@ -462,6 +461,8 @@ def run_verification(f: VectorField, h: TransformationMap,
     first exception only when f's side succeeded. The rule is the same
     with and without the worker, which never outlives the call.
     """
+    if not theorems:
+        raise ValueError("no theorem ids given: a run without checks verifies nothing")
     unknown = set(theorems) - set(THEOREM_IDS)
     if unknown:
         raise ValueError(f"unknown theorem ids: {sorted(unknown)}")

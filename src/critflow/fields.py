@@ -17,9 +17,8 @@ point is not evaluable, and builds no message; Newton, RKF45 and a root's
 spectrum call it directly. One hook, ``_raise_domain_error(order, args)``,
 raises the :class:`~critflow.expr.DomainError` that names the first entry
 that is not evaluable. ``value``, ``jacobian`` and ``hessian`` are the
-kernel call plus that hook (:func:`_evaluated`), ``jet`` gathers their
-results, and ``value_grid`` compiles the values into one broadcasting
-kernel.
+kernel call plus that hook (:func:`_evaluated`), and ``value_grid``
+compiles the values into one broadcasting kernel.
 
 A coordinate map caches what the checks derive from it: the matrix, offset
 and inverse of a declared-linear map (``TransformationMap.linear_part``)
@@ -64,7 +63,7 @@ from .linalg import is_degenerate, solve_linear
 from .region import AnalysisRegion, lattice_points
 
 __all__ = [
-    "JetValue", "VectorMap", "VectorField", "TransformationMap", "LinearPart",
+    "VectorMap", "VectorField", "TransformationMap", "LinearPart",
     "AffineConjugateField", "JetAccelerationMap",
     "InverseMismatchError", "acceleration_field", "acceleration_map",
     "pushforward_velocity", "pushforward_acceleration",
@@ -78,17 +77,6 @@ class InverseMismatchError(ValueError):
         msg = f"declared inverse does not invert the map (worst residual {worst_residual:.3e})"
         super().__init__(msg + (f": {detail}" if detail else ""))
         self.worst_residual = worst_residual
-
-
-@dataclass(frozen=True)
-class JetValue:
-    """Value, Jacobian and (for order-2 jets) Hessian of a vector map at a
-    point. ``hessian[i, j, k]`` is the second partial of component i with
-    respect to inputs j and k."""
-
-    value: np.ndarray
-    jacobian: np.ndarray
-    hessian: np.ndarray | None = None
 
 
 def _floats(point, n: int) -> list[float]:
@@ -243,6 +231,7 @@ class VectorMap:
         return np.array(_evaluated(self, 1, point)).reshape(self.n_out, self.n_in)
 
     def hessian(self, point) -> np.ndarray:
+        """``[i, j, k]`` is the second partial of component i in inputs j and k."""
         n = self.n_in
         return np.array(_evaluated(self, 2, point)).reshape(self.n_out, n, n)
 
@@ -260,12 +249,6 @@ class VectorMap:
         for i, column in enumerate(self._grid_kernel(*cols, *self._param_values)):
             out[:, i] = column  # a constant entry broadcasts
         return out
-
-    def jet(self, point, order: int = 1) -> JetValue:
-        if order not in (1, 2):
-            raise ValueError("jet order must be 1 or 2")
-        return JetValue(self.value(point), self.jacobian(point),
-                        self.hessian(point) if order == 2 else None)
 
 
 class VectorField(VectorMap):
@@ -473,16 +456,21 @@ class AffineConjugateField(VectorField):
     symbolic API behave like any other field, but evaluates f's own entries
     composed with the map (:func:`_conjugated_entries`): g's values, its
     Jacobian A Df A^-1 and its Hessian, each compiled into one kernel like
-    any map's. The large substituted trees are never differentiated.
+    any map's, from entries composed once per order. The large substituted
+    trees are never differentiated.
     """
 
     def __init__(self, system: SystemDefinition, base: VectorField, linear: LinearPart):
         super().__init__(system)
         self.base = base
         self.linear = linear
+        self._composed: dict = {}  # entries by derivative order, built on first use
 
     def _entries(self, order: int) -> list[Expression]:
-        return _conjugated_entries(self.base, order, self.linear, self.input_names)
+        if order not in self._composed:
+            self._composed[order] = _conjugated_entries(self.base, order, self.linear,
+                                                        self.input_names)
+        return self._composed[order]
 
     @cached_property
     def _acceleration(self):
@@ -510,8 +498,9 @@ class JetAccelerationMap(VectorMap):
 
     def __init__(self, field: AffineConjugateField):
         self.base, self.linear = acceleration_map(field.base), field.linear
+        self._composed = {0: _conjugated_entries(self.base, 0, self.linear, field.input_names)}
         super().__init__(f"{field.name}_accel", field.input_names, field.parameters,
-                         _conjugated_entries(self.base, 0, self.linear, field.input_names))
+                         self._composed[0])
 
     _entries = AffineConjugateField._entries
     value, jacobian = VectorMap.value, VectorMap.jacobian
@@ -546,11 +535,11 @@ def pushforward_acceleration(f: VectorField, h: TransformationMap, point) -> np.
     Component i is sum_jk H_h[i,j,k] f_j f_k + sum_j Dh[i,j] F_j, the
     Hessian term being the curvature correction that vanishes for linear h.
     """
-    jf = f.jet(point, order=1)
-    accel = jf.jacobian @ jf.value
-    jh = h.jet(point, order=2)
-    curvature = np.einsum("ijk,j,k->i", jh.hessian, jf.value, jf.value)
-    return curvature + jh.jacobian @ accel
+    v = f.value(point)
+    accel = f.jacobian(point) @ v
+    h.value(point)  # raises DomainError where the image h(point) does not exist
+    dh = h.jacobian(point)
+    return np.einsum("ijk,j,k->i", h.hessian(point), v, v) + dh @ accel
 
 
 def transformed_system(f: VectorField, h: TransformationMap) -> VectorField:

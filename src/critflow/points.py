@@ -25,6 +25,8 @@ would accept any finite trial, so the test compares the ratio
 same steps at every scale c of a field c·f. Roots within ``dedup_tol`` of
 each other (``math.dist`` on Python floats) count once. Each search counts
 its seeds' outcomes and its evaluations on the :class:`PointSearch`.
+Each point keeps the solved map's Jacobian at its location, the matrix
+its spectrum and ``degenerate`` flag come from, for the checks to read.
 """
 
 from __future__ import annotations
@@ -81,6 +83,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class CriticalPoint:
+    """``jacobian`` is the solved map's (Df, or DF for a perpetual point)
+    at ``location`` as the search computed it, and ``spectrum`` its
+    eigenvalues; ``note`` says why ``spectrum`` is None."""
     kind: str  # FIXED or PERPETUAL
     location: np.ndarray
     residual: float  # norm of the solved field at the location
@@ -89,6 +94,7 @@ class CriticalPoint:
     degenerate: bool = False  # Jacobian of the solved field singular here
     boundary: bool = False  # converged outside the region proper
     note: str = ""
+    jacobian: np.ndarray | None = None  # of the solved map at the location
 
     @property
     def speed(self) -> float:
@@ -289,16 +295,18 @@ def _collect_roots(fieldmap: VectorMap, region: AnalysisRegion, cfg: SolverConfi
     return kept
 
 
-def _spectrum_of(fieldmap: VectorMap, location) -> tuple[Spectrum | None, bool, str]:
+def _spectrum_of(fieldmap: VectorMap, location) -> dict:
+    """The :class:`CriticalPoint` fields that ``fieldmap``'s Jacobian decides."""
     flat = fieldmap._entries_at(1, location.tolist())
     if flat is None:
-        return None, True, "field Jacobian not evaluable at this point"
+        return dict(spectrum=None, degenerate=True,
+                    note="field Jacobian not evaluable at this point")
     jac = np.array(flat).reshape(fieldmap.n_out, fieldmap.n_in)
     try:
-        spec = eigenvalues(jac)
+        spec, note = eigenvalues(jac), ""
     except EigenConvergenceError:
-        return None, is_degenerate(jac), "eigenvalue computation did not converge"
-    return spec, is_degenerate(jac), ""
+        spec, note = None, "eigenvalue computation did not converge"
+    return dict(spectrum=spec, degenerate=is_degenerate(jac), note=note, jacobian=jac)
 
 
 def _run_search(f: VectorField, solved: VectorMap, kind: str,
@@ -314,17 +322,9 @@ def _run_search(f: VectorField, solved: VectorMap, kind: str,
         speed = float(np.linalg.norm(velocity))
         if kind == PERPETUAL and speed <= cfg.velocity_floor:
             continue  # a zero of F that is actually a fixed point
-        spectrum, degenerate, note = _spectrum_of(solved, location)
-        points.append(CriticalPoint(
-            kind=kind,
-            location=location,
-            residual=residual,
-            velocity=velocity,
-            spectrum=spectrum,
-            degenerate=degenerate,
-            boundary=not region.contains(location),
-            note=note,
-        ))
+        points.append(CriticalPoint(kind=kind, location=location, residual=residual,
+                                    velocity=velocity, boundary=not region.contains(location),
+                                    **_spectrum_of(solved, location)))
     points.sort(key=CriticalPoint.sort_key)
     n_degenerate = sum(1 for p in points if p.degenerate)
     if n_degenerate > _CONTINUUM_THRESHOLD:
@@ -367,21 +367,18 @@ def classify_point(f: VectorField, point,
     """
     x = np.array(point, dtype=float)
     try:
-        jf = f.jet(x, order=1)
+        velocity, jac = f.value(x), f.jacobian(x)
     except DomainError:
         return None
-    velocity = jf.value
-    accel = jf.jacobian @ velocity
+    accel = jac @ velocity
     speed = float(np.linalg.norm(velocity))
     accel_norm = float(np.linalg.norm(accel))
-    accel_tol = cfg.root_tol * max(1.0, float(np.linalg.norm(jf.jacobian, np.inf)))
+    accel_tol = cfg.root_tol * max(1.0, float(np.linalg.norm(jac, np.inf)))
     if accel_norm > accel_tol:
         return None
     if speed <= cfg.velocity_floor:
         kind, fieldmap, residual = FIXED, f, speed
     else:
         kind, fieldmap, residual = PERPETUAL, acceleration_map(f), accel_norm
-    spectrum, degenerate, note = _spectrum_of(fieldmap, x)
-    return CriticalPoint(kind=kind, location=x, residual=residual,
-                         velocity=velocity, spectrum=spectrum,
-                         degenerate=degenerate, boundary=False, note=note)
+    return CriticalPoint(kind=kind, location=x, residual=residual, velocity=velocity,
+                         boundary=False, **_spectrum_of(fieldmap, x))

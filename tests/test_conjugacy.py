@@ -2,7 +2,9 @@ import collections
 import math
 import os
 import random
+import sys
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -259,7 +261,13 @@ def test_matching_takes_the_nearest_untaken_target_as_the_oracle_does():
         want = _matching_oracle(h, f_points, g_points, 10.0 * cfg.dedup_tol)
         assert got[0] == want[0], trial
         assert [id(q) for q in got[1]] == [id(q) for q in want[1]], trial
-        assert got[2:] == want[2:], trial
+        assert got[2:4] == want[2:], trial
+        # the pairs are the matched records with their two points, in source order
+        pairs = got[4]
+        assert [rec for rec, _, _ in pairs] == [r for r in got[0] if r.matched is not None]
+        for rec, p, q in pairs:
+            assert any(p is fp for fp in f_points) and any(q is gp for gp in g_points)
+            assert rec.source == tuple(p.location) and rec.matched == tuple(q.location)
 
 
 def test_spectrum_preservation_affine(affine_setup):
@@ -387,6 +395,13 @@ def test_run_verification_selected_theorems(quad_field):
         cf.run_verification(quad_field, h, REGION, theorems=("bogus",))
 
 
+@pytest.mark.parametrize("theorems", [(), []])
+def test_run_verification_without_theorems_raises(quad_field, theorems):
+    # a report without checks would read all_accepted, verifying nothing
+    with pytest.raises(ValueError, match="no theorem ids given"):
+        cf.run_verification(quad_field, affine_map_1d(2.0, 5.0), REGION, theorems=theorems)
+
+
 # ---------------------------------------------------------------------------
 # Sharing contract: one search per (side, kind), one image region per map
 
@@ -440,15 +455,18 @@ def test_image_region_is_computed_once_per_map(monkeypatch):
     assert cf.image_region(affine_map_1d(2.0, 5.0)) is not first
 
 
+def _four_searches(f, h, g, region, cfg=CFG):
+    """The (side, kind) searches that run_verification would hand the checks."""
+    f_region, g_region = region.intersect(h.domain), cf.image_region(h)
+    return {(side, kind): search(fld, sub, cfg)
+            for side, fld, sub in (("f", f, f_region), ("g", g, g_region))
+            for kind, search in ((cf.FIXED, cf.fixed_point_search),
+                                 (cf.PERPETUAL, cf.perpetual_point_search))}
+
+
 def test_spectrum_check_reuses_supplied_searches_and_adds_no_keys(affine_setup, monkeypatch):
     f, h, g = affine_setup
-    f_region, g_region = REGION.intersect(h.domain), cf.image_region(h)
-    searches = {
-        ("f", cf.FIXED): cf.fixed_point_search(f, f_region, CFG),
-        ("f", cf.PERPETUAL): cf.perpetual_point_search(f, f_region, CFG),
-        ("g", cf.FIXED): cf.fixed_point_search(g, g_region, CFG),
-        ("g", cf.PERPETUAL): cf.perpetual_point_search(g, g_region, CFG),
-    }
+    searches = _four_searches(f, h, g, REGION)
     supplied = dict(searches)
     _counting_searches(monkeypatch, fail=True)
     check = cf.verify_spectrum_preservation(f, h, g, REGION, CFG, searches=searches)
@@ -459,6 +477,80 @@ def test_spectrum_check_reuses_supplied_searches_and_adds_no_keys(affine_setup, 
     assert cf.verify_point_mapping(f, h, g, REGION, CFG, cf.FIXED, searches).verdict == cf.HOLDS
     assert cf.detect_new_points(f, h, g, REGION, CFG, searches).verdict == cf.HOLDS
     assert searches.keys() == supplied.keys()
+
+
+def test_spectrum_check_reads_the_searches_jacobians_and_spectra(quad_field, monkeypatch):
+    cases = [(quad_field, affine_map_1d(2.0, 5.0), REGION), _builder_case(2, 1),
+             _builder_case(3, 1)]
+    runs = []
+    for f, h, region in cases:
+        g = cf.transformed_system(f, h)
+        searches = _four_searches(f, h, g, region)
+        check = cf.verify_spectrum_preservation(f, h, g, region, CFG, searches=searches)
+        pairs = [r for r in check.details if r.spectrum_distance is not None]
+        assert pairs and len(pairs) == len(check.details)
+        # the same floats as evaluating each pair's Jacobians and spectra again
+        linear = h.linear_part
+        for r in pairs:
+            src, dst = (f, g) if r.kind == cf.FIXED else map(critflow.fields.acceleration_map,
+                                                             (f, g))
+            j_src, j_dst = src.jacobian(np.array(r.source)), dst.jacobian(np.array(r.matched))
+            assert r.spectrum_distance == cf.spectrum_distance(cf.eigenvalues(j_src),
+                                                               cf.eigenvalues(j_dst))
+            assert r.similarity_residual == critflow.conjugacy._similarity(
+                linear.matrix, linear.inverse, j_src, j_dst)
+        runs.append((f, h, g, region, searches, check))
+    assert {r.kind for *_, check in runs for r in check.details} == {cf.FIXED, cf.PERPETUAL}
+
+    def evaluated(*args, **kwargs):
+        raise AssertionError("a Jacobian or a spectrum was evaluated")
+
+    for cls in (cf.VectorMap, critflow.fields.AffineConjugateField,
+                critflow.fields.JetAccelerationMap):
+        monkeypatch.setattr(cls, "jacobian", evaluated)
+    for module in (critflow.linalg, critflow.points, critflow.conjugacy):
+        monkeypatch.setattr(module, "eigenvalues", evaluated, raising=False)
+    for f, h, g, region, searches, check in runs:
+        assert cf.verify_spectrum_preservation(f, h, g, region, CFG,
+                                               searches=searches) == check
+
+    # a point without a spectrum fails its pair with that point's note
+    f, h, g, region, searches, check = runs[0]
+    search = searches["g", cf.FIXED]
+    target = check.details[0].matched
+    search.points = [replace(q, spectrum=None, jacobian=None, note="why not")
+                     if tuple(q.location) == target else q for q in search.points]
+    broken = cf.verify_spectrum_preservation(f, h, g, region, CFG, searches=searches)
+    assert broken.verdict == cf.FAILS
+    assert broken.details[0] == replace(check.details[0], spectrum_distance=None,
+                                        similarity_residual=None,
+                                        note="spectra not evaluable: why not")
+    assert broken.details[1:] == check.details[1:]
+
+
+def test_parent_of_run_verification_builds_no_acceleration_map_of_g(monkeypatch):
+    # the worker searches g; the parent reads g's Jacobians from its points
+    if not critflow.worker._worker_usable():
+        pytest.skip("the forked worker is not usable here")
+    calls = []
+    for module in [m for name, m in list(sys.modules.items())
+                   if name.startswith("critflow") and hasattr(m, "acceleration_map")]:
+        def recording(fld, _original=module.acceleration_map):
+            calls.append((fld.name, os.getpid()))
+            return _original(fld)
+        monkeypatch.setattr(module, "acceleration_map", recording)
+    built = []
+    init = critflow.fields.JetAccelerationMap.__init__
+    monkeypatch.setattr(critflow.fields.JetAccelerationMap, "__init__",
+                        lambda self, fld: built.append(os.getpid()) or init(self, fld))
+    f, h, region = _builder_case(2, 1)
+    report, g = cf.run_verification(f, h, region)
+    assert_no_child_process()
+    assert {r.kind for r in report.check("t3").details
+            if r.spectrum_distance is not None} == {cf.FIXED, cf.PERPETUAL}
+    here = os.getpid()
+    assert {name for name, pid in calls if pid == here} == {f.name}
+    assert here not in built
 
 
 # ---------------------------------------------------------------------------

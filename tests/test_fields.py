@@ -22,26 +22,22 @@ DATA = Path(__file__).parent / "data"
 
 
 def test_jet_of_quadratic_field(quad_field):
-    j = quad_field.jet([2.0])
-    assert j.value[0] == 3.0
-    assert j.jacobian[0, 0] == 4.0
-    assert j.hessian is None
+    assert quad_field.value([2.0])[0] == 3.0
+    assert quad_field.jacobian([2.0])[0, 0] == 4.0
 
 
 def test_jet_linear_map_order_2():
     h = affine_map_1d(2.0, 5.0)
-    j = h.jet([1.0], order=2)
-    assert j.value[0] == 7.0
-    assert j.jacobian[0, 0] == 2.0
-    assert j.hessian[0, 0, 0] == 0.0
+    assert h.value([1.0])[0] == 7.0
+    assert h.jacobian([1.0])[0, 0] == 2.0
+    assert h.hessian([1.0])[0, 0, 0] == 0.0
 
 
 def test_jet_square_map_order_2():
     h = square_map_1d()
-    j = h.jet([3.0], order=2)
-    assert j.value[0] == 9.0
-    assert j.jacobian[0, 0] == 6.0
-    assert j.hessian[0, 0, 0] == 2.0
+    assert h.value([3.0])[0] == 9.0
+    assert h.jacobian([3.0])[0, 0] == 6.0
+    assert h.hessian([3.0])[0, 0, 0] == 2.0
 
 
 def test_jet_hessian_symmetry_random_fields():
@@ -56,8 +52,9 @@ def test_jet_hessian_symmetry_random_fields():
 
 def test_jet_domain_error_propagates():
     f = make_field("sqrt_sys", ["y"], {}, ["sqrt(y)"])
-    with pytest.raises(cf.DomainError):
-        f.jet([-1.0])
+    for method in (f.value, f.jacobian, f.hessian):
+        with pytest.raises(cf.DomainError):
+            method([-1.0])
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -75,7 +72,7 @@ def test_affine_conjugate_overflow_raises_domain_error():
     with pytest.raises(cf.DomainError):
         g.jacobian([0.0])  # 4 * 1e308 before the factor 1/4
     with pytest.raises(cf.DomainError):
-        g.jet([4.0])
+        g.jacobian([4.0])
     # y = x / 4: the pushed Hessian is 4 * 1e308
     g = cf.transformed_system(make_field("bend", ["x"], {}, ["5e307 * x^2"]),
                               affine_map_1d(0.25, 0.0))
@@ -123,8 +120,7 @@ def test_acceleration_consistency_invariant():
         F = cf.acceleration_field(f)
         for _ in range(10):
             x = np.array([rng.uniform(-2, 2) for _ in range(n)])
-            jf = f.jet(x)
-            direct = jf.jacobian @ jf.value
+            direct = f.jacobian(x) @ f.value(x)
             symbolic = F.value(x)
             scale = max(1.0, float(np.max(np.abs(direct))))
             assert np.max(np.abs(symbolic - direct)) < 1e-12 * scale
@@ -349,8 +345,7 @@ def _entry_table(m: cf.VectorMap):
     jac = (entries[1], [f"jacobian[{i},{j}]" for i in range(m.n_out) for j in range(n)])
     hess = (entries[2], [f"hessian[{i},{j},{k}]" for i in range(m.n_out) for j in range(n)
                          for k in range(n)])
-    return {"value": value, "jacobian": jac, "hessian": hess,
-            "jet": tuple(a + b + c for a, b, c in zip(value, jac, hess))}
+    return {"value": value, "jacobian": jac, "hessian": hess}
 
 
 def _bits(values) -> list[str]:
@@ -512,9 +507,9 @@ def test_declared_affine_map_reads_its_linear_part_without_a_hessian(monkeypatch
 
 
 def test_jets_reuse_the_kernel_of_each_derivative_order(monkeypatch):
-    # a map compiles one kernel per order however it is asked, an affine
-    # conjugate as well: its jets are its value, Jacobian and Hessian, bit
-    # for bit
+    # a map compiles one kernel per order however often it is asked, an
+    # affine conjugate as well, and each call gives the float interface's
+    # floats bit for bit
     compiled = []
     compile_kernel = cf.fields.compile_kernel
     monkeypatch.setattr(cf.fields, "compile_kernel",
@@ -533,12 +528,9 @@ def test_jets_reuse_the_kernel_of_each_derivative_order(monkeypatch):
         for _ in range(5):
             x = np.array([rng.uniform(-2.0, 2.0) for _ in range(2)])
             v, jac, hess = m.value(x), m.jacobian(x), m.hessian(x)
-            j = m.jet(x, order=2)
-            assert _bits([*j.value, *j.jacobian.ravel(), *j.hessian.ravel()]) == _bits(
-                [*v, *jac.ravel(), *hess.ravel()]), (m.name, x)
-            j = m.jet(x)
-            assert j.hessian is None
-            assert _bits([*j.value, *j.jacobian.ravel()]) == _bits([*v, *jac.ravel()])
+            assert jac.shape == (m.n_out, m.n_in) and hess.shape == (m.n_out, 2, 2)
+            for order, got in enumerate((v, jac, hess)):
+                assert _bits(got.ravel()) == _bits(m._entries_at(order, x.tolist())), (m.name, x)
         assert len(compiled) - before == 3 and sorted(m._kernels) == [0, 1, 2], m.name
 
 
@@ -579,31 +571,23 @@ def test_kernels_match_tree_walk_bit_for_bit_and_name_failing_entry():
             x = np.array([rng.choice([rng.uniform(-2.0, 2.0), 0.0, 0.5])
                           for _ in range(m.n_in)])
             env = {**m.parameters, **dict(zip(m.input_names, x.tolist()))}
-            memo = {}  # the jet's entries are the value's, Jacobian's and Hessian's
+            memo = {}
             for method, (entries, labels) in table.items():
                 expected, bad_label = _first_failure(entries, labels, env, memo)
-                if method != "jet":  # the float interface: None exactly there
-                    quiet = _float_interface(m, method, x.tolist())
-                    assert (quiet is None) == (bad_label is not None), (m.name, method, x)
-                    assert quiet is None or _bits(quiet) == _bits(expected), (m.name, method, x)
-                call = {"value": lambda: m.value(x),
-                        "jacobian": lambda: m.jacobian(x),
-                        "hessian": lambda: m.hessian(x),
-                        "jet": lambda: m.jet(x, order=2)}[method]
+                # the float interface: None exactly there
+                quiet = _float_interface(m, method, x.tolist())
+                assert (quiet is None) == (bad_label is not None), (m.name, method, x)
+                assert quiet is None or _bits(quiet) == _bits(expected), (m.name, method, x)
                 if bad_label is not None:
                     with pytest.raises(cf.DomainError) as exc:
-                        call()
+                        getattr(m, method)(x)
                     assert str(exc.value).startswith(f"{bad_label} of {m.name} "), (
                         method, str(exc.value))
                     failed += 1
                     continue
-                got = call()
-                if method == "jet":
-                    flat = [*got.value, *got.jacobian.ravel(), *got.hessian.ravel()]
-                    assert got.jacobian.shape == (m.n_out, m.n_in)
-                else:
-                    flat = got.ravel().tolist()
-                assert _bits(flat) == _bits(expected), (m.name, method, x)
+                got = getattr(m, method)(x)
+                assert got.shape == (m.n_out,) + (m.n_in,) * _FLOAT_INTERFACE[method]
+                assert _bits(got.ravel()) == _bits(expected), (m.name, method, x)
                 checked += 1
     assert checked > 500 and failed > 20
 
@@ -650,12 +634,6 @@ def test_affine_acceleration_map_is_the_conjugated_base_acceleration():
                                (got_jac, (hess.reshape(-1, n) @ v).reshape(n, n) + jac @ jac)):
                 scale = max(1.0, float(np.max(np.abs(want))))
                 assert float(np.max(np.abs(have - want))) <= 1e-12 * scale, (n, y)
-            j = g.jet(y, order=2)
-            assert _bits([*j.value, *j.jacobian.ravel(), *j.hessian.ravel()]) == _bits(
-                [*v, *jac.ravel(), *hess.ravel()])
-            j = g.jet(y)
-            assert j.hessian is None
-            assert _bits([*j.value, *j.jacobian.ravel()]) == _bits([*v, *jac.ravel()])
 
 
 # ---------------------------------------------------------------------------
@@ -770,6 +748,27 @@ def test_float_interface_is_none_where_the_push_forward_overflows():
         accel.value([4.0])
     assert str(exc.value) == ("component 0 of fast_via_affine_accel is not evaluable at [4.0]: "
                               "non-finite result inf")
+
+
+def test_composed_entries_are_built_once_per_order_and_map(monkeypatch):
+    # an affine conjugate and its acceleration compose each order's entries
+    # once, for the kernel and every error message alike
+    built = []
+    compose = cf.fields._conjugated_entries
+    monkeypatch.setattr(cf.fields, "_conjugated_entries", lambda base, order, *rest: (
+        built.append((base.name, order)) or compose(base, order, *rest)))
+    f, g = _sqrt_branch_and_conjugate()
+    accel = acceleration_map(g)
+    assert accel.value([6.0])[0] == pytest.approx(2.0 * acceleration_map(f).value([0.5])[0])
+    assert built == [("sqrt_branch_accel", 0)]
+    sqrt_message = "of {} is not evaluable at [3.0]: sqrt of negative value -1.0"
+    for m, base in ((accel, "sqrt_branch_accel"), (g, "sqrt_branch")):
+        for _ in range(2):
+            with pytest.raises(cf.DomainError) as exc:
+                m.hessian([3.0])
+            assert str(exc.value) == "hessian[0,0,0] " + sqrt_message.format(m.name)
+        assert built.count((base, 2)) == 1, m.name
+    assert built == [("sqrt_branch_accel", 0), ("sqrt_branch_accel", 2), ("sqrt_branch", 2)]
 
 
 def test_domain_error_walks_each_shared_node_once_per_call(monkeypatch):

@@ -403,6 +403,39 @@ def test_cli_verify_theorem_selection(tmp_path):
                    "--theorems", "t9") == 2
 
 
+@pytest.mark.parametrize("theorems", ["", ",", " , "])
+def test_cli_verify_without_theorems_is_an_input_error(theorems, tmp_path, capsys):
+    # a run that checks nothing must not report that everything was accepted
+    out = tmp_path / "verify.json"
+    assert run_cli("verify", DATA / "example1.json", DATA / "affine_map.json",
+                   "--theorems", theorems, "--out", out) == 2
+    assert capsys.readouterr().err == (f"error: --theorems {theorems!r}: names no check; "
+                                       f"choose from flow,t1,t2,t3,r1\n")
+    assert not out.exists()
+
+
+_ROOT_TOL_BOUND = ("must be positive and smaller than 1e-06, the distance within which "
+                   "roots count once")
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seeds", "0", "--seeds 0: must be >= 1"),
+    ("--seeds", "-3", "--seeds -3: must be >= 1"),
+    ("--root-tol", "1e-05", f"--root-tol 1e-05: {_ROOT_TOL_BOUND}"),
+    ("--root-tol", "0", f"--root-tol 0.0: {_ROOT_TOL_BOUND}"),
+    ("--eps-v", "0", "--eps-v 0.0: must be finite and positive"),
+    ("--eps-v", "inf", "--eps-v inf: must be finite and positive"),
+    ("--eps-v", "nan", "--eps-v nan: must be finite and positive"),
+], ids=["seeds-0", "seeds-negative", "root-tol-above-dedup", "root-tol-0", "eps-v-0",
+        "eps-v-inf", "eps-v-nan"])
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_cli_solver_flag_errors_name_the_flag_and_its_bound(command, flag, value, message,
+                                                             capsys):
+    maps = [DATA / "affine_map.json"] if command == "verify" else []
+    assert run_cli(command, DATA / "example1.json", *maps, flag, value) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_verify_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run_cli("verify", DATA / "example1.json", DATA / "square_map.json",
