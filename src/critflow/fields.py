@@ -10,15 +10,19 @@ entries of each derivative order (``_entries``: values, Jacobian or
 Hessian, flat) are compiled on first use into one kernel that returns them
 all in one call as a flat tuple, with repeated subexpressions computed once
 (see :func:`~critflow.expr.compile_kernel`), bit-identical to evaluating
-each entry's tree. The kernel call is the float interface
+each entry's tree. One accessor, ``_kernel(order)``, returns that kernel
+and compiles it on first use. The float interface
 (``_entries_at(order, args)`` at a sequence of Python floats, and
-``_values`` for order 0), which returns the flat tuple, or None where the
-point is not evaluable, and builds no message; Newton, RKF45 and a root's
-spectrum call it directly. One hook, ``_raise_domain_error(order, args)``,
-raises the :class:`~critflow.expr.DomainError` that names the first entry
-that is not evaluable. ``value``, ``jacobian`` and ``hessian`` are the
-kernel call plus that hook (:func:`_evaluated`), and ``value_grid``
-compiles the values into one broadcasting kernel.
+``_values`` for order 0) calls it and returns the flat tuple, or None where
+the point is not evaluable, and builds no message. Newton, RKF45 and a
+root's spectrum call the kernels directly: Newton's generated run through
+the accessor, catching the kernel's errors and testing finiteness itself,
+and RKF45 and the spectrum through the float interface. One hook,
+``_raise_domain_error(order, args)``, raises the
+:class:`~critflow.expr.DomainError` that names the first entry that is not
+evaluable. ``value``, ``jacobian`` and ``hessian`` are the kernel call plus
+that hook (:func:`_evaluated`), and ``value_grid`` compiles the values
+into one broadcasting kernel.
 
 A coordinate map caches what the checks derive from it: the matrix, offset
 and inverse of a declared-linear map (``TransformationMap.linear_part``)
@@ -110,7 +114,7 @@ class VectorMap:
 
     The entries of each derivative order (``_entries``: the components and
     their symbolic partials, flat and row-major) are compiled on first use
-    into one kernel that returns them all, bit-identical to
+    (``_kernel``) into one kernel that returns them all, bit-identical to
     :func:`~critflow.expr.evaluate` on each. ``_entries_at`` calls it: the
     float interface, which gives None where an entry is not evaluable or
     not finite. There ``value``, ``jacobian`` and ``hessian`` raise
@@ -184,18 +188,24 @@ class VectorMap:
             return f"jacobian[{k // n},{k % n}]"
         return f"hessian[{k // (n * n)},{k // n % n},{k % n}]"
 
-    def _compile_kernel(self, order: int):
-        kernel = compile_kernel(self._entries(order), self._args)
-        # parameters ride along as defaults, so plain calls pass coordinates only
-        kernel.__defaults__ = self._param_values
-        self._kernels[order] = kernel
+    def _kernel(self, order: int):
+        """The kernel of ``order``, compiled on first use. Called with the
+        coordinates as Python floats, it returns the entries as a flat
+        tuple; where one is not evaluable it raises one of
+        :data:`~critflow.expr.KERNEL_ERRORS` or returns it non-finite."""
+        kernel = self._kernels.get(order)
+        if kernel is None:
+            kernel = compile_kernel(self._entries(order), self._args)
+            # parameters ride along as defaults, so plain calls pass coordinates only
+            kernel.__defaults__ = self._param_values
+            self._kernels[order] = kernel
         return kernel
 
     def _entries_at(self, order: int, args) -> tuple | None:
         """The entries of ``order`` at ``args``, a sequence of Python
         floats, from a single kernel call, or None where an entry is not
         evaluable (the kernel raises or returns a non-finite entry)."""
-        kernel = self._kernels.get(order) or self._compile_kernel(order)
+        kernel = self._kernel(order)
         try:
             out = kernel(*args)
         except KERNEL_ERRORS:

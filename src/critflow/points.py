@@ -9,36 +9,40 @@ Newton iterates may wander slightly outside the search region (a cushion
 of 10% of each dimension's span); converged roots outside the region
 proper are kept but flagged ``boundary``.
 
-Newton runs on Python floats from end to end. The solved map's kernel
-tuples (``_values``, and ``_entries_at(1, x)``, the Jacobian flat and
-row-major) feed a ``math.hypot`` residual and the generated elimination of
-:mod:`critflow.linalg`, trial points stay lists, and an array is built
-only for a returned root. At a point outside the solved map's domain
-those tuples are None: a trial there counts as infinitely bad, a step
-there ends the run as "domain-error", and no error message is built.
-The sufficient-decrease test compares products,
+Each Newton run is one function, generated for each dimension with every
+component written out and compiled on first use
+(:func:`_newton_function`). It keeps the iterate in local floats, calls
+the solved map's compiled kernels (``VectorMap._kernel``) and the
+generated elimination of :mod:`critflow.linalg` directly, tests the
+trial point against the box component by component, and builds an array
+only for a returned root. At a point outside the solved map's domain a
+kernel raises or returns a non-finite entry: a trial there counts as
+infinitely bad, a step there ends the run as "domain-error", and no
+error message is built. The sufficient-decrease test compares products,
 ``rt * rt <= r * r * (1 - 1e-4 t)``: a float ``** 2`` raises
 ``OverflowError`` above 1.34e154, where a product gives inf, and a steep
 field's residual norm can pass that. Where ``r * r`` is inf the products
 would accept any finite trial, so the test compares the ratio
 ``(rt / r) * (rt / r) <= 1 - 1e-4 t`` instead; the search then takes the
-same steps at every scale c of a field c·f. Roots within ``dedup_tol`` of
-each other (``math.dist`` on Python floats) count once. Each search counts
-its seeds' outcomes and its evaluations on the :class:`PointSearch`.
-Each point keeps the solved map's Jacobian at its location, the matrix
-its spectrum and ``degenerate`` flag come from, for the checks to read.
+same steps at every scale c of a field c·f, up to the rounding of c·f in
+a step's last bit. Roots within ``dedup_tol`` of each other (``math.dist`` on
+Python floats) count once. Each search counts its seeds' outcomes, its
+evaluations, steps and backtracks on the :class:`PointSearch`. Each
+point keeps the solved map's Jacobian at its location, the matrix its
+spectrum and ``degenerate`` flag come from, for the checks to read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 import numpy as np
 
-from .expr import DomainError
+from .expr import KERNEL_ERRORS, DomainError
 from .fields import VectorField, VectorMap, acceleration_map
-from .linalg import (EigenConvergenceError, SingularMatrixError, Spectrum,
-                     _solve, eigenvalues, is_degenerate)
+from .linalg import (EigenConvergenceError, Spectrum, _elimination, eigenvalues,
+                     is_degenerate)
 from .region import AnalysisRegion, lattice_points
 
 __all__ = [
@@ -110,9 +114,11 @@ class PointSearch:
 
     The counters are deterministic: ``reasons`` counts the seeds' Newton
     outcomes ("converged", "singular-jacobian", "no-descent", ...; they
-    sum to ``seeds_used``), and ``residual_evals``, ``jacobian_evals`` and
+    sum to ``seeds_used``); ``residual_evals``, ``jacobian_evals`` and
     ``solves`` count the solved field's evaluations and the linear solves
-    of every Newton run, polishing included. They are not in the report.
+    of every Newton run, ``steps`` the Newton steps accepted and
+    ``backtracks`` the line-search trials rejected, polishing included.
+    They are not in the report.
     """
     points: list[CriticalPoint]
     warnings: list[str] = field(default_factory=list)
@@ -122,6 +128,8 @@ class PointSearch:
     residual_evals: int = 0
     jacobian_evals: int = 0
     solves: int = 0
+    steps: int = 0
+    backtracks: int = 0
 
     @property
     def clean_points(self) -> list[CriticalPoint]:
@@ -148,108 +156,151 @@ class _Outcome:
     reason: str
 
 
-def _residual(fieldmap: VectorMap, x: list[float], work: PointSearch):
-    """(field values, their 2-norm) at ``x``, or None outside the domain;
-    ``work`` counts the evaluation."""
-    work.residual_evals += 1
-    fx = fieldmap._values(x)
-    return None if fx is None else (fx, math.hypot(*fx))
+def _evaluation(target: str, kernel: str, args: str, pad: str) -> list[str]:
+    """Lines that set ``target`` to the tuple of ``kernel`` at ``args``, and
+    ``ok`` to whether the kernel neither raised nor returned a non-finite
+    entry (the test of ``fields._all_finite``)."""
+    return [f"{pad}try:",
+            f"{pad}    {target} = {kernel}({args})",
+            f"{pad}    ok = isfinite(sum({target})) or all(map(isfinite, {target}))",
+            f"{pad}except KERNEL_ERRORS:",
+            f"{pad}    ok = False"]
 
 
-def _step(fieldmap: VectorMap, x: list[float], fx, work: PointSearch) -> list[float] | None:
-    """The Newton step at ``x``, or None where the Jacobian is not
-    evaluable; raises SingularMatrixError."""
-    work.jacobian_evals += 1
-    jac = fieldmap._entries_at(1, x)
-    if jac is None:
-        return None
-    work.solves += 1
-    return _solve(jac, [-v for v in fx])
+@functools.cache
+def _newton_function(n: int):
+    """The damped Newton run for n unknowns, compiled from generated
+    source on first use: ``run(kernel, seed, lo, hi, max_iters, root_tol,
+    work)`` takes the solved map's kernel accessor (``VectorMap._kernel``),
+    the seed, the corners of the cushioned box and the two limits, and
+    returns an :class:`_Outcome`. It adds its counts to the
+    :class:`PointSearch` ``work`` once, at the end.
 
+    The iterate is the locals ``x0 ... x<n-1>`` and the values at it
+    ``f0 ... f<n-1>``, with residual ``r = hypot(*values)``. Each step
+    evaluates the Jacobian kernel, compiled when the first step needs it,
+    and solves with ``_elimination(n)``. Then a backtracking line search
+    tries ``x + t * s`` componentwise for t = 1, 1/2, ... down to
+    ``_MIN_STEP``:
+    - a trial that leaves the box [lo, hi] is rejected; if t == 1 the run
+      counts as having exited the region;
+    - a trial outside the map's domain is rejected and the step halved,
+      however small t is: only such walls justify halving to ``_MIN_STEP``;
+    - an evaluable trial is accepted on sufficient decrease,
+      ``rt * rt <= r * r * (1 - 1e-4 t)``, or else rejected; below
+      t = 1e-6 that proves the direction no descent (the merit is smooth),
+      and the search ends.
 
-def _polish(fieldmap: VectorMap, x, fx, r, work: PointSearch):
-    # a few extra full steps push the residual toward machine precision
-    for _ in range(3):
-        try:
-            step = _step(fieldmap, x, fx, work)
-        except SingularMatrixError:
-            break
-        if step is None:
-            break
-        trial_x = [xi + si for xi, si in zip(x, step)]
-        trial = _residual(fieldmap, trial_x, work)
-        if trial is None or trial[1] >= r:
-            break
-        x, (fx, r) = trial_x, trial
-    return x, r
+    The squares are products: a float ``** 2`` raises OverflowError above
+    1.34e154, where a product gives inf. Past that ``r * r`` is inf and
+    would accept anything finite, so the test divides by r first. A run
+    whose residual reaches ``root_tol`` before the last iteration takes up
+    to three more full steps, with no box test, each kept only while the
+    residual falls; a root reached on the last iteration is not polished.
+    """
+    idx = range(n)
+    xs, ys = ", ".join(f"x{i}" for i in idx), ", ".join(f"y{i}" for i in idx)
 
+    def targets(prefix: str) -> str:
+        return "".join(f"{prefix}{i}, " for i in idx)
 
-def _trial_point(lo, hi, xs: list[float], ss: list[float], t: float) -> list[float] | None:
-    """``x + t * step``, or None when that leaves the box [lo, hi]."""
-    trial = [xi + t * si for xi, si in zip(xs, ss)]
-    for v, l, h in zip(trial, lo, hi):
-        if not l <= v <= h:
-            return None
-    return trial
+    def step(pad: str, domain: list[str], singular: list[str]) -> list[str]:
+        # the Newton step at x into s0 ...; ``domain`` runs where the
+        # Jacobian is not evaluable and ``singular`` where it is singular
+        return [f"{pad}jacobians += 1",
+                f"{pad}if jacobian is None:",
+                f"{pad}    jacobian = kernel(1)",
+                *_evaluation("jac", "jacobian", xs, pad),
+                f"{pad}if not ok:", *(f"{pad}    {line}" for line in domain),
+                f"{pad}solves += 1",
+                f"{pad}s = eliminate(jac, ({targets('-f')}))[0]",
+                f"{pad}if s is None:", *(f"{pad}    {line}" for line in singular),
+                f"{pad}{targets('s')}= s"]
+
+    lines = [
+        "def run(kernel, seed, lo, hi, max_iters, root_tol, work):",
+        "    values, jacobian = kernel(0), None",
+        f"    {targets('x')}= map(float, seed)",
+        f"    {targets('lo')}= lo",
+        f"    {targets('hi')}= hi",
+        "    evals, jacobians, solves, steps, backtracks = 1, 0, 0, 0, 0",
+        *_evaluation("fx", "values", xs, "    "),
+        "    if not ok:",
+        "        work.residual_evals += 1",
+        "        return _Outcome(None, inf, 0, 'domain-error-at-seed')",
+        f"    {targets('f')}= fx",
+        "    r, point = hypot(*fx), None",
+        "    for it in range(max_iters):",
+        "        if r <= root_tol:",
+        "            for _ in range(3):  # polish",
+        *step(" " * 16, ["break"], ["break"]),
+        *(f"                y{i} = x{i} + s{i}" for i in idx),
+        "                evals += 1",
+        *_evaluation("gx", "values", ys, " " * 16),
+        "                if not ok:",
+        "                    break",
+        "                rt = hypot(*gx)",
+        "                if rt >= r:",
+        "                    break",
+        f"                {targets('x')}= {targets('y')}",
+        f"                {targets('f')}= gx",
+        "                r, steps = rt, steps + 1",
+        f"            point, reason = [{xs}], 'converged'",
+        "            break",
+        *step(" " * 8, ["reason = 'domain-error'", "break"],
+              ["reason = 'singular-jacobian'", "break"]),
+        "        t, accepted, exited = 1.0, False, False",
+        f"        while t >= {_MIN_STEP!r}:",
+        *(f"            y{i} = x{i} + t * s{i}" for i in idx),
+        f"            if {' and '.join(f'lo{i} <= y{i} <= hi{i}' for i in idx)}:",
+        "                evals += 1",
+        *_evaluation("gx", "values", ys, " " * 16),
+        "                if ok:",
+        "                    rt, rr = hypot(*gx), r * r",
+        "                    if (rt * rt <= rr * (1.0 - 1e-4 * t) if rr != inf",
+        "                            else (rt / r) * (rt / r) <= 1.0 - 1e-4 * t):",
+        f"                        {targets('x')}= {targets('y')}",
+        f"                        {targets('f')}= gx",
+        "                        r, steps, accepted = rt, steps + 1, True",
+        "                        break",
+        "                    if t < 1e-6:",
+        "                        backtracks += 1",
+        "                        break",
+        "            elif t == 1.0:",
+        "                exited = True",
+        "            backtracks += 1",
+        f"            t *= {_DAMPING!r}",
+        "        if not accepted:",
+        "            reason = 'region-exit' if exited else 'no-descent'",
+        "            break",
+        "    else:",
+        "        it = max_iters",
+        "        if r <= root_tol:",
+        f"            point, reason = [{xs}], 'converged'",
+        "        else:",
+        "            reason = 'iteration-cap'",
+        "    work.residual_evals += evals",
+        "    work.jacobian_evals += jacobians",
+        "    work.solves += solves",
+        "    work.steps += steps",
+        "    work.backtracks += backtracks",
+        "    return _Outcome(None if point is None else array(point), r, it, reason)",
+    ]
+    scope = {"_Outcome": _Outcome, "KERNEL_ERRORS": KERNEL_ERRORS, "array": np.array,
+             "eliminate": _elimination(n), "hypot": math.hypot, "inf": math.inf,
+             "isfinite": math.isfinite}
+    exec(compile("\n".join(lines) + "\n", f"<critflow-newton-{n}>", "exec"), scope)
+    return scope["run"]
 
 
 def _newton(fieldmap: VectorMap, seed, box: tuple, cfg: SolverConfig,
             work: PointSearch) -> _Outcome:
-    """Damped Newton from ``seed``; ``box`` is the (lower, upper) pair of
-    the cushioned search region that trial points must stay in, and
-    ``work`` counts the evaluations and solves."""
-    lo, hi = box
-    x = [float(v) for v in seed]
-    state = _residual(fieldmap, x, work)
-    if state is None:
-        return _Outcome(None, math.inf, 0, "domain-error-at-seed")
-    fx, r = state
-
-    for it in range(cfg.max_newton_iters):
-        if r <= cfg.root_tol:
-            x, r = _polish(fieldmap, x, fx, r, work)
-            return _Outcome(np.array(x), r, it, "converged")
-        try:
-            step = _step(fieldmap, x, fx, work)
-        except SingularMatrixError:
-            return _Outcome(None, r, it, "singular-jacobian")
-        if step is None:
-            return _Outcome(None, r, it, "domain-error")
-
-        # backtracking line search on ||field||^2 with sufficient decrease;
-        # out-of-cushion or out-of-domain trials count as infinitely bad.
-        # Valid trials that still fail below t = 1e-6 prove the direction is
-        # no descent (the merit is smooth), so bail out early there; only
-        # invalid trials (domain/region walls) justify halving to _MIN_STEP.
-        # The squares are products: a float ``** 2`` raises OverflowError
-        # above 1.34e154, where a product gives inf. Past that r * r is inf
-        # and accepts anything finite, so the test divides by r first.
-        t = 1.0
-        accepted = False
-        exited = False
-        while t >= _MIN_STEP:
-            trial_x = _trial_point(lo, hi, x, step, t)
-            if trial_x is None:
-                exited = exited or t == 1.0
-                t *= _DAMPING
-                continue
-            trial = _residual(fieldmap, trial_x, work)
-            if trial is not None:
-                rt, rr = trial[1], r * r
-                if (rt * rt <= rr * (1.0 - 1e-4 * t) if rr != math.inf
-                        else (rt / r) * (rt / r) <= 1.0 - 1e-4 * t):
-                    x, (fx, r) = trial_x, trial
-                    accepted = True
-                    break
-                if t < 1e-6:
-                    break
-            t *= _DAMPING
-        if not accepted:
-            return _Outcome(None, r, it, "region-exit" if exited else "no-descent")
-
-    if r <= cfg.root_tol:
-        return _Outcome(np.array(x), r, cfg.max_newton_iters, "converged")
-    return _Outcome(None, r, cfg.max_newton_iters, "iteration-cap")
+    """Damped Newton from ``seed`` (:func:`_newton_function`); ``box`` is
+    the (lower, upper) pair of the cushioned search region that trial
+    points must stay in, and ``work`` counts the evaluations, solves,
+    steps and backtracks."""
+    return _newton_function(fieldmap.n_in)(fieldmap._kernel, seed, *box,
+                                           cfg.max_newton_iters, cfg.root_tol, work)
 
 
 def newton_root(fieldmap: VectorMap, seed, region: AnalysisRegion,
@@ -295,13 +346,14 @@ def _collect_roots(fieldmap: VectorMap, region: AnalysisRegion, cfg: SolverConfi
     return kept
 
 
-def _spectrum_of(fieldmap: VectorMap, location) -> dict:
-    """The :class:`CriticalPoint` fields that ``fieldmap``'s Jacobian decides."""
-    flat = fieldmap._entries_at(1, location.tolist())
+def _spectrum_of(flat, n: int) -> dict:
+    """The :class:`CriticalPoint` fields that the solved map's n x n
+    Jacobian decides, from its entries ``flat`` (row-major), as its caller
+    evaluated them; None where they are not evaluable."""
     if flat is None:
         return dict(spectrum=None, degenerate=True,
                     note="field Jacobian not evaluable at this point")
-    jac = np.array(flat).reshape(fieldmap.n_out, fieldmap.n_in)
+    jac = np.array(flat).reshape(n, n)
     try:
         spec, note = eigenvalues(jac), ""
     except EigenConvergenceError:
@@ -324,7 +376,8 @@ def _run_search(f: VectorField, solved: VectorMap, kind: str,
             continue  # a zero of F that is actually a fixed point
         points.append(CriticalPoint(kind=kind, location=location, residual=residual,
                                     velocity=velocity, boundary=not region.contains(location),
-                                    **_spectrum_of(solved, location)))
+                                    **_spectrum_of(solved._entries_at(1, location.tolist()),
+                                                   f.dimension)))
     points.sort(key=CriticalPoint.sort_key)
     n_degenerate = sum(1 for p in points if p.degenerate)
     if n_degenerate > _CONTINUUM_THRESHOLD:
@@ -377,8 +430,9 @@ def classify_point(f: VectorField, point,
     if accel_norm > accel_tol:
         return None
     if speed <= cfg.velocity_floor:
-        kind, fieldmap, residual = FIXED, f, speed
+        kind, residual, flat = FIXED, speed, jac.ravel()
     else:
-        kind, fieldmap, residual = PERPETUAL, acceleration_map(f), accel_norm
+        kind, residual = PERPETUAL, accel_norm
+        flat = acceleration_map(f)._entries_at(1, x.tolist())
     return CriticalPoint(kind=kind, location=x, residual=residual, velocity=velocity,
-                         boundary=False, **_spectrum_of(fieldmap, x))
+                         boundary=False, **_spectrum_of(flat, f.dimension))

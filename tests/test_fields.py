@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 import critflow as cf
 from critflow import expr
-from critflow.expr import Binary, Const, Name, Unary
+from critflow.expr import KERNEL_ERRORS, Binary, Const, Name, Unary
 from critflow.fields import (AffineConjugateField, JetAccelerationMap, acceleration_map,
                              substitute)
 from critflow.io import load_system
@@ -660,15 +660,23 @@ def test_searches_and_integration_past_the_domain_edge_build_no_message(monkeypa
 
     monkeypatch.setattr(cf.VectorMap, "_raise_domain_error", no_message)
     outside = []  # the kernel calls that found a point outside the domain
-    entries_at = cf.VectorMap._entries_at
+    kernel_of = cf.VectorMap._kernel
 
-    def recording(self, order, args):
-        out = entries_at(self, order, args)
-        if out is None:
-            outside.append((self.name, order))
-        return out
+    def recording(self, order):
+        kernel = kernel_of(self, order)
 
-    monkeypatch.setattr(cf.VectorMap, "_entries_at", recording)
+        def call(*args):
+            try:
+                out = kernel(*args)
+            except KERNEL_ERRORS:
+                outside.append((self.name, order))
+                raise
+            if not all(map(math.isfinite, out)):
+                outside.append((self.name, order))
+            return out
+        return call
+
+    monkeypatch.setattr(cf.VectorMap, "_kernel", recording)
     for field, region in ((f, cf.AnalysisRegion.of((0.01, 3.0))),
                           (g, cf.AnalysisRegion.of((5.02, 11.0)))):
         for search in (cf.fixed_point_search, cf.perpetual_point_search):

@@ -1,5 +1,9 @@
+import functools
 import math
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +12,11 @@ from numpy.testing import assert_allclose
 
 import critflow as cf
 
+from critflow import points
+from critflow.fields import acceleration_map
 from critflow.io import load_system
+from critflow.linalg import SingularMatrixError, _solve
+from critflow.points import _DAMPING, _MIN_STEP, _Outcome
 
 from conftest import grid_scan_roots, make_field, random_affine_map, random_polynomial_field
 
@@ -218,8 +226,8 @@ def test_search_counts_outcomes_and_evaluations():
             # every seed is evaluated once; every solve follows a Jacobian
             assert first.residual_evals >= first.seeds_used
             assert first.jacobian_evals >= first.solves >= first.seeds_converged
-            counts = [(s.reasons, s.residual_evals, s.jacobian_evals, s.solves)
-                      for s in (first, again)]
+            counts = [(s.reasons, s.residual_evals, s.jacobian_evals, s.solves, s.steps,
+                       s.backtracks) for s in (first, again)]
             assert counts[0] == counts[1]
     nilpotent = load_system(Path(__file__).parent / "data" / "nilpotent.json")
     search = cf.fixed_point_search(nilpotent.field, nilpotent.region, CFG)
@@ -243,6 +251,16 @@ def test_fixed_search_takes_the_same_steps_at_every_scale(c):
     search = cf.fixed_point_search(f, REGION_1D, CFG)
     assert search.reasons == {"converged": 59, "region-exit": 41}
     assert [p.location[0] for p in search.points] == [-1.7692923542386314]
+    # the same work as f, but c * p(x) and c * p'(x) round, so a step may
+    # differ from f's in its last bit: from the seed x = 2.3743, c >= 1e200
+    # takes one more full step before the residual is exactly zero
+    unscaled = cf.fixed_point_search(make_field("plain", ["x"], {}, ["x^3 - 2*x + 2"]),
+                                     REGION_1D, CFG)
+    extra = 1 if float(c) >= 1e200 else 0
+    assert (search.residual_evals, search.jacobian_evals, search.solves, search.steps,
+            search.backtracks) == (unscaled.residual_evals + extra, unscaled.jacobian_evals + extra,
+                                   unscaled.solves + extra, unscaled.steps + extra,
+                                   unscaled.backtracks)
 
 
 def _numpy_dedup_reference(fieldmap, region, cfg):
@@ -276,3 +294,199 @@ def test_dedup_keeps_what_the_numpy_norm_keeps(name, kind):
         assert [(p.tolist(), r) for p, r in kept] == [(p.tolist(), r) for p, r in want]
     if name == "nilpotent":  # a continuum: every pair of roots is compared
         assert len(kept) > 100
+
+
+# ---------------------------------------------------------------------------
+# The generated Newton run against the helper-based loop it replaced
+
+def _residual(fieldmap, x, work):
+    """(field values, their 2-norm) at ``x``, or None outside the domain;
+    ``work`` counts the evaluation."""
+    work.residual_evals += 1
+    fx = fieldmap._values(x)
+    return None if fx is None else (fx, math.hypot(*fx))
+
+
+def _step(fieldmap, x, fx, work):
+    """The Newton step at ``x``, or None where the Jacobian is not
+    evaluable; raises SingularMatrixError."""
+    work.jacobian_evals += 1
+    jac = fieldmap._entries_at(1, x)
+    if jac is None:
+        return None
+    work.solves += 1
+    return _solve(jac, [-v for v in fx])
+
+
+def _polish(fieldmap, x, fx, r, work):
+    # a few extra full steps push the residual toward machine precision
+    for _ in range(3):
+        try:
+            step = _step(fieldmap, x, fx, work)
+        except SingularMatrixError:
+            break
+        if step is None:
+            break
+        trial_x = [xi + si for xi, si in zip(x, step)]
+        trial = _residual(fieldmap, trial_x, work)
+        if trial is None or trial[1] >= r:
+            break
+        x, (fx, r) = trial_x, trial
+        work.steps += 1
+    return x, r
+
+
+def _trial_point(lo, hi, xs, ss, t):
+    """``x + t * step``, or None when that leaves the box [lo, hi]."""
+    trial = [xi + t * si for xi, si in zip(xs, ss)]
+    for v, l, h in zip(trial, lo, hi):
+        if not l <= v <= h:
+            return None
+    return trial
+
+
+def _reference_newton(fieldmap, seed, box, cfg, work):
+    """``points._newton`` as a loop over helpers, with lists for points; it
+    counts ``steps`` and ``backtracks`` where the generated run does."""
+    lo, hi = box
+    x = [float(v) for v in seed]
+    state = _residual(fieldmap, x, work)
+    if state is None:
+        return _Outcome(None, math.inf, 0, "domain-error-at-seed")
+    fx, r = state
+
+    for it in range(cfg.max_newton_iters):
+        if r <= cfg.root_tol:
+            x, r = _polish(fieldmap, x, fx, r, work)
+            return _Outcome(np.array(x), r, it, "converged")
+        try:
+            step = _step(fieldmap, x, fx, work)
+        except SingularMatrixError:
+            return _Outcome(None, r, it, "singular-jacobian")
+        if step is None:
+            return _Outcome(None, r, it, "domain-error")
+
+        t = 1.0
+        accepted = False
+        exited = False
+        while t >= _MIN_STEP:
+            trial_x = _trial_point(lo, hi, x, step, t)
+            if trial_x is None:
+                exited = exited or t == 1.0
+                work.backtracks += 1
+                t *= _DAMPING
+                continue
+            trial = _residual(fieldmap, trial_x, work)
+            if trial is not None:
+                rt, rr = trial[1], r * r
+                if (rt * rt <= rr * (1.0 - 1e-4 * t) if rr != math.inf
+                        else (rt / r) * (rt / r) <= 1.0 - 1e-4 * t):
+                    x, (fx, r) = trial_x, trial
+                    accepted = True
+                    work.steps += 1
+                    break
+                if t < 1e-6:
+                    work.backtracks += 1
+                    break
+            work.backtracks += 1
+            t *= _DAMPING
+        if not accepted:
+            return _Outcome(None, r, it, "region-exit" if exited else "no-descent")
+
+    if r <= cfg.root_tol:
+        return _Outcome(np.array(x), r, cfg.max_newton_iters, "converged")
+    return _Outcome(None, r, cfg.max_newton_iters, "iteration-cap")
+
+
+def _reference_cases():
+    """(name, solved map, region, config): random cubics and their affine
+    conjugates for n = 1..6, fixed and perpetual, and fields that reach
+    each exit of the run."""
+    rng = random.Random(20)
+    capped = cf.SolverConfig(max_newton_iters=4)
+    for n in range(1, 7):
+        region = cf.AnalysisRegion.of(*[(-2, 2)] * n)
+        cfg = cf.SolverConfig(seed_count=100 if n <= 3 else 30)
+        f = random_polynomial_field(rng, n)
+        g = cf.transformed_system(f, random_affine_map(rng, n, region))
+        for field in (f, g):
+            yield f"{field.name} n={n}", field, region, cfg
+            yield f"{field.name}_accel n={n}", acceleration_map(field), region, cfg
+            yield f"{field.name} n={n} capped", field, region, capped
+    data = Path(__file__).parent / "data"
+    # 2 sqrt(y) (y - 1) and its acceleration: no seed below y = 0 is evaluable
+    wall = load_system(data / "example2_system.json").field
+    for m in (wall, acceleration_map(wall)):
+        yield m.name, m, cf.AnalysisRegion.of((-1.0, 3.0)), CFG
+    # the derivative 5e307 / sqrt(x) overflows below x = 0.078, the values do not
+    yield ("overflowing slope", make_field("slope", ["x"], {}, ["1e308*sqrt(x) - 5e307"]),
+           cf.AnalysisRegion.of((0.001, 1.0)), CFG)
+    nilpotent = load_system(data / "nilpotent.json")
+    yield "nilpotent", nilpotent.field, nilpotent.region, CFG
+    # no root: the iterates halve towards the merit minimum at 0, where the
+    # step grows too long to decrease it, yet stays inside this wide box
+    yield ("no root", make_field("lift", ["x"], {}, ["x^2 + 1"]),
+           cf.AnalysisRegion.of((-1e6, 1e6)), CFG)
+    # residuals near 8e200, whose squares overflow: the ratio branch
+    yield "steep", make_field("steep", ["x"], {}, ["1e200*(x^2 - 1)"]), REGION_1D, CFG
+
+
+def _run_key(out, work):
+    point = None if out.point is None else out.point.tobytes()
+    return (out.reason, out.iterations, out.residual, point, work.residual_evals,
+            work.jacobian_evals, work.solves, work.steps, work.backtracks)
+
+
+def test_generated_newton_run_matches_the_reference_loop_bit_for_bit():
+    reasons = {}
+    capped_roots = 0
+    for name, solved, region, cfg in _reference_cases():
+        box = region.cushioned_bounds(points._REGION_CUSHION)
+        for seed in cf.lattice_points(region, cfg.seed_count, cfg.rng_seed).tolist():
+            got_work, want_work = cf.PointSearch(points=[]), cf.PointSearch(points=[])
+            got = points._newton(solved, seed, box, cfg, got_work)
+            want = _reference_newton(solved, seed, box, cfg, want_work)
+            assert _run_key(got, got_work) == _run_key(want, want_work), (name, seed)
+            reasons[got.reason] = reasons.get(got.reason, 0) + 1
+            capped_roots += got.reason == "converged" and got.iterations == cfg.max_newton_iters
+    assert set(reasons) == {"converged", "domain-error-at-seed", "domain-error",
+                            "singular-jacobian", "no-descent", "region-exit",
+                            "iteration-cap"}, reasons
+    assert capped_roots > 0  # roots reached on the last iteration, unpolished
+
+
+def test_newton_functions_are_built_once_per_dimension_and_not_on_import(monkeypatch):
+    src = Path(cf.__file__).resolve().parent.parent
+    code = "import critflow, critflow.points; print(critflow.points._newton_function.cache_info())"
+    imported = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert "currsize=0" in imported.stdout
+    built = functools.cache(points._newton_function.__wrapped__)
+    monkeypatch.setattr(points, "_newton_function", built)
+    for n in (2, 3, 2, 3, 3):
+        f = make_field("shift", [f"x{i + 1}" for i in range(n)], {},
+                       [f"x{i + 1} - 1" for i in range(n)])
+        assert len(cf.fixed_point_search(f, cf.AnalysisRegion.of(*[(-2, 2)] * n),
+                                         cf.SolverConfig(seed_count=4)).points) == 1
+    info = built.cache_info()
+    assert (info.misses, info.currsize) == (2, 2) and info.hits > 0
+
+
+def test_classify_point_evaluates_each_jacobian_once(monkeypatch, quad_field):
+    calls = []
+    entries_at = cf.VectorMap._entries_at
+
+    def counting(self, order, args):
+        calls.append((self.name, order))
+        return entries_at(self, order, args)
+
+    monkeypatch.setattr(cf.VectorMap, "_entries_at", counting)
+    point = cf.classify_point(quad_field, [1.0], CFG)  # x^2 - 1 at its root
+    assert point.kind == cf.FIXED and point.spectrum.values == (2.0,)
+    assert point.jacobian.tolist() == [[2.0]]
+    assert sorted(calls) == [(quad_field.name, 0), (quad_field.name, 1)]
+    calls.clear()
+    point = cf.classify_point(quad_field, [0.0], CFG)  # the perpetual point
+    assert point.kind == cf.PERPETUAL and point.spectrum.values == (-2.0,)
+    accel = acceleration_map(quad_field).name
+    assert sorted(calls) == [(quad_field.name, 0), (quad_field.name, 1), (accel, 1)]
