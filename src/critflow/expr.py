@@ -9,6 +9,13 @@ Expressions are immutable trees. Evaluation either returns a finite float
 or raises :class:`DomainError`; it never leaks NaN/inf. Differentiation is
 exact and symbolic, with literal-constant folding so derivatives carry no
 ``0*x`` / ``x+0`` residue.
+
+A list of expressions compiles into one straight-line kernel over Python
+floats (:func:`compile_kernel`), bit-identical to :func:`evaluate`. The
+kernel holds the library's one evaluability rule: it returns the entries
+as a tuple, or None where its body raises one of :data:`KERNEL_ERRORS` or
+an entry comes out non-finite, and it builds no message. The broadcasting
+kernel (:func:`compile_array`) instead gives NaN/inf entry by entry.
 """
 
 from __future__ import annotations
@@ -618,8 +625,6 @@ def differentiate(e: Expression, wrt: str, memo: dict | None = None) -> Expressi
 # ---------------------------------------------------------------------------
 # Compilation to Python callables
 
-_SCALAR_NAMESPACE = {**_SCALAR_FUNCS, "_ipow": _k_ipow, "_gpow": _k_gpow}
-
 _ARRAY_NAMESPACE = {name: getattr(np, name) for name in FUNCTIONS}
 _ARRAY_NAMESPACE.update({"_div": np.divide,
                          "_ipow": lambda b, n: np.asarray(b, dtype=float) ** n,
@@ -629,9 +634,12 @@ _ARRAY_NAMESPACE.update({"_div": np.divide,
 #: temporary, which keeps generated source inside the parser's nesting limit
 _MAX_INLINE_DEPTH = 32
 
-#: what a compiled kernel may raise at a point outside its real domain;
-#: ``math.sin`` and ``math.cos`` of an infinity raise ValueError
+#: what a scalar kernel's body may raise at a point outside its real
+#: domain; ``math.sin`` and ``math.cos`` of an infinity raise ValueError
 KERNEL_ERRORS = (DomainError, OverflowError, ZeroDivisionError, ValueError)
+
+_SCALAR_NAMESPACE = {**_SCALAR_FUNCS, "_ipow": _k_ipow, "_gpow": _k_gpow,
+                     "KERNEL_ERRORS": KERNEL_ERRORS, "isfinite": math.isfinite}
 
 
 def _kernel_const(v: float) -> str:
@@ -748,7 +756,18 @@ def _generate(exprs, arg_names, namespace: dict, array: bool) -> Callable[..., t
     for num in roots:
         emitter.uses[num] += 1
     entries = [emitter.emit(num)[0] for num in roots]
-    body = "\n".join(emitter.lines + [f"    return ({''.join(e + ', ' for e in entries)})"])
+    out = f"({''.join(e + ', ' for e in entries)})"
+    if array:
+        body = "\n".join(emitter.lines + [f"    return {out}"])
+    else:
+        # the one evaluability rule; a finite sum proves every entry finite
+        body = "\n".join(["    try:", *(f"    {line}" for line in emitter.lines),
+                          f"        out = {out}",
+                          "    except KERNEL_ERRORS:",
+                          "        return None",
+                          "    if isfinite(sum(out)) or all(map(isfinite, out)):",
+                          "        return out",
+                          "    return None"])
     src = f"def _kernel({', '.join(slot[n] for n in arg_names)}):\n{body}\n"
     scope = dict(namespace)
     exec(compile(src, "<critflow-kernel>", "exec"), scope)
@@ -757,14 +776,16 @@ def _generate(exprs, arg_names, namespace: dict, array: bool) -> Callable[..., t
 
 def compile_kernel(exprs, arg_names) -> Callable[..., tuple]:
     """Compile a list of expressions into one positional-argument function
-    that returns their values as a flat tuple.
+    that returns their values as a flat tuple, or None where any of them is
+    not evaluable.
 
     Repeated subtrees are computed once; each entry is bit-identical to
-    :func:`evaluate` of its expression. The kernel does not check results:
-    a domain violation raises one of :data:`KERNEL_ERRORS` mid-kernel, and a
-    non-finite entry is returned as it is. Callers that need
-    :func:`evaluate`'s guarantees check the tuple and re-evaluate entry by
-    entry to name the offender.
+    :func:`evaluate` of its expression. An entry is not evaluable where the
+    kernel's body raises one of :data:`KERNEL_ERRORS` (a domain violation
+    mid-kernel) or comes out non-finite: exactly where :func:`evaluate`
+    raises :class:`DomainError` for some entry. The kernel builds no
+    message; callers that need one re-evaluate entry by entry to name the
+    offender.
     """
     return _generate(exprs, arg_names, _SCALAR_NAMESPACE, array=False)
 
@@ -773,7 +794,7 @@ def compile_array(exprs, arg_names) -> Callable[..., tuple]:
     """Like :func:`compile_kernel`, but the function broadcasts over numpy
     arrays and returns a tuple of arrays (or scalars, for entries that do
     not depend on an array argument); out-of-domain entries come back as
-    NaN/inf instead of raising, without floating-point warnings."""
+    NaN/inf, entry by entry, without floating-point warnings."""
     kernel = _generate(exprs, arg_names, _ARRAY_NAMESPACE, array=True)
 
     def array_kernel(*args):

@@ -10,14 +10,12 @@ entries of each derivative order (``_entries``: values, Jacobian or
 Hessian, flat) are compiled on first use into one kernel that returns them
 all in one call as a flat tuple, with repeated subexpressions computed once
 (see :func:`~critflow.expr.compile_kernel`), bit-identical to evaluating
-each entry's tree. One accessor, ``_kernel(order)``, returns that kernel
-and compiles it on first use. The float interface
-(``_entries_at(order, args)`` at a sequence of Python floats, and
-``_values`` for order 0) calls it and returns the flat tuple, or None where
-the point is not evaluable, and builds no message. Newton, RKF45 and a
-root's spectrum call the kernels directly: Newton's generated run through
-the accessor, catching the kernel's errors and testing finiteness itself,
-and RKF45 and the spectrum through the float interface. One hook,
+each entry's tree. The one float interface is the accessor
+``_kernel(order)``, which returns that kernel and compiles it on first
+use. Called with the coordinates as Python floats, the kernel returns the
+flat tuple, or None where the point is not evaluable, and builds no
+message; Newton's generated run, the RKF45 step, a root's spectrum and
+every other caller test ``is None``. One hook,
 ``_raise_domain_error(order, args)``, raises the
 :class:`~critflow.expr.DomainError` that names the first entry that is not
 evaluable. ``value``, ``jacobian`` and ``hessian`` are the kernel call plus
@@ -58,10 +56,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expr import (
-    _BINARY_BUILDERS, KERNEL_ERRORS, MAX_NESTING_DEPTH, Binary, Const, DomainError,
-    Expression, ExpressionError, Name, Unary, SystemDefinition, compile_array,
-    compile_kernel, differentiate, e_add, e_func, e_mul, e_neg, evaluate,
-    free_variables, nesting_depth, to_source,
+    _BINARY_BUILDERS, MAX_NESTING_DEPTH, Binary, Const, DomainError, Expression,
+    ExpressionError, Name, Unary, SystemDefinition, compile_array, compile_kernel,
+    differentiate, e_add, e_func, e_mul, e_neg, evaluate, nesting_depth, to_source,
 )
 from .linalg import is_degenerate, solve_linear
 from .region import AnalysisRegion, lattice_points
@@ -90,19 +87,13 @@ def _floats(point, n: int) -> list[float]:
     return point.tolist() if isinstance(point, np.ndarray) else [float(v) for v in point]
 
 
-def _all_finite(flat) -> bool:
-    """Whether every float of the flat sequence is finite."""
-    # a finite sum proves every entry finite; otherwise look closer
-    return math.isfinite(sum(flat)) or all(map(math.isfinite, flat))
-
-
 def _evaluated(m: VectorMap, order: int, point) -> tuple:
     """The entries of ``m`` of the derivative ``order`` at ``point``, flat;
     where they are not evaluable, ``m._raise_domain_error`` raises the
     :class:`DomainError` that names the cause. Every map's ``value``,
     ``jacobian`` and ``hessian`` come down to this."""
     args = _floats(point, m.n_in)
-    out = m._entries_at(order, args)
+    out = m._kernel(order)(*args)
     if out is None:
         m._raise_domain_error(order, args)
     return out
@@ -114,12 +105,14 @@ class VectorMap:
 
     The entries of each derivative order (``_entries``: the components and
     their symbolic partials, flat and row-major) are compiled on first use
-    (``_kernel``) into one kernel that returns them all, bit-identical to
-    :func:`~critflow.expr.evaluate` on each. ``_entries_at`` calls it: the
-    float interface, which gives None where an entry is not evaluable or
-    not finite. There ``value``, ``jacobian`` and ``hessian`` raise
+    into one kernel that returns them all, bit-identical to
+    :func:`~critflow.expr.evaluate` on each. ``_kernel(order)`` returns it:
+    the float interface, which gives None where an entry is not evaluable
+    or not finite. There ``value``, ``jacobian`` and ``hessian`` raise
     :class:`~critflow.expr.DomainError` naming the first entry (row-major)
-    that is not evaluable.
+    that is not evaluable. A name that is neither an input nor a parameter
+    raises :class:`~critflow.expr.ExpressionError` when the first kernel
+    is compiled.
     """
 
     def __init__(self, name: str, input_names: Sequence[str],
@@ -128,14 +121,10 @@ class VectorMap:
         self.input_names = tuple(input_names)
         self.parameters = {k: float(v) for k, v in sorted(parameters.items())}
         self.components = tuple(components)
+        # the kernels take inputs and parameters as one list of argument slots
         overlap = set(self.input_names) & set(self.parameters)
         if overlap:
             raise ExpressionError(f"names declared as both input and parameter: {sorted(overlap)}")
-        declared = set(self.input_names) | set(self.parameters)
-        for i, comp in enumerate(self.components):
-            stray = free_variables(comp) - declared
-            if stray:
-                raise ExpressionError(f"component {i} references undeclared names {sorted(stray)}")
         self._args = self.input_names + tuple(self.parameters)
         self._param_values = tuple(self.parameters[k] for k in self.parameters)
         self.n_in = len(self.input_names)
@@ -191,8 +180,7 @@ class VectorMap:
     def _kernel(self, order: int):
         """The kernel of ``order``, compiled on first use. Called with the
         coordinates as Python floats, it returns the entries as a flat
-        tuple; where one is not evaluable it raises one of
-        :data:`~critflow.expr.KERNEL_ERRORS` or returns it non-finite."""
+        tuple, or None where one is not evaluable."""
         kernel = self._kernels.get(order)
         if kernel is None:
             kernel = compile_kernel(self._entries(order), self._args)
@@ -200,17 +188,6 @@ class VectorMap:
             kernel.__defaults__ = self._param_values
             self._kernels[order] = kernel
         return kernel
-
-    def _entries_at(self, order: int, args) -> tuple | None:
-        """The entries of ``order`` at ``args``, a sequence of Python
-        floats, from a single kernel call, or None where an entry is not
-        evaluable (the kernel raises or returns a non-finite entry)."""
-        kernel = self._kernel(order)
-        try:
-            out = kernel(*args)
-        except KERNEL_ERRORS:
-            return None
-        return out if _all_finite(out) else None
 
     def _raise_domain_error(self, order: int, args):
         """Raise the :class:`DomainError` naming the first entry of
@@ -229,10 +206,6 @@ class VectorMap:
         raise DomainError(f"{self.name} is not evaluable at {args}")
 
     # -- evaluation ---------------------------------------------------------
-
-    def _values(self, args) -> tuple | None:
-        """``_entries_at(0, args)``: the values as a tuple, or None."""
-        return self._entries_at(0, args)
 
     def value(self, point) -> np.ndarray:
         return np.array(_evaluated(self, 0, point))
@@ -363,7 +336,8 @@ class TransformationMap(VectorMap):
     def _image_region(self) -> AnalysisRegion:
         corners = list(itertools.product(*self.domain.bounds))
         samples = np.vstack([lattice_points(self.domain, _IMAGE_SAMPLES, rng_seed=0), corners])
-        values = [v for v in map(self._values, samples.tolist()) if v is not None]
+        values = [v for v in itertools.starmap(self._kernel(0), samples.tolist())
+                  if v is not None]
         if not values:
             raise DomainError(f"map {self.name} not evaluable anywhere on its domain")
         vals = np.array(values)

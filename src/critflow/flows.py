@@ -15,13 +15,13 @@ every stage, the 4th-order solution and the error ratio is written out,
 with no loop, ``zip`` or list comprehension. Every component goes through
 the same operations, in the same order, as the array form
 ``x + h * sum(a * k for ...)``, so states, step sizes, escape times and
-exceptions are the array form's to the bit. Each stage reads the field's
-kernel tuple (``_values``) at a list of floats, with no array built or
-taken apart; the tuple holds the floats that ``value`` would put into its
-array, for a plain field and an affine conjugate alike. Outside the
-field's domain ``_values`` gives None instead of raising, so a stage that
-leaves the domain costs no error message; the step is retried at half the
-size.
+exceptions are the array form's to the bit. Each stage calls the field's
+order-0 kernel (``VectorMap._kernel(0)``) with the components as
+positional floats, with no array or list built or taken apart; its tuple
+holds the floats that ``value`` would put into its array, for a plain
+field and an affine conjugate alike. Outside the field's domain the
+kernel gives None instead of raising, so a stage that leaves the domain
+costs no error message; the step is retried at half the size.
 """
 
 from __future__ import annotations
@@ -145,9 +145,10 @@ def _combination(weights, i: int) -> str:
 @functools.cache
 def _step_function(n: int):
     """The RKF45 step for states of n floats, compiled from generated
-    source on first use: ``step(values, x, h, abs_tol, rel_tol)`` returns
-    the 4th-order solution as a list and the largest |err| / scale, or
-    None as soon as a stage is outside the field's domain.
+    source on first use: ``step(values, x, h, abs_tol, rel_tol)`` calls the
+    field's order-0 kernel ``values`` at each stage and returns the
+    4th-order solution as a list and the largest |err| / scale, or None as
+    soon as a stage is outside the field's domain.
 
     Component i of stage s is ``x<i> + h * (0 + A_s1 * a<i> + A_s2 * b<i>
     + ...)``, where a, b, ... name the components of k1, k2, ...; the ratio is updated
@@ -155,12 +156,11 @@ def _step_function(n: int):
     NaN, which rejects the step."""
     comps = range(n)
     lines = ["def step(values, x, h, abs_tol, rel_tol):",
-             f"    {''.join(f'x{i}, ' for i in comps)}= x",
-             "    k = values(x)"]
+             f"    {''.join(f'x{i}, ' for i in comps)}= x"]
     for row, letter in zip(_A, "abcdef"):
-        if row:
-            parts = ", ".join(f"x{i} + h * ({_combination(row, i)})" for i in comps)
-            lines.append(f"    k = values([{parts}])")
+        parts = ", ".join(f"x{i} + h * ({_combination(row, i)})" if row else f"x{i}"
+                          for i in comps)
+        lines.append(f"    k = values({parts})")
         lines += ["    if k is None:",
                   "        return None",
                   f"    {''.join(f'{letter}{i}, ' for i in comps)}= k"]
@@ -185,7 +185,7 @@ def _rkf45_segment(f, x, t0, t1, cfg, h_start):
     t, t1 = float(t0), float(t1)
     h = min(h_start, t1 - t)
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
-    values, step = f._values, _step_function(len(x))
+    values, step = f._kernel(0), _step_function(len(x))
     while t < t1:
         h = min(h, t1 - t)
         if h < _MIN_STEP:

@@ -86,9 +86,6 @@ class Spectrum:
     def order(self) -> int:
         return len(self.values)
 
-    def moduli_scale(self) -> float:
-        return max([abs(v) for v in self.values] + [1.0])
-
 
 def spectrum_distance(a: Spectrum, b: Spectrum) -> float:
     """Minimum over matchings of the maximum pairwise modulus distance.

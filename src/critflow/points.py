@@ -16,10 +16,10 @@ the solved map's compiled kernels (``VectorMap._kernel``) and the
 generated elimination of :mod:`critflow.linalg` directly, tests the
 trial point against the box component by component, and builds an array
 only for a returned root. At a point outside the solved map's domain a
-kernel raises or returns a non-finite entry: a trial there counts as
-infinitely bad, a step there ends the run as "domain-error", and no
-error message is built. The sufficient-decrease test compares products,
-``rt * rt <= r * r * (1 - 1e-4 t)``: a float ``** 2`` raises
+kernel returns None, which the run tests with ``is None``: a trial there
+counts as infinitely bad, a step there ends the run as "domain-error",
+and no error message is built. The sufficient-decrease test compares
+products, ``rt * rt <= r * r * (1 - 1e-4 t)``: a float ``** 2`` raises
 ``OverflowError`` above 1.34e154, where a product gives inf, and a steep
 field's residual norm can pass that. Where ``r * r`` is inf the products
 would accept any finite trial, so the test compares the ratio
@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 import numpy as np
 
-from .expr import KERNEL_ERRORS, DomainError
+from .expr import DomainError
 from .fields import VectorField, VectorMap, acceleration_map
 from .linalg import (EigenConvergenceError, Spectrum, _elimination, eigenvalues,
                      is_degenerate)
@@ -156,17 +156,6 @@ class _Outcome:
     reason: str
 
 
-def _evaluation(target: str, kernel: str, args: str, pad: str) -> list[str]:
-    """Lines that set ``target`` to the tuple of ``kernel`` at ``args``, and
-    ``ok`` to whether the kernel neither raised nor returned a non-finite
-    entry (the test of ``fields._all_finite``)."""
-    return [f"{pad}try:",
-            f"{pad}    {target} = {kernel}({args})",
-            f"{pad}    ok = isfinite(sum({target})) or all(map(isfinite, {target}))",
-            f"{pad}except KERNEL_ERRORS:",
-            f"{pad}    ok = False"]
-
-
 @functools.cache
 def _newton_function(n: int):
     """The damped Newton run for n unknowns, compiled from generated
@@ -210,8 +199,8 @@ def _newton_function(n: int):
         return [f"{pad}jacobians += 1",
                 f"{pad}if jacobian is None:",
                 f"{pad}    jacobian = kernel(1)",
-                *_evaluation("jac", "jacobian", xs, pad),
-                f"{pad}if not ok:", *(f"{pad}    {line}" for line in domain),
+                f"{pad}jac = jacobian({xs})",
+                f"{pad}if jac is None:", *(f"{pad}    {line}" for line in domain),
                 f"{pad}solves += 1",
                 f"{pad}s = eliminate(jac, ({targets('-f')}))[0]",
                 f"{pad}if s is None:", *(f"{pad}    {line}" for line in singular),
@@ -224,8 +213,8 @@ def _newton_function(n: int):
         f"    {targets('lo')}= lo",
         f"    {targets('hi')}= hi",
         "    evals, jacobians, solves, steps, backtracks = 1, 0, 0, 0, 0",
-        *_evaluation("fx", "values", xs, "    "),
-        "    if not ok:",
+        f"    fx = values({xs})",
+        "    if fx is None:",
         "        work.residual_evals += 1",
         "        return _Outcome(None, inf, 0, 'domain-error-at-seed')",
         f"    {targets('f')}= fx",
@@ -236,8 +225,8 @@ def _newton_function(n: int):
         *step(" " * 16, ["break"], ["break"]),
         *(f"                y{i} = x{i} + s{i}" for i in idx),
         "                evals += 1",
-        *_evaluation("gx", "values", ys, " " * 16),
-        "                if not ok:",
+        f"                gx = values({ys})",
+        "                if gx is None:",
         "                    break",
         "                rt = hypot(*gx)",
         "                if rt >= r:",
@@ -254,8 +243,8 @@ def _newton_function(n: int):
         *(f"            y{i} = x{i} + t * s{i}" for i in idx),
         f"            if {' and '.join(f'lo{i} <= y{i} <= hi{i}' for i in idx)}:",
         "                evals += 1",
-        *_evaluation("gx", "values", ys, " " * 16),
-        "                if ok:",
+        f"                gx = values({ys})",
+        "                if gx is not None:",
         "                    rt, rr = hypot(*gx), r * r",
         "                    if (rt * rt <= rr * (1.0 - 1e-4 * t) if rr != inf",
         "                            else (rt / r) * (rt / r) <= 1.0 - 1e-4 * t):",
@@ -286,9 +275,8 @@ def _newton_function(n: int):
         "    work.backtracks += backtracks",
         "    return _Outcome(None if point is None else array(point), r, it, reason)",
     ]
-    scope = {"_Outcome": _Outcome, "KERNEL_ERRORS": KERNEL_ERRORS, "array": np.array,
-             "eliminate": _elimination(n), "hypot": math.hypot, "inf": math.inf,
-             "isfinite": math.isfinite}
+    scope = {"_Outcome": _Outcome, "array": np.array, "eliminate": _elimination(n),
+             "hypot": math.hypot, "inf": math.inf}
     exec(compile("\n".join(lines) + "\n", f"<critflow-newton-{n}>", "exec"), scope)
     return scope["run"]
 
@@ -376,7 +364,7 @@ def _run_search(f: VectorField, solved: VectorMap, kind: str,
             continue  # a zero of F that is actually a fixed point
         points.append(CriticalPoint(kind=kind, location=location, residual=residual,
                                     velocity=velocity, boundary=not region.contains(location),
-                                    **_spectrum_of(solved._entries_at(1, location.tolist()),
+                                    **_spectrum_of(solved._kernel(1)(*location.tolist()),
                                                    f.dimension)))
     points.sort(key=CriticalPoint.sort_key)
     n_degenerate = sum(1 for p in points if p.degenerate)
@@ -433,6 +421,6 @@ def classify_point(f: VectorField, point,
         kind, residual, flat = FIXED, speed, jac.ravel()
     else:
         kind, residual = PERPETUAL, accel_norm
-        flat = acceleration_map(f)._entries_at(1, x.tolist())
+        flat = acceleration_map(f)._kernel(1)(*x.tolist())
     return CriticalPoint(kind=kind, location=x, residual=residual, velocity=velocity,
                          boundary=False, **_spectrum_of(flat, f.dimension))

@@ -90,15 +90,19 @@ def _whole_horizon_flow_points(f, h, region, count, t_end):
 
 
 def _counting_values(f):
-    """Count the calls of f's kernel tuple, the integrator's right-hand side."""
+    """Count the calls of f's kernels, the integrator's right-hand side."""
     calls = [0]
-    values = f._values
+    kernel_of = f._kernel
 
-    def counted(args):
-        calls[0] += 1
-        return values(args)
+    def counting(order):
+        kernel = kernel_of(order)
 
-    f._values = counted
+        def counted(*args):
+            calls[0] += 1
+            return kernel(*args)
+        return counted
+
+    f._kernel = counting
     return calls
 
 

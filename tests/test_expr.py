@@ -199,20 +199,31 @@ def test_evaluation_is_pure():
 def test_compiled_matches_tree_walk_bit_for_bit():
     rng = random.Random(5150)
     names = ["x", "y"]
+    cases = []
     for _ in range(60):
         src = random_expression_source(rng, names, depth=4)
+        cases.append((src, [{n: rng.uniform(-2.0, 2.0) for n in names} for _ in range(3)]))
+    # each way a point can leave the domain; the last entry comes out NaN
+    # without raising
+    walls = ["sqrt(x)", "log(x)", "y / (x - 1)", "exp(1000) + y", "sin(x * 1e308 * 10)",
+             "1e308*10 - 1e308*10"]
+    cases += [(src, [{"x": -1.0, "y": 2.0}, {"x": 1.0, "y": 2.0}]) for src in walls]
+    outside = set()
+    for src, envs in cases:
         e = cf.parse_expression(src, set(names))
         fn = compile_kernel([e], names)
         fn_arr = compile_array([e], names)
-        for _ in range(3):
-            env = {n: rng.uniform(-2.0, 2.0) for n in names}
+        for env in envs:
             try:
                 expected = cf.evaluate(e, env)
             except cf.DomainError:
+                assert fn(env["x"], env["y"]) is None, (src, env)
+                outside.add(src)
                 continue
             assert fn(env["x"], env["y"]) == (expected,)
             arr, = fn_arr(np.array([env["x"]]), np.array([env["y"]]))
             assert float(np.asarray(arr).reshape(-1)[0]) == pytest.approx(expected, rel=1e-15)
+    assert set(walls) <= outside
 
 
 def test_kernel_matches_tree_walk_on_deep_and_shared_trees():

@@ -1,10 +1,5 @@
-import functools
 import math
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,22 +227,6 @@ def test_float_step_is_bit_identical_to_array_form(monkeypatch, n):
                 x0 = [rng.uniform(-1.5, 1.5) for _ in range(n)]
                 kinds.add(_assert_step_matches_array_form(monkeypatch, field, x0, cfg))
     assert "ok" in kinds
-
-
-def test_step_functions_are_built_once_per_dimension_and_not_on_import(monkeypatch):
-    src = Path(cf.__file__).resolve().parent.parent
-    code = "import critflow, critflow.flows; print(critflow.flows._step_function.cache_info())"
-    imported = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              check=True, env={**os.environ, "PYTHONPATH": str(src)})
-    assert "currsize=0" in imported.stdout
-    built = functools.cache(flows._step_function.__wrapped__)
-    monkeypatch.setattr(flows, "_step_function", built)
-    for n in (2, 3, 2, 3, 3):
-        f = make_field("decay", [f"x{i + 1}" for i in range(n)], {},
-                       [f"-x{i + 1}" for i in range(n)])
-        cf.integrate(f, [1.0] * n, cf.IntegratorConfig(t_end=1.0))
-    info = built.cache_info()
-    assert (info.misses, info.currsize) == (2, 2) and info.hits > 0
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 
 import critflow as cf
 
-from critflow import points
+from critflow import flows, linalg, points
 from critflow.fields import acceleration_map
 from critflow.io import load_system
 from critflow.linalg import SingularMatrixError, _solve
@@ -303,7 +303,7 @@ def _residual(fieldmap, x, work):
     """(field values, their 2-norm) at ``x``, or None outside the domain;
     ``work`` counts the evaluation."""
     work.residual_evals += 1
-    fx = fieldmap._values(x)
+    fx = fieldmap._kernel(0)(*x)
     return None if fx is None else (fx, math.hypot(*fx))
 
 
@@ -311,7 +311,7 @@ def _step(fieldmap, x, fx, work):
     """The Newton step at ``x``, or None where the Jacobian is not
     evaluable; raises SingularMatrixError."""
     work.jacobian_evals += 1
-    jac = fieldmap._entries_at(1, x)
+    jac = fieldmap._kernel(1)(*x)
     if jac is None:
         return None
     work.solves += 1
@@ -455,32 +455,50 @@ def test_generated_newton_run_matches_the_reference_loop_bit_for_bit():
     assert capped_roots > 0  # roots reached on the last iteration, unpolished
 
 
-def test_newton_functions_are_built_once_per_dimension_and_not_on_import(monkeypatch):
+def test_generated_functions_are_built_once_per_dimension_and_not_on_import(monkeypatch):
+    # the elimination, the RKF45 step and the Newton run: none is built by
+    # importing the package, and each once per dimension after that
+    generated = [(linalg, "_elimination"), (flows, "_step_function"),
+                 (points, "_newton_function")]
     src = Path(cf.__file__).resolve().parent.parent
-    code = "import critflow, critflow.points; print(critflow.points._newton_function.cache_info())"
+    code = "; ".join(["import critflow"] + [f"print({m.__name__}.{name}.cache_info())"
+                                            for m, name in generated])
     imported = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               check=True, env={**os.environ, "PYTHONPATH": str(src)})
-    assert "currsize=0" in imported.stdout
-    built = functools.cache(points._newton_function.__wrapped__)
-    monkeypatch.setattr(points, "_newton_function", built)
+    assert imported.stdout.count("currsize=0") == 3, imported.stdout
+    built = {}
+    for module, name in generated:
+        built[name] = functools.cache(getattr(module, name).__wrapped__)
+        monkeypatch.setattr(module, name, built[name])
+    for n in (2, 3, 2, 4):
+        assert cf.solve_linear(2.0 * np.eye(n), np.ones(n)).tolist() == [0.5] * n
+    info = built["_elimination"].cache_info()
+    assert (info.misses, info.currsize, info.hits) == (3, 3, 1)
     for n in (2, 3, 2, 3, 3):
-        f = make_field("shift", [f"x{i + 1}" for i in range(n)], {},
-                       [f"x{i + 1} - 1" for i in range(n)])
-        assert len(cf.fixed_point_search(f, cf.AnalysisRegion.of(*[(-2, 2)] * n),
+        names = [f"x{i + 1}" for i in range(n)]
+        decay = make_field("decay", names, {}, [f"-{x}" for x in names])
+        cf.integrate(decay, [1.0] * n, cf.IntegratorConfig(t_end=1.0))
+        shift = make_field("shift", names, {}, [f"{x} - 1" for x in names])
+        assert len(cf.fixed_point_search(shift, cf.AnalysisRegion.of(*[(-2, 2)] * n),
                                          cf.SolverConfig(seed_count=4)).points) == 1
-    info = built.cache_info()
-    assert (info.misses, info.currsize) == (2, 2) and info.hits > 0
+    for name in ("_step_function", "_newton_function"):
+        info = built[name].cache_info()
+        assert (info.misses, info.currsize) == (2, 2) and info.hits > 0, name
 
 
 def test_classify_point_evaluates_each_jacobian_once(monkeypatch, quad_field):
     calls = []
-    entries_at = cf.VectorMap._entries_at
+    kernel_of = cf.VectorMap._kernel
 
-    def counting(self, order, args):
-        calls.append((self.name, order))
-        return entries_at(self, order, args)
+    def counting(self, order):
+        kernel = kernel_of(self, order)
 
-    monkeypatch.setattr(cf.VectorMap, "_entries_at", counting)
+        def counted(*args):
+            calls.append((self.name, order))
+            return kernel(*args)
+        return counted
+
+    monkeypatch.setattr(cf.VectorMap, "_kernel", counting)
     point = cf.classify_point(quad_field, [1.0], CFG)  # x^2 - 1 at its root
     assert point.kind == cf.FIXED and point.spectrum.values == (2.0,)
     assert point.jacobian.tolist() == [[2.0]]
