@@ -8,9 +8,13 @@ derivatives.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +65,27 @@ def assert_no_child_process():
     """No child process of this one is left, running or unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@functools.cache
+def caches_after_import() -> dict:
+    """`cache_info()` of each function generated per dimension (the
+    elimination, the RKF45 step and the Newton run), read in one fresh
+    interpreter that has only imported critflow."""
+    generated = ("linalg._elimination", "flows._step_function", "points._newton_function")
+    src = Path(cf.__file__).resolve().parent.parent
+    code = "; ".join(["import critflow"] + [f"print(critflow.{name}.cache_info())"
+                                            for name in generated])
+    imported = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    return dict(zip(generated, imported.stdout.splitlines(), strict=True))
+
+
+def build_counted(monkeypatch, module, name):
+    """Swap module.name for an uncached-at-start copy whose builds are counted."""
+    built = functools.cache(getattr(module, name).__wrapped__)
+    monkeypatch.setattr(module, name, built)
+    return built
 
 
 # ---------------------------------------------------------------------------

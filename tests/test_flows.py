@@ -9,7 +9,8 @@ import critflow as cf
 from critflow import flows
 from critflow.fields import AffineConjugateField
 
-from conftest import affine_map_1d, make_field, random_affine_map, random_polynomial_field
+from conftest import (affine_map_1d, build_counted, caches_after_import, make_field,
+                      random_affine_map, random_polynomial_field)
 
 
 def test_exponential_decay_endpoint():
@@ -227,6 +228,17 @@ def test_float_step_is_bit_identical_to_array_form(monkeypatch, n):
                 x0 = [rng.uniform(-1.5, 1.5) for _ in range(n)]
                 kinds.add(_assert_step_matches_array_form(monkeypatch, field, x0, cfg))
     assert "ok" in kinds
+
+
+def test_step_functions_are_built_once_per_dimension_and_not_on_import(monkeypatch):
+    assert "currsize=0" in caches_after_import()["flows._step_function"]
+    built = build_counted(monkeypatch, flows, "_step_function")
+    for n in (2, 3, 2, 3, 3):
+        f = make_field("decay", [f"x{i + 1}" for i in range(n)], {},
+                       [f"-x{i + 1}" for i in range(n)])
+        cf.integrate(f, [1.0] * n, cf.IntegratorConfig(t_end=1.0))
+    info = built.cache_info()
+    assert (info.misses, info.currsize) == (2, 2) and info.hits > 0
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",

@@ -6,7 +6,7 @@ import critflow as cf
 from critflow import linalg
 from critflow.linalg import Spectrum, is_degenerate, min_pivot
 
-from conftest import identity_map, make_field
+from conftest import build_counted, caches_after_import, identity_map, make_field
 
 
 def _np_spectrum(m) -> Spectrum:
@@ -350,6 +350,15 @@ def test_list_elimination_keeps_the_array_pivots_for_every_size():
             _array_solve(m, np.ones(5))
         with pytest.raises(ValueError):
             cf.solve_linear(m, np.ones(5))
+
+
+def test_eliminations_are_built_once_per_dimension_and_not_on_import(monkeypatch):
+    assert "currsize=0" in caches_after_import()["linalg._elimination"]
+    built = build_counted(monkeypatch, linalg, "_elimination")
+    for n in (2, 3, 2, 4):
+        assert cf.solve_linear(2.0 * np.eye(n), np.ones(n)).tolist() == [0.5] * n
+    info = built.cache_info()
+    assert (info.misses, info.currsize, info.hits) == (3, 3, 1)
 
 
 def test_spectrum_lists_negative_imaginary_member_of_a_pair_first():

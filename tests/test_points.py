@@ -1,9 +1,5 @@
-import functools
 import math
-import os
 import random
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,13 +8,14 @@ from numpy.testing import assert_allclose
 
 import critflow as cf
 
-from critflow import flows, linalg, points
+from critflow import points
 from critflow.fields import acceleration_map
 from critflow.io import load_system
 from critflow.linalg import SingularMatrixError, _solve
 from critflow.points import _DAMPING, _MIN_STEP, _Outcome
 
-from conftest import grid_scan_roots, make_field, random_affine_map, random_polynomial_field
+from conftest import (build_counted, caches_after_import, grid_scan_roots, make_field,
+                      random_affine_map, random_polynomial_field)
 
 
 REGION_1D = cf.AnalysisRegion.of((-3, 3))
@@ -455,35 +452,16 @@ def test_generated_newton_run_matches_the_reference_loop_bit_for_bit():
     assert capped_roots > 0  # roots reached on the last iteration, unpolished
 
 
-def test_generated_functions_are_built_once_per_dimension_and_not_on_import(monkeypatch):
-    # the elimination, the RKF45 step and the Newton run: none is built by
-    # importing the package, and each once per dimension after that
-    generated = [(linalg, "_elimination"), (flows, "_step_function"),
-                 (points, "_newton_function")]
-    src = Path(cf.__file__).resolve().parent.parent
-    code = "; ".join(["import critflow"] + [f"print({m.__name__}.{name}.cache_info())"
-                                            for m, name in generated])
-    imported = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              check=True, env={**os.environ, "PYTHONPATH": str(src)})
-    assert imported.stdout.count("currsize=0") == 3, imported.stdout
-    built = {}
-    for module, name in generated:
-        built[name] = functools.cache(getattr(module, name).__wrapped__)
-        monkeypatch.setattr(module, name, built[name])
-    for n in (2, 3, 2, 4):
-        assert cf.solve_linear(2.0 * np.eye(n), np.ones(n)).tolist() == [0.5] * n
-    info = built["_elimination"].cache_info()
-    assert (info.misses, info.currsize, info.hits) == (3, 3, 1)
+def test_newton_functions_are_built_once_per_dimension_and_not_on_import(monkeypatch):
+    assert "currsize=0" in caches_after_import()["points._newton_function"]
+    built = build_counted(monkeypatch, points, "_newton_function")
     for n in (2, 3, 2, 3, 3):
-        names = [f"x{i + 1}" for i in range(n)]
-        decay = make_field("decay", names, {}, [f"-{x}" for x in names])
-        cf.integrate(decay, [1.0] * n, cf.IntegratorConfig(t_end=1.0))
-        shift = make_field("shift", names, {}, [f"{x} - 1" for x in names])
-        assert len(cf.fixed_point_search(shift, cf.AnalysisRegion.of(*[(-2, 2)] * n),
+        f = make_field("shift", [f"x{i + 1}" for i in range(n)], {},
+                       [f"x{i + 1} - 1" for i in range(n)])
+        assert len(cf.fixed_point_search(f, cf.AnalysisRegion.of(*[(-2, 2)] * n),
                                          cf.SolverConfig(seed_count=4)).points) == 1
-    for name in ("_step_function", "_newton_function"):
-        info = built[name].cache_info()
-        assert (info.misses, info.currsize) == (2, 2) and info.hits > 0, name
+    info = built.cache_info()
+    assert (info.misses, info.currsize) == (2, 2) and info.hits > 0
 
 
 def test_classify_point_evaluates_each_jacobian_once(monkeypatch, quad_field):
