@@ -5,10 +5,12 @@ one sha256 and exit code per command.
 
 Run from any directory; the program is the ``src/`` of the checkout that
 holds this script. Each command runs in its own Python process, in a work
-directory that holds copies of ``tests/data`` and the eleven random
+directory that holds copies of ``tests/data``, the eleven random
 (system, map) cases of ``bench/gen.py``'s ``conjugacy_case`` (n = 2 seeds
-1-6, n = 3 seeds 1-4, n = 4 seed 1), all named by relative paths, so the
-reports and messages of two checkouts can be compared byte for byte. The
+1-6, n = 3 seeds 1-4, n = 4 seed 1) and ``cases/deep-system.json``, a 1-D
+field written as a sum of ``DEEP_TERMS`` terms, all named by relative
+paths, so the reports and messages of two checkouts can be compared byte
+for byte. The
 digest covers the exit code, stdout, stderr and every file the command
 writes. To compare two checkouts, run the script from each and diff the
 outputs. ``--work`` keeps the inputs and outputs in DIR (which must not
@@ -19,7 +21,9 @@ The commands: ``analyze`` of the five ``tests/data`` systems;
 ``square_map``, plus ``verify --tol 1e-5`` under ``affine_map``;
 ``verify`` and ``transform`` of the eleven random cases; ``portrait`` of
 ``planar`` (21x21 with 3 trajectories to T = 2, and 101x101 with 9),
-``example1`` and ``example2_system`` (9 trajectories each).
+``example1`` and ``example2_system`` (9 trajectories each); ``analyze`` of
+the deep system, ``transform`` of it under ``square_map`` and ``verify``
+under ``affine_map``.
 
 The script exits 1 if any command's exit code differs from
 ``EXPECTED_FAILURES`` (exit 1) or 0 (every other command).
@@ -49,6 +53,10 @@ CASES = [(2, s) for s in range(1, 7)] + [(3, s) for s in range(1, 5)] + [(4, 1)]
 EXPECTED_FAILURES = {f"verify cases/{key}-system.json cases/{key}-map.json"
                      for key in ("n2-s1", "n2-s4", "n3-s1", "n3-s2", "n3-s4", "n4-s1")}
 
+#: the deep system's field is x^2 - A^2 with x^2 spelled as this many terms,
+#: a sum that nests as deep as it is long
+DEEP_TERMS = 2000
+
 
 def _write_inputs(work: Path) -> None:
     shutil.copytree(DATA, work / "data")
@@ -60,6 +68,10 @@ def _write_inputs(work: Path) -> None:
         key = f"n{n}-s{seed}"
         (work / "cases" / f"{key}-system.json").write_text(json.dumps(system.file_doc(), indent=1))
         (work / "cases" / f"{key}-map.json").write_text(json.dumps(amap.file_doc(), indent=1))
+    deep = {"name": "deep_well", "state": ["x"], "params": {"A": 1.0},
+            "field": [" + ".join([f"{1 / DEEP_TERMS!r}*x^2"] * DEEP_TERMS) + " - A^2"],
+            "region": [[-3, 3]]}
+    (work / "cases" / "deep-system.json").write_text(json.dumps(deep, indent=1))
 
 
 def commands() -> list[list[str]]:
@@ -78,6 +90,9 @@ def commands() -> list[list[str]]:
     cmds.append(["portrait", "data/planar.json", "--grid", "101x101", "--trajectories", "9"])
     for name in ("example1", "example2_system"):
         cmds.append(["portrait", f"data/{name}.json", "--trajectories", "9"])
+    cmds += [["analyze", "cases/deep-system.json"],
+             ["transform", "cases/deep-system.json", "data/square_map.json"],
+             ["verify", "cases/deep-system.json", "data/affine_map.json"]]
     return cmds
 
 

@@ -4,7 +4,7 @@ Subcommands: ``analyze`` (critical points with spectra), ``transform``
 (emit the transformed system and its analysis), ``verify`` (conjugacy
 checks with exit code 1 on a failing verdict), ``portrait`` (grid and
 trajectory CSV export). Exit codes: 0 success, 1 verification failure,
-2 input error.
+2 input error or an output that cannot be written.
 """
 
 from __future__ import annotations
@@ -347,7 +347,12 @@ def main(argv=None) -> int:
     except InputError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_INPUT_ERROR
-    except RecursionError:  # a tree built from the inputs nests past the recursion limit
+    except OSError as err:  # an output that cannot be written; inputs raise InputError
+        where = f"{err.filename}: " if err.filename else ""
+        sys.stderr.write(f"error: {where}{err.strerror or err}\n")
+        return EXIT_INPUT_ERROR
+    except RecursionError:  # a last resort: the tree walks are loops, and the
+        # parser and the JSON reader report inputs nested too deeply themselves
         sys.stderr.write("error: an input is nested too deeply to process\n")
         return EXIT_INPUT_ERROR
 

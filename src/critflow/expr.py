@@ -16,12 +16,21 @@ kernel holds the library's one evaluability rule: it returns the entries
 as a tuple, or None where its body raises one of :data:`KERNEL_ERRORS` or
 an entry comes out non-finite, and it builds no message. The broadcasting
 kernel (:func:`compile_array`) instead gives NaN/inf entry by entry.
+
+Every pass over a tree (evaluation, differentiation, printing, the
+kernels' numbering and the substitutions of :mod:`critflow.fields`) is a
+loop over :func:`_postorder`, the distinct nodes with each after its
+children, so how deep a tree nests is bounded by memory alone. Only the
+parser recurses, once per level of parentheses, ``^`` or unary minus in
+the text, and has its own limit: past Python's recursion limit it raises
+:class:`ExpressionSyntaxError`. Chains of ``+ - * /`` parse in loops.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
@@ -32,8 +41,7 @@ __all__ = [
     "ExpressionError", "ExpressionSyntaxError", "UnknownIdentifierError",
     "DomainError", "FUNCTIONS",
     "parse_expression", "evaluate", "differentiate", "free_variables",
-    "to_source", "compile_array", "compile_kernel", "nesting_depth",
-    "KERNEL_ERRORS", "MAX_NESTING_DEPTH",
+    "to_source", "compile_array", "compile_kernel", "KERNEL_ERRORS",
     "SystemDefinition",
 ]
 
@@ -93,6 +101,36 @@ Expression = Const | Name | Unary | Binary
 
 _ZERO = Const(0.0)
 _ONE = Const(1.0)
+
+
+def _postorder(roots, seen) -> list[Expression]:
+    """The distinct nodes (by ``id``) under ``roots`` whose ids are not in
+    ``seen``, each after its children, left before right: the order in
+    which a left-first recursive walk would finish them. An explicit stack,
+    so trees of any depth are walked."""
+    order: list[Expression] = []
+    visited: set[int] = set()
+    stack: list = list(reversed(roots))
+    while stack:
+        node = stack.pop()
+        if node is None:  # the node below it has its children in order
+            order.append(stack.pop())
+            continue
+        while True:  # down the left spine; each node waits under a None
+            key = id(node)
+            if key in visited or key in seen:
+                break
+            visited.add(key)
+            if node.__class__ is Binary:
+                stack += (node, None, node.right)
+                node = node.left
+            elif node.__class__ is Unary:
+                stack += (node, None)
+                node = node.arg
+            else:
+                order.append(node)
+                break
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -392,33 +430,63 @@ def _fmt_const(v: float) -> str:
     return repr(float(v))
 
 
-def to_source(e: Expression) -> str:
-    """Render the tree back to grammar-conformant source text."""
+def _bracketed(e: Expression, wrap: bool) -> tuple:
+    return ("(", e, ")") if wrap else (e,)
+
+
+def _pieces(e: Expression) -> tuple:
+    """``e`` printed one level deep: text, with its children left in place."""
     if isinstance(e, Const):
-        return _fmt_const(e.value)
+        return (_fmt_const(e.value),)
     if isinstance(e, Name):
-        return e.ident
+        return (e.ident,)
     if isinstance(e, Unary):
         if e.op == "neg":
-            inner = to_source(e.arg)
-            if _prec(e.arg) < 3:
-                inner = f"({inner})"
-            return f"-{inner}"
-        return f"{e.op}({to_source(e.arg)})"
-    left, right = to_source(e.left), to_source(e.right)
+            return ("-", *_bracketed(e.arg, _prec(e.arg) < 3))
+        return (f"{e.op}(", e.arg, ")")
     p = _PRECEDENCE[e.op]
     if e.op == "^":
         # right-associative; unary minus is allowed bare in the exponent
-        if _prec(e.left) <= p:
-            left = f"({left})"
-        if isinstance(e.right, Binary) and _PRECEDENCE[e.right.op] < 3:
-            right = f"({right})"
+        wrap_left = _prec(e.left) <= p
+        wrap_right = isinstance(e.right, Binary) and _PRECEDENCE[e.right.op] < 3
     else:
-        if _prec(e.left) < p:
-            left = f"({left})"
-        if _prec(e.right) <= p:
-            right = f"({right})"
-    return f"{left} {e.op} {right}"
+        wrap_left, wrap_right = _prec(e.left) < p, _prec(e.right) <= p
+    return (*_bracketed(e.left, wrap_left), f" {e.op} ", *_bracketed(e.right, wrap_right))
+
+
+def _spelled(pieces: tuple, rendered: dict) -> str:
+    """The text of ``pieces``, each child replaced by its ``rendered``
+    pieces, or by its text where that is already spelled out."""
+    out: list[str] = []
+    stack = list(reversed(pieces))
+    while stack:
+        piece = stack.pop()
+        if piece.__class__ is str:
+            out.append(piece)
+        else:
+            inner = rendered[id(piece)]
+            if inner.__class__ is str:
+                out.append(inner)
+            else:
+                stack.extend(reversed(inner))
+    return "".join(out)
+
+
+def to_source(e: Expression) -> str:
+    """Render the tree back to grammar-conformant source text.
+
+    Each distinct node is rendered once. A node used more than once is
+    spelled out into one string that every use copies; any other node is
+    spelled out where its one parent is, so a long chain is written once
+    rather than as every one of its prefixes."""
+    nodes = _postorder((e,), ())
+    rendered: dict = {id(node): _pieces(node) for node in nodes}
+    uses = Counter(id(piece) for pieces in rendered.values()
+                   for piece in pieces if piece.__class__ is not str)
+    for node in nodes:
+        if uses[id(node)] > 1:
+            rendered[id(node)] = _spelled(rendered[id(node)], rendered)
+    return _spelled(rendered[id(e)], rendered)
 
 
 # ---------------------------------------------------------------------------
@@ -434,122 +502,52 @@ def evaluate(e: Expression, env: Mapping[str, float], memo: dict | None = None) 
     ``memo`` dict to several calls with the same ``env`` extends that to
     subtrees the expressions share.
     """
-    result = _eval(e, env, {} if memo is None else memo)
+    if memo is None:
+        memo = {}
+    for node in _postorder((e,), memo):
+        try:
+            if isinstance(node, Const):
+                value = node.value
+            elif isinstance(node, Name):
+                try:
+                    value = env[node.ident]
+                except KeyError:
+                    raise UnknownIdentifierError(node.ident, 0) from None
+            elif isinstance(node, Unary):
+                arg = memo[id(node.arg)][1]
+                if node.op == "neg":
+                    value = -arg
+                else:
+                    try:
+                        value = _SCALAR_FUNCS[node.op](arg)
+                    except ValueError:  # sin or cos of an infinity
+                        raise DomainError(f"{node.op} of {arg!r}") from None
+            elif node.op == "^" and _is_integer_literal(node.right):
+                value = _k_ipow(memo[id(node.left)][1], int(node.right.value))
+            else:
+                left, right = memo[id(node.left)][1], memo[id(node.right)][1]
+                if node.op == "+":
+                    value = left + right
+                elif node.op == "-":
+                    value = left - right
+                elif node.op == "*":
+                    value = left * right
+                elif node.op == "/":
+                    value = _k_div(left, right)
+                else:
+                    value = _k_gpow(left, right)
+        except OverflowError:
+            raise DomainError("overflow during evaluation") from None
+        memo[id(node)] = (node, value)  # holding the node keeps its id from being reused
+    result = memo[id(e)][1]
     if not math.isfinite(result):
         raise DomainError(f"non-finite result {result!r}")
     return result
 
 
-def _eval(e: Expression, env: Mapping[str, float], memo: dict) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Name):
-        try:
-            return env[e.ident]
-        except KeyError:
-            raise UnknownIdentifierError(e.ident, 0) from None
-    hit = memo.get(id(e))
-    if hit is not None:
-        return hit[1]
-    try:
-        if isinstance(e, Unary):
-            arg = _eval(e.arg, env, memo)
-            if e.op == "neg":
-                value = -arg
-            else:
-                try:
-                    value = _SCALAR_FUNCS[e.op](arg)
-                except ValueError:  # sin or cos of an infinity
-                    raise DomainError(f"{e.op} of {arg!r}") from None
-        elif e.op == "^":
-            left = _eval(e.left, env, memo)
-            if _is_integer_literal(e.right):
-                value = _k_ipow(left, int(e.right.value))
-            else:
-                value = _k_gpow(left, _eval(e.right, env, memo))
-        else:
-            left, right = _eval(e.left, env, memo), _eval(e.right, env, memo)
-            if e.op == "+":
-                value = left + right
-            elif e.op == "-":
-                value = left - right
-            elif e.op == "*":
-                value = left * right
-            else:
-                value = _k_div(left, right)
-    except OverflowError:
-        raise DomainError("overflow during evaluation") from None
-    memo[id(e)] = (e, value)  # holding e keeps its id from being reused
-    return value
-
-
 def free_variables(e: Expression) -> frozenset[str]:
     """The set of identifiers appearing in the tree."""
-    out: set[str] = set()
-    stack = [e]
-    seen: set[int] = set()  # subtrees are often shared; walk each once
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, Name):
-            out.add(node.ident)
-        elif isinstance(node, Unary):
-            stack.append(node.arg)
-        elif isinstance(node, Binary):
-            stack.append(node.left)
-            stack.append(node.right)
-    return frozenset(out)
-
-
-#: per operation, how many levels a node's tree and its first and second
-#: partials (as :func:`differentiate` builds them) can reach above the
-#: deepest tree or partial of its children: a sum's partials are no deeper
-#: than the sum, a quotient's second partial nests 6 levels per quotient.
-#: Integer-literal powers count as "ipow", leaves count 1.
-_NESTING_WEIGHTS = {"+": 1, "-": 1, "neg": 1, "sign": 1, "abs": 2, "*": 3, "log": 3,
-                    "exp": 4, "sin": 5, "cos": 5, "/": 6, "ipow": 6, "sqrt": 7, "^": 8}
-
-#: the deepest :func:`nesting_depth` a definition file may use. The tree
-#: walks (:func:`differentiate`, the kernel emitter, :func:`evaluate`,
-#: :func:`to_source`) recurse once per level, and a search differentiates
-#: a field twice; this keeps them within Python's default recursion limit
-#: of 1000, with room for the callers' frames.
-MAX_NESTING_DEPTH = 600
-
-
-def nesting_depth(e: Expression) -> int:
-    """The depth of ``e`` with each node counted by its weight in
-    ``_NESTING_WEIGHTS``: a bound on the depth of ``e`` and of every first
-    and second partial derivative of it. A flat sum of n terms has nesting
-    depth n."""
-    depth: dict[int, int] = {}
-    stack = [e]
-    while stack:
-        node = stack[-1]
-        if id(node) in depth:
-            stack.pop()
-            continue
-        if isinstance(node, Unary):
-            children = (node.arg,)
-        elif isinstance(node, Binary):
-            children = (node.left, node.right)
-        else:
-            children = ()
-        pending = [c for c in children if id(c) not in depth]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        if not children:
-            weight = 1
-        elif node.op == "^" and _is_integer_literal(node.right):
-            weight = _NESTING_WEIGHTS["ipow"]
-        else:
-            weight = _NESTING_WEIGHTS[node.op]
-        depth[id(node)] = weight + max((depth[id(c)] for c in children), default=0)
-    return depth[id(e)]
+    return frozenset(node.ident for node in _postorder((e,), ()) if isinstance(node, Name))
 
 
 # ---------------------------------------------------------------------------
@@ -588,38 +586,31 @@ def differentiate(e: Expression, wrt: str, memo: dict | None = None) -> Expressi
     """
     if memo is None:
         memo = {}
-    hit = memo.get(id(e))
-    if hit is not None:
-        return hit[1]
-    if isinstance(e, Const):
-        d = _ZERO
-    elif isinstance(e, Name):
-        d = _ONE if e.ident == wrt else _ZERO
-    elif isinstance(e, Unary):
-        d = _unary_derivative(e.op, e.arg, differentiate(e.arg, wrt, memo))
-    elif e.op in "+-":
-        d = _BINARY_BUILDERS[e.op](differentiate(e.left, wrt, memo),
-                                   differentiate(e.right, wrt, memo))
-    elif e.op == "*":
-        d = e_add(e_mul(differentiate(e.left, wrt, memo), e.right),
-                  e_mul(e.left, differentiate(e.right, wrt, memo)))
-    elif e.op == "/":
-        num = e_sub(e_mul(differentiate(e.left, wrt, memo), e.right),
-                    e_mul(e.left, differentiate(e.right, wrt, memo)))
-        d = e_div(num, e_pow(e.right, _const(2.0)))
-    else:
-        base, expo = e.left, e.right
-        db = differentiate(base, wrt, memo)
-        if _is_integer_literal(expo):
-            n = expo.value
-            d = e_mul(e_mul(_const(n), e_pow(base, _const(n - 1))), db)
+    for node in _postorder((e,), memo):
+        if isinstance(node, Const):
+            d = _ZERO
+        elif isinstance(node, Name):
+            d = _ONE if node.ident == wrt else _ZERO
+        elif isinstance(node, Unary):
+            d = _unary_derivative(node.op, node.arg, memo[id(node.arg)][1])
         else:
-            # d/dx exp(y*log(b)) = b^y * (dy*log(b) + y*db/b)
-            dy = differentiate(expo, wrt, memo)
-            inner = e_add(e_mul(dy, e_func("log", base)), e_div(e_mul(expo, db), base))
-            d = e_mul(e, inner)
-    memo[id(e)] = (e, d)  # holding e keeps its id from being reused
-    return d
+            left, right = node.left, node.right
+            dl, dr = memo[id(left)][1], memo[id(right)][1]
+            if node.op in "+-":
+                d = _BINARY_BUILDERS[node.op](dl, dr)
+            elif node.op == "*":
+                d = e_add(e_mul(dl, right), e_mul(left, dr))
+            elif node.op == "/":
+                d = e_div(e_sub(e_mul(dl, right), e_mul(left, dr)), e_pow(right, _const(2.0)))
+            elif _is_integer_literal(right):
+                n = right.value
+                d = e_mul(e_mul(_const(n), e_pow(left, _const(n - 1))), dl)
+            else:
+                # d/dx exp(y*log(b)) = b^y * (dy*log(b) + y*db/b)
+                inner = e_add(e_mul(dr, e_func("log", left)), e_div(e_mul(right, dl), left))
+                d = e_mul(node, inner)
+        memo[id(node)] = (node, d)  # holding the node keeps its id from being reused
+    return memo[id(e)][1]
 
 
 # ---------------------------------------------------------------------------
@@ -664,11 +655,9 @@ class _KernelEmitter:
     def __init__(self, slot: Mapping[str, str], array: bool):
         self.slot = slot
         self.array = array
-        self.by_object: dict[int, int] = {}
         self.by_key: dict[tuple, int] = {}
         self.nodes: list[tuple] = []
         self.uses: list[int] = []
-        self.done: dict[int, str] = {}
         self.lines: list[str] = []
 
     def _node(self, key: tuple, *children: int) -> int:
@@ -682,66 +671,71 @@ class _KernelEmitter:
                 self.uses[child] += 1
         return num
 
-    def number(self, e: Expression) -> int:
-        num = self.by_object.get(id(e))
-        if num is not None:
-            return num
-        if isinstance(e, Const):
-            num = self._node(("leaf", _kernel_const(e.value)))
-        elif isinstance(e, Name):
-            num = self._node(("leaf", self.slot[e.ident]))
-        elif isinstance(e, Unary) and e.op == "neg" and isinstance(e.arg, Const):
-            # a negative literal: negation is exact, so fold it
-            num = self._node(("leaf", _kernel_const(-e.arg.value)))
-        elif isinstance(e, Unary):
-            arg = self.number(e.arg)
-            num = self._node((e.op, arg), arg)
-        elif e.op == "^" and _is_integer_literal(e.right):
-            base, n = self.number(e.left), int(e.right.value)
-            if n in (2, 3):
-                # _k_ipow multiplies these out as (b * b) * b; a square is
-                # then shared with the cube of the same base
-                num = self._node(("*", base, base), base, base)
-                if n == 3:
-                    num = self._node(("*", num, base), num, base)
+    def number(self, exprs) -> list[int]:
+        """The numbers of ``exprs``, numbering their nodes children first."""
+        by_object: dict[int, int] = {}
+        for e in _postorder(exprs, ()):
+            if isinstance(e, Const):
+                num = self._node(("leaf", _kernel_const(e.value)))
+            elif isinstance(e, Name):
+                num = self._node(("leaf", self.slot[e.ident]))
+            elif isinstance(e, Unary) and e.op == "neg" and isinstance(e.arg, Const):
+                # a negative literal: negation is exact, so fold it
+                num = self._node(("leaf", _kernel_const(-e.arg.value)))
+            elif isinstance(e, Unary):
+                arg = by_object[id(e.arg)]
+                num = self._node((e.op, arg), arg)
+            elif e.op == "^" and _is_integer_literal(e.right):
+                base, n = by_object[id(e.left)], int(e.right.value)
+                if n in (2, 3):
+                    # _k_ipow multiplies these out as (b * b) * b; a square is
+                    # then shared with the cube of the same base
+                    num = self._node(("*", base, base), base, base)
+                    if n == 3:
+                        num = self._node(("*", num, base), num, base)
+                else:
+                    num = self._node(("ipow", base, n), base)
             else:
-                num = self._node(("ipow", base, n), base)
-        else:
-            left, right = self.number(e.left), self.number(e.right)
-            num = self._node((e.op, left, right), left, right)
-        self.by_object[id(e)] = num
-        return num
+                left, right = by_object[id(e.left)], by_object[id(e.right)]
+                num = self._node((e.op, left, right), left, right)
+            by_object[id(e)] = num
+        return [by_object[id(e)] for e in exprs]
 
-    def emit(self, num: int) -> tuple[str, int]:
-        """Source text for node ``num`` and its inline nesting depth."""
-        if num in self.done:
-            return self.done[num], 0
-        op, *operands = self.nodes[num]
-        if op == "leaf":
-            self.done[num] = operands[0]
-            return operands[0], 0
-        if op == "ipow":
-            base, depth = self.emit(operands[0])
-            text = f"_ipow({base}, {operands[1]})"
-        elif len(operands) == 1:
-            arg, depth = self.emit(operands[0])
-            text = f"(-{arg})" if op == "neg" else f"{op}({arg})"
-        else:
-            (left, dl), (right, dr) = self.emit(operands[0]), self.emit(operands[1])
-            depth = max(dl, dr)
-            if op == "^":
-                text = f"_gpow({left}, {right})"
-            elif op == "/" and self.array:
-                text = f"_div({left}, {right})"
+    def emit(self) -> list[str]:
+        """Source text for every node, in numbering order (children first):
+        a leaf's text, a temporary's name, or an inline subexpression. A
+        node used more than once, or nested deeper inline than
+        ``_MAX_INLINE_DEPTH``, is assigned to a temporary."""
+        texts: list[str] = []
+        depths: list[int] = []
+        for num, (op, *operands) in enumerate(self.nodes):
+            if op == "leaf":
+                texts.append(operands[0])
+                depths.append(0)
+                continue
+            if op == "ipow":
+                depth = depths[operands[0]]
+                text = f"_ipow({texts[operands[0]]}, {operands[1]})"
+            elif len(operands) == 1:
+                arg, depth = texts[operands[0]], depths[operands[0]]
+                text = f"(-{arg})" if op == "neg" else f"{op}({arg})"
             else:
-                text = f"({left} {op} {right})"
-        depth += 1
-        if self.uses[num] > 1 or depth > _MAX_INLINE_DEPTH:
-            name = f"t{len(self.lines)}"
-            self.lines.append(f"    {name} = {text}")
-            self.done[num] = name
-            return name, 0
-        return text, depth
+                left, right = texts[operands[0]], texts[operands[1]]
+                depth = max(depths[operands[0]], depths[operands[1]])
+                if op == "^":
+                    text = f"_gpow({left}, {right})"
+                elif op == "/" and self.array:
+                    text = f"_div({left}, {right})"
+                else:
+                    text = f"({left} {op} {right})"
+            depth += 1
+            if self.uses[num] > 1 or depth > _MAX_INLINE_DEPTH:
+                name = f"t{len(self.lines)}"
+                self.lines.append(f"    {name} = {text}")
+                text, depth = name, 0
+            texts.append(text)
+            depths.append(depth)
+        return texts
 
 
 def _generate(exprs, arg_names, namespace: dict, array: bool) -> Callable[..., tuple]:
@@ -750,12 +744,13 @@ def _generate(exprs, arg_names, namespace: dict, array: bool) -> Callable[..., t
     slot = {name: f"v{i}" for i, name in enumerate(arg_names)}
     emitter = _KernelEmitter(slot, array)
     try:
-        roots = [emitter.number(e) for e in exprs]
+        roots = emitter.number(list(exprs))
     except KeyError as err:
         raise ExpressionError(f"unbound identifier {err.args[0]!r}") from None
     for num in roots:
         emitter.uses[num] += 1
-    entries = [emitter.emit(num)[0] for num in roots]
+    texts = emitter.emit()
+    entries = [texts[num] for num in roots]
     out = f"({''.join(e + ', ' for e in entries)})"
     if array:
         body = "\n".join(emitter.lines + [f"    return {out}"])

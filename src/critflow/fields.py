@@ -40,8 +40,10 @@ derivative index by A^-1, with every sum in index order. The curvature
 term of the pushforward vanishes under an affine map, so g's acceleration
 is A F(A^-1 (y - b)) with Jacobian A DF A^-1, and
 :class:`JetAccelerationMap` composes the entries of the base's
-acceleration F the same way. g's large substituted trees are only printed,
-never differentiated or compiled.
+acceleration F the same way. g's large substituted trees are never
+compiled: building g checks their names, reports print them, and
+``transform`` differentiates them for the symbolic acceleration it prints
+(:func:`acceleration_field`).
 """
 
 from __future__ import annotations
@@ -56,9 +58,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expr import (
-    _BINARY_BUILDERS, MAX_NESTING_DEPTH, Binary, Const, DomainError, Expression,
-    ExpressionError, Name, Unary, SystemDefinition, compile_array, compile_kernel,
-    differentiate, e_add, e_func, e_mul, e_neg, evaluate, nesting_depth, to_source,
+    _BINARY_BUILDERS, Binary, Const, DomainError, Expression, ExpressionError, Name,
+    Unary, SystemDefinition, _postorder, compile_array, compile_kernel, differentiate,
+    e_add, e_func, e_mul, e_neg, evaluate, to_source,
 )
 from .linalg import is_degenerate, solve_linear
 from .region import AnalysisRegion, lattice_points
@@ -361,15 +363,22 @@ def default_target_names(n: int, taken=()) -> tuple[str, ...]:
 # Symbolic constructions
 
 def substitute(e: Expression, mapping: Mapping[str, Expression]) -> Expression:
-    """Replace named leaves by expressions, re-folding constants."""
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Name):
-        return mapping.get(e.ident, e)
-    if isinstance(e, Unary):
-        inner = substitute(e.arg, mapping)
-        return e_neg(inner) if e.op == "neg" else e_func(e.op, inner)
-    return _BINARY_BUILDERS[e.op](substitute(e.left, mapping), substitute(e.right, mapping))
+    """Replace named leaves by expressions, re-folding constants. Each
+    distinct subtree object is substituted once, so subtrees that ``e``
+    shares stay shared."""
+    memo: dict[int, Expression] = {}  # the nodes stay alive under e
+    for node in _postorder((e,), memo):
+        if isinstance(node, Const):
+            out = node
+        elif isinstance(node, Name):
+            out = mapping.get(node.ident, node)
+        elif isinstance(node, Unary):
+            inner = memo[id(node.arg)]
+            out = e_neg(inner) if node.op == "neg" else e_func(node.op, inner)
+        else:
+            out = _BINARY_BUILDERS[node.op](memo[id(node.left)], memo[id(node.right)])
+        memo[id(node)] = out
+    return memo[id(e)]
 
 
 def _rebuilt(e: Expression, leaves: Mapping[str, Expression], memo: dict) -> Expression:
@@ -377,19 +386,17 @@ def _rebuilt(e: Expression, leaves: Mapping[str, Expression], memo: dict) -> Exp
     folds nothing, so every other node keeps its operation and operands and
     rounds as before. Each node is rebuilt once, so subtrees that ``e``
     shares stay shared; ``memo`` maps a node's id to it and its copy."""
-    hit = memo.get(id(e))
-    if hit is not None:
-        return hit[1]
-    if isinstance(e, Name):
-        out = leaves.get(e.ident, e)
-    elif isinstance(e, Const):
-        out = e
-    elif isinstance(e, Unary):
-        out = Unary(e.op, _rebuilt(e.arg, leaves, memo))
-    else:
-        out = Binary(e.op, _rebuilt(e.left, leaves, memo), _rebuilt(e.right, leaves, memo))
-    memo[id(e)] = (e, out)  # holding e keeps its id from being reused
-    return out
+    for node in _postorder((e,), memo):
+        if isinstance(node, Name):
+            out = leaves.get(node.ident, node)
+        elif isinstance(node, Const):
+            out = node
+        elif isinstance(node, Unary):
+            out = Unary(node.op, memo[id(node.arg)][1])
+        else:
+            out = Binary(node.op, memo[id(node.left)][1], memo[id(node.right)][1])
+        memo[id(node)] = (node, out)  # holding the node keeps its id from being reused
+    return memo[id(e)][1]
 
 
 def _index_sum(terms: list[Expression]) -> Expression:
@@ -441,7 +448,8 @@ class AffineConjugateField(VectorField):
     composed with the map (:func:`_conjugated_entries`): g's values, its
     Jacobian A Df A^-1 and its Hessian, each compiled into one kernel like
     any map's, from entries composed once per order. The large substituted
-    trees are never differentiated.
+    trees are never compiled; only the symbolic acceleration that
+    ``transform`` prints differentiates them.
     """
 
     def __init__(self, system: SystemDefinition, base: VectorField, linear: LinearPart):
@@ -533,10 +541,6 @@ def transformed_system(f: VectorField, h: TransformationMap) -> VectorField:
     after verifying on 100 sampled domain points that the inverse actually
     inverts the map (worst residual below 1e-9).
 
-    Unless h is an invertible affine map, the searches differentiate and
-    compile the composed components, so a component whose
-    :func:`~critflow.expr.nesting_depth` exceeds ``MAX_NESTING_DEPTH`` (the
-    bound that loading applies to each file) raises :class:`ExpressionError`.
     Under an invertible affine map the result is an
     :class:`AffineConjugateField`, which compiles f's own trees composed
     with the map instead.
@@ -568,16 +572,12 @@ def transformed_system(f: VectorField, h: TransformationMap) -> VectorField:
     if set(targets) & set(merged):
         raise ExpressionError("target state names collide with parameter names")
 
-    linear = h.linear_part
-    affine = linear is not None and linear.inverse is not None
     comps = []
     for i in range(f.dimension):
         pushed: Expression = Const(0.0)
         for j in range(f.dimension):
             pushed = e_add(pushed, e_mul(h.jacobian_exprs[i][j], f.components[j]))
         comps.append(substitute(pushed, inverse_map))
-        if not affine and nesting_depth(comps[-1]) > MAX_NESTING_DEPTH:
-            raise ExpressionError(f"transformed field[{i}]: expression nested too deeply")
 
     system = SystemDefinition(
         name=f"{f.name}_via_{h.name}",
@@ -585,7 +585,8 @@ def transformed_system(f: VectorField, h: TransformationMap) -> VectorField:
         parameters=merged,
         components=tuple(comps),
     )
-    if affine:
+    linear = h.linear_part
+    if linear is not None and linear.inverse is not None:
         return AffineConjugateField(system, f, linear)
     return VectorField(system)
 

@@ -23,8 +23,7 @@ import numpy as np
 
 from . import __version__
 from .conjugacy import MatchRecord, TheoremCheck
-from .expr import (MAX_NESTING_DEPTH, ExpressionError, SystemDefinition, nesting_depth,
-                   parse_expression)
+from .expr import ExpressionError, SystemDefinition, parse_expression
 from .fields import TransformationMap, VectorField, VectorMap, default_target_names
 from .linalg import Spectrum
 from .points import CriticalPoint, PointSearch, SolverConfig
@@ -134,8 +133,6 @@ def _parse_components(sources, allowed, path: str, key: str):
             out.append(parse_expression(src, allowed))
         except ExpressionError as err:
             raise InputError(f"{path}: {key}[{i}]: {err}") from err
-        if nesting_depth(out[-1]) > MAX_NESTING_DEPTH:
-            raise InputError(f"{path}: {key}[{i}]: expression nested too deeply")
     return tuple(out)
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -296,44 +297,19 @@ def test_system_definition_validation():
     assert tuple(map(cf.to_source, good.components)) == ("x ^ 2.0 - A ^ 2.0",)
 
 
-def _tree_depth(e) -> int:
-    if isinstance(e, (Const, Name)):
-        return 1
-    if isinstance(e, cf.expr.Unary):
-        return 1 + _tree_depth(e.arg)
-    return 1 + max(_tree_depth(e.left), _tree_depth(e.right))
-
-
-def test_nesting_depth_bounds_the_first_and_second_partials():
-    # the bound loading enforces holds for the trees a search walks. Each
-    # weight bounds how far one node reaches above its operands (which
-    # bounds whole trees by induction); random trees check the sum
-    rng = random.Random(17)
-    names = ("x", "y")
-
-    def random_tree(depth):
-        return cf.parse_expression(random_expression_source(rng, names, depth=depth), set(names))
-
-    def reach(e):
-        """The depth of the deepest of e and its first and second partials."""
-        deepest = _tree_depth(e)
-        for a in names:
-            da = cf.differentiate(e, a)
-            deepest = max(deepest, _tree_depth(da),
-                          *(_tree_depth(cf.differentiate(da, b)) for b in names))
-        return deepest
-
-    weights = cf.expr._NESTING_WEIGHTS
-    for _ in range(150):
-        u, v = random_tree(rng.choice([1, 2, 3])), random_tree(rng.choice([1, 2, 3]))
-        ru, rv = reach(u), reach(v)
-        for op in ("neg",) + cf.expr.FUNCTIONS:
-            assert reach(cf.expr.Unary(op, u)) <= ru + weights[op], (op, u)
-        for op in "+-*/^":
-            assert reach(Binary(op, u, v)) <= max(ru, rv) + weights[op], (op, u, v)
-        power = Binary("^", u, Const(rng.choice([2.0, 3.0, 4.0, -1.0])))
-        assert reach(power) <= ru + weights["ipow"], power
-    for _ in range(100):
-        e = random_tree(rng.choice([5, 7]))
-        assert reach(e) <= cf.expr.nesting_depth(e), e
-    assert cf.expr.nesting_depth(cf.parse_expression("+".join(["x"] * 50), {"x"})) == 50
+def test_no_pass_recurses_over_a_deep_tree():
+    # a left chain of 100,000 products and sums, built without the parser,
+    # 100 times deeper than the default recursion limit of 1000 frames
+    assert sys.getrecursionlimit() == 1000
+    e = Name("x")
+    for k in range(100_000):
+        e = Binary("+" if k % 2 else "*", e, Name("y"))
+    env = {"x": 0.5, "y": 0.5}
+    value = cf.evaluate(e, env)
+    assert value == 1.0  # v -> v * 0.5 + 0.5 from v = 0.5
+    assert compile_kernel([e], ["x", "y"])(0.5, 0.5) == (value,)
+    # d/dx is 0.5 ** 50_000, which underflows to zero
+    assert cf.evaluate(cf.differentiate(e, "x"), env) == 0.5 ** 50_000 == 0.0
+    assert cf.to_source(e) == "(" * 49_999 + "x * y + y" + ") * y + y" * 49_999
+    assert cf.free_variables(e) == {"x", "y"}
+    assert cf.free_variables(cf.fields.substitute(e, {"y": Const(0.5)})) == {"x"}
