@@ -115,6 +115,22 @@ def test_cli_rejects_inputs_nested_too_deeply(tmp_path, capsys, text, detail):
     assert capsys.readouterr().err == f"error: {p}: {detail}\n"
 
 
+# an input the old nesting bound rejected: the 1200-term sum x + ... + x is
+# 1200*x, so its one fixed point is 0 with eigenvalue 1200
+@pytest.mark.parametrize("field, location, eigenvalue", [
+    ("+".join(["x"] * 1200), 0.0, 1200.0),
+], ids=["flat-sum"])
+def test_cli_analyze_runs_inputs_past_the_old_nesting_bound(tmp_path, capsys, field, location,
+                                                            eigenvalue):
+    p = tmp_path / "system.json"
+    p.write_text(json.dumps({**read_json(DATA / "example1.json"), "field": [field]}))
+    assert run_cli("analyze", p, "--out", tmp_path / "report.json") == 0
+    assert capsys.readouterr().err == ""
+    fixed = read_json(tmp_path / "report.json")["fixed_points"]["points"]
+    assert [q["location"][0] for q in fixed] == pytest.approx([location], abs=1e-10)
+    assert fixed[0]["spectrum"][0][0] == pytest.approx(eigenvalue, rel=1e-12)
+
+
 def _analyze_field(path: Path, doc: dict, field: str, *flags) -> int:
     path.write_text(json.dumps({**doc, "field": [field]}))
     return run_cli("analyze", path, *flags)
