@@ -7,11 +7,13 @@ Run from any directory; the program is the ``src/`` of the checkout that
 holds this script. Each command runs in its own Python process, in a work
 directory that holds copies of ``tests/data``, the eleven random
 (system, map) cases of ``bench/gen.py``'s ``conjugacy_case`` (n = 2 seeds
-1-6, n = 3 seeds 1-4, n = 4 seed 1) and ``cases/deep-system.json``, a 1-D
-field written as a sum of ``DEEP_TERMS`` terms, all named by relative
-paths, so the reports and messages of two checkouts can be compared byte
-for byte. The
-digest covers the exit code, stdout, stderr and every file the command
+1-6, n = 3 seeds 1-4, n = 4 seed 1), ``cases/deep-system.json``, a 1-D
+field written as a sum of ``DEEP_TERMS`` terms, and
+``cases/wall-system.json``, the 1-D field 2 sqrt(x) (x - A^2) on [0, 3],
+whose fixed point x = 0 lies on the wall of sqrt, where neither it nor its
+affine conjugate is differentiable. All are named by relative paths, so
+the reports and messages of two checkouts can be compared byte for byte.
+The digest covers the exit code, stdout, stderr and every file the command
 writes. To compare two checkouts, run the script from each and diff the
 outputs. ``--work`` keeps the inputs and outputs in DIR (which must not
 exist yet) instead of a temporary directory.
@@ -23,7 +25,8 @@ The commands: ``analyze`` of the five ``tests/data`` systems;
 ``planar`` (21x21 with 3 trajectories to T = 2, and 101x101 with 9),
 ``example1`` and ``example2_system`` (9 trajectories each); ``analyze`` of
 the deep system, ``transform`` of it under ``square_map`` and ``verify``
-under ``affine_map``.
+under ``affine_map``; ``verify`` and ``transform`` of the wall system under
+``affine_map``.
 
 The script exits 1 if any command's exit code differs from
 ``EXPECTED_FAILURES`` (exit 1) or 0 (every other command).
@@ -72,6 +75,9 @@ def _write_inputs(work: Path) -> None:
             "field": [" + ".join([f"{1 / DEEP_TERMS!r}*x^2"] * DEEP_TERMS) + " - A^2"],
             "region": [[-3, 3]]}
     (work / "cases" / "deep-system.json").write_text(json.dumps(deep, indent=1))
+    wall = {"name": "wall", "state": ["x"], "params": {"A": 1.0},
+            "field": ["2*sqrt(x)*(x - A^2)"], "region": [[0, 3]]}
+    (work / "cases" / "wall-system.json").write_text(json.dumps(wall, indent=1))
 
 
 def commands() -> list[list[str]]:
@@ -92,7 +98,9 @@ def commands() -> list[list[str]]:
         cmds.append(["portrait", f"data/{name}.json", "--trajectories", "9"])
     cmds += [["analyze", "cases/deep-system.json"],
              ["transform", "cases/deep-system.json", "data/square_map.json"],
-             ["verify", "cases/deep-system.json", "data/affine_map.json"]]
+             ["verify", "cases/deep-system.json", "data/affine_map.json"],
+             ["verify", "cases/wall-system.json", "data/affine_map.json"],
+             ["transform", "cases/wall-system.json", "data/affine_map.json"]]
     return cmds
 
 

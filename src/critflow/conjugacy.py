@@ -358,7 +358,12 @@ def verify_spectrum_preservation(f: VectorField, h: TransformationMap,
 
     Each point's spectrum and Jacobian are the ones its search computed
     there, so this check evaluates neither. A pair whose spectrum is
-    missing on either side fails with that point's note.
+    missing on one side fails with that point's note, and so does a pair
+    whose eigenvalue computation did not converge. A pair whose Jacobian is
+    not evaluable on both sides, such as a fixed point on a domain wall of
+    the field, is listed with its note but decides nothing: the theorem's
+    differentiability hypothesis fails there. When no pair is compared,
+    the check is not-applicable.
 
     Requires a linear map with invertible Jacobian (diffeomorphism
     hypothesis); anything else is not-applicable.
@@ -375,7 +380,7 @@ def verify_spectrum_preservation(f: VectorField, h: TransformationMap,
     records: list[MatchRecord] = []
     worst_sd = 0.0
     worst_sim = 0.0
-    any_pair = False
+    any_pair = decided = False  # decided: a pair that was compared or failed
     ok = True
     for kind in (FIXED, PERPETUAL):
         for rec, p, q in _match_points(f, h, g, region, cfg, kind, searches)[4]:
@@ -383,8 +388,11 @@ def verify_spectrum_preservation(f: VectorField, h: TransformationMap,
             missing = next((pt for pt in (p, q) if pt.spectrum is None), None)
             if missing is not None:
                 records.append(replace(rec, note=f"spectra not evaluable: {missing.note}"))
-                ok = False
+                # a pair differentiable on neither side is outside the theorem
+                if p.jacobian is not None or q.jacobian is not None:
+                    ok, decided = False, True
                 continue
+            decided = True
             sd = spectrum_distance(p.spectrum, q.spectrum)
             sim = _similarity(linear.matrix, linear.inverse, p.jacobian, q.jacobian)
             worst_sd = max(worst_sd, sd)
@@ -392,9 +400,14 @@ def verify_spectrum_preservation(f: VectorField, h: TransformationMap,
             if sd > spectrum_tol or sim > similarity_tol:
                 ok = False
             records.append(replace(rec, spectrum_distance=sd, similarity_residual=sim))
-    note = "" if any_pair else "no matched critical-point pairs to compare"
-    verdict = HOLDS if ok else FAILS
-    return TheoremCheck("t3", verdict, max(worst_sd, worst_sim) if any_pair else None,
+    if not any_pair:
+        note = "no matched critical-point pairs to compare"
+    elif not decided:
+        note = "no matched pair has a Jacobian on either side to compare"
+    else:
+        note = ""
+    verdict = FAILS if not ok else HOLDS if decided else NOT_APPLICABLE
+    return TheoremCheck("t3", verdict, max(worst_sd, worst_sim) if decided else None,
                         tuple(records), tolerance=spectrum_tol, note=note)
 
 

@@ -815,7 +815,13 @@ def _check_names(names, what: str) -> None:
 @dataclass(frozen=True, eq=True)
 class SystemDefinition:
     """An autonomous system: n named state variables, fixed parameter
-    values, and one right-hand-side expression per state variable."""
+    values, and one right-hand-side expression per state variable.
+
+    Construction checks the names, not the components' trees: the loaders
+    parse each component with the declared names only
+    (:meth:`from_sources`), and a component built otherwise that names
+    anything else raises :class:`ExpressionError` ("unbound identifier")
+    when its field's first kernel is compiled."""
 
     name: str
     state_names: tuple[str, ...]
@@ -836,12 +842,6 @@ class SystemDefinition:
         overlap = set(self.state_names) & set(self.parameters)
         if overlap:
             raise ExpressionError(f"names declared as both state and parameter: {sorted(overlap)}")
-        declared = set(self.state_names) | set(self.parameters)
-        for i, comp in enumerate(self.components):
-            undeclared = free_variables(comp) - declared
-            if undeclared:
-                raise ExpressionError(
-                    f"component {i} references undeclared names {sorted(undeclared)}")
 
     @classmethod
     def from_sources(cls, name: str, state_names, parameters: Mapping[str, float],

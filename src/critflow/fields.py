@@ -33,15 +33,19 @@ Jacobian, the symbolic field :func:`acceleration_field` with exact first
 partials. A plain :class:`VectorField` uses it directly.
 
 Under an invertible affine map y = A x + b the transformed system is an
-:class:`AffineConjugateField` g = A f(A^-1 (y - b)). Its entries are f's
-own, composed with the map (:func:`_conjugated_entries`): each state leaf
-becomes the pull-back, the output index is pushed forward by A and each
-derivative index by A^-1, with every sum in index order. The curvature
-term of the pushforward vanishes under an affine map, so g's acceleration
-is A F(A^-1 (y - b)) with Jacobian A DF A^-1, and
-:class:`JetAccelerationMap` composes the entries of the base's
-acceleration F the same way. g's large substituted trees are never
-compiled: building g checks their names, reports print them, and
+:class:`AffineConjugateField` g = A f(A^-1 (y - b)), and it evaluates
+through f's compiled kernels. Its kernel of each order is a function
+generated once per dimension and order (:func:`_conjugation`): it pulls
+y back to x, calls f's kernel of that order, and pushes the entries
+forward, the output index by A and each derivative index by A^-1, with
+every sum in index order. The curvature term of the pushforward vanishes
+under an affine map, so g's acceleration is A F(A^-1 (y - b)) with
+Jacobian A DF A^-1, and :class:`JetAccelerationMap` evaluates through the
+kernels of the base's acceleration F the same way. Building g's kernels
+compiles nothing. f's entries composed with the map as trees
+(:func:`_conjugated_entries`), which that function matches bit for bit,
+serve only the messages of ``_raise_domain_error`` and ``value_grid``.
+g's large substituted trees are never compiled: reports print them, and
 ``transform`` differentiates them for the symbolic acceleration it prints
 (:func:`acceleration_field`).
 """
@@ -51,6 +55,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import types
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -180,15 +185,19 @@ class VectorMap:
         return f"hessian[{k // (n * n)},{k // n % n},{k % n}]"
 
     def _kernel(self, order: int):
-        """The kernel of ``order``, compiled on first use. Called with the
+        """The kernel of ``order``, built on first use. Called with the
         coordinates as Python floats, it returns the entries as a flat
         tuple, or None where one is not evaluable."""
         kernel = self._kernels.get(order)
         if kernel is None:
-            kernel = compile_kernel(self._entries(order), self._args)
-            # parameters ride along as defaults, so plain calls pass coordinates only
-            kernel.__defaults__ = self._param_values
-            self._kernels[order] = kernel
+            kernel = self._kernels[order] = self._build_kernel(order)
+        return kernel
+
+    def _build_kernel(self, order: int):
+        """The kernel of ``order``, compiled from its entries."""
+        kernel = compile_kernel(self._entries(order), self._args)
+        # parameters ride along as defaults, so plain calls pass coordinates only
+        kernel.__defaults__ = self._param_values
         return kernel
 
     def _raise_domain_error(self, order: int, args):
@@ -256,7 +265,7 @@ class VectorField(VectorMap):
 def acceleration_map(f: VectorField):
     """The acceleration field root searches use: symbolic for a plain
     :class:`VectorField`, and for an :class:`AffineConjugateField` its
-    base's composed with the map (:class:`JetAccelerationMap`).
+    base's conjugated by the map (:class:`JetAccelerationMap`).
 
     Built on first use and cached on the field, which is immutable, so
     every search, check and caller of one field shares one map and its
@@ -439,17 +448,73 @@ def _conjugated_entries(base: VectorMap, order: int, linear: LinearPart,
     return entries
 
 
+@functools.cache
+def _conjugation(n: int, order: int):
+    """The entries of ``order`` (flat, row-major) of y -> A m(A^-1 (y - b))
+    for a map m of n inputs, as a function generated on first use:
+    ``conjugation(y0, ..., base, a0_0, ..., m0_0, ..., c0, ...)`` takes
+    the coordinates, m's kernel of ``order``, A and A^-1 row-major and
+    c = A^-1 b. ``AffineConjugateField._build_kernel`` binds all but the
+    coordinates as defaults.
+
+    It does the float operations of the kernel compiled from
+    :func:`_conjugated_entries`, on the same operands in the same order:
+    the pull-back ``((m0_0 * y0 + m0_1 * y1) + ...) - c0``, m's entries
+    there, then the output index pushed forward by A and each derivative
+    index by A^-1, every sum in index order. So its entries are that
+    kernel's bit for bit, and it is None exactly where that kernel is:
+    where m's kernel is None, and where an entry comes out non-finite. A
+    non-finite entry of m makes every pushed entry non-finite, since every
+    pushed entry sums over all of m's and 0 * inf is NaN."""
+    idx = range(n)
+    a = [f"a{i}_{p}" for i in idx for p in idx]
+    m = [f"m{q}_{j}" for q in idx for j in idx]
+    c = [f"c{i}" for i in idx]
+    size = n ** order
+    entries = [f"e{k}" for k in range(n * size)]
+    pulled = [" + ".join(f"{m[i * n + p]} * y{p}" for p in idx) + f" - {c[i]}" for i in idx]
+    lines = [f"    out = base({', '.join(pulled)})",
+             "    if out is None:",
+             "        return None",
+             f"    {''.join(e + ', ' for e in entries)}= out"]
+    sums = [" + ".join(f"{a[i * n + p]} * {entries[p * size + k]}" for p in idx)
+            for i in idx for k in range(size)]
+    for axis in range(order):
+        stride = n ** (order - 1 - axis)
+        totals = [f"s{axis}_{k}" for k in range(len(sums))]
+        lines += [f"    {name} = {total}" for name, total in zip(totals, sums)]
+        sums = []
+        for k in range(len(totals)):
+            j = k // stride % n  # entry k's derivative index on this axis
+            first = k - j * stride
+            sums.append(" + ".join(f"{totals[first + q * stride]} * {m[q * n + j]}"
+                                   for q in idx))
+    lines += [f"    out = ({''.join(t + ', ' for t in sums)})",
+              # the one evaluability rule of compile_kernel's kernels
+              "    if isfinite(sum(out)) or all(map(isfinite, out)):",
+              "        return out",
+              "    return None"]
+    params = ", ".join([*(f"y{i}" for i in idx), "base", *a, *m, *c])
+    src = f"def conjugation({params}):\n" + "\n".join(lines) + "\n"
+    scope = {"isfinite": math.isfinite}
+    exec(compile(src, "<critflow-conjugation>", "exec"), scope)
+    return scope["conjugation"]
+
+
 class AffineConjugateField(VectorField):
     """Transformed system g = A f(A^-1 (y - b)) under an invertible affine
     map y = A x + b.
 
     Carries the substituted symbolic components, so serialization and the
-    symbolic API behave like any other field, but evaluates f's own entries
-    composed with the map (:func:`_conjugated_entries`): g's values, its
-    Jacobian A Df A^-1 and its Hessian, each compiled into one kernel like
-    any map's, from entries composed once per order. The large substituted
-    trees are never compiled; only the symbolic acceleration that
-    ``transform`` prints differentiates them.
+    symbolic API behave like any other field, but evaluates through f's own
+    compiled kernels: g's kernel of each order (its values, its Jacobian
+    A Df A^-1 and its Hessian) is the generated :func:`_conjugation` around
+    f's kernel of that order, and compiles nothing. f's entries composed
+    with the map (:func:`_conjugated_entries`) are built on first use, once
+    per order, only for what still reads trees: the message that
+    ``_raise_domain_error`` builds and ``value_grid``. The large
+    substituted trees are never compiled; only the symbolic acceleration
+    that ``transform`` prints differentiates them.
     """
 
     def __init__(self, system: SystemDefinition, base: VectorField, linear: LinearPart):
@@ -463,6 +528,16 @@ class AffineConjugateField(VectorField):
             self._composed[order] = _conjugated_entries(self.base, order, self.linear,
                                                         self.input_names)
         return self._composed[order]
+
+    def _build_kernel(self, order: int):
+        """The generated :func:`_conjugation` with the base's own kernel of
+        ``order`` and the map bound as defaults: it compiles nothing."""
+        conjugation, linear = _conjugation(self.base.n_in, order), self.linear
+        defaults = (self.base._kernel(order), *linear.matrix.ravel().tolist(),
+                    *linear.inverse.ravel().tolist(),
+                    *(linear.inverse @ linear.offset).tolist())
+        return types.FunctionType(conjugation.__code__, conjugation.__globals__,
+                                  conjugation.__name__, defaults)
 
     @cached_property
     def _acceleration(self):
@@ -480,8 +555,10 @@ class JetAccelerationMap(VectorMap):
     Under an affine map the curvature term of the pushforward vanishes, so
     g's acceleration is A F(A^-1 (y - b)) with Jacobian A DF A^-1, where F
     is ``acceleration_map(g.base)``, the base's symbolic acceleration. It
-    is a map over g's inputs and parameters whose entries are F's composed
-    with the map, as g's are f's; its components are those of order 0.
+    is a map over g's inputs and parameters that evaluates through F's
+    compiled kernels, as g does through f's. Its components are F's
+    entries composed with the map, which ``value_grid`` reads; it composes
+    the other orders, as g does, only for error messages.
     The name dates from an earlier construction that contracted g's jets;
     it stays, and so do its one-line ``value`` and ``jacobian``, because
     the benchmark's layer tracer patches this class and its own methods by
@@ -495,6 +572,7 @@ class JetAccelerationMap(VectorMap):
                          self._composed[0])
 
     _entries = AffineConjugateField._entries
+    _build_kernel = AffineConjugateField._build_kernel
     value, jacobian = VectorMap.value, VectorMap.jacobian
 
 
@@ -542,8 +620,8 @@ def transformed_system(f: VectorField, h: TransformationMap) -> VectorField:
     inverts the map (worst residual below 1e-9).
 
     Under an invertible affine map the result is an
-    :class:`AffineConjugateField`, which compiles f's own trees composed
-    with the map instead.
+    :class:`AffineConjugateField`, which evaluates through f's compiled
+    kernels instead.
     """
     h_inverse = h.inverse
     if h_inverse is None:

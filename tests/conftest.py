@@ -70,9 +70,11 @@ def assert_no_child_process():
 @functools.cache
 def caches_after_import() -> dict:
     """`cache_info()` of each function generated per dimension (the
-    elimination, the RKF45 step and the Newton run), read in one fresh
-    interpreter that has only imported critflow."""
-    generated = ("linalg._elimination", "flows._step_function", "points._newton_function")
+    elimination, the RKF45 step, the Newton run and the affine
+    conjugation), read in one fresh interpreter that has only imported
+    critflow."""
+    generated = ("linalg._elimination", "flows._step_function", "points._newton_function",
+                 "fields._conjugation")
     src = Path(cf.__file__).resolve().parent.parent
     code = "; ".join(["import critflow"] + [f"print(critflow.{name}.cache_info())"
                                             for name in generated])

@@ -532,6 +532,29 @@ def test_spectrum_check_reads_the_searches_jacobians_and_spectra(quad_field, mon
     assert broken.details[1:] == check.details[1:]
 
 
+def test_a_fixed_point_on_a_domain_wall_decides_no_spectrum_verdict():
+    # 2 sqrt(x) (x - A^2) on [0, 3] under y = 2x + 5: the fixed point x = 0
+    # sits on the wall of sqrt, where neither Df nor Dg is evaluable
+    f = make_field("wall", ["x"], {"A": 1.0}, ["2*sqrt(x)*(x - A^2)"])
+    h, region = affine_map_1d(2.0, 5.0), cf.AnalysisRegion.of((0.0, 3.0))
+    report, g = cf.run_verification(f, h, region)
+    assert_no_child_process()
+    check = report.check("t3")
+    assert check.verdict == cf.HOLDS and report.all_accepted
+    wall = [r for r in check.details if r.source == (0.0,)]
+    assert [(r.matched, r.spectrum_distance, r.note) for r in wall] == [
+        ((5.0,), None, "spectra not evaluable: field Jacobian not evaluable at this point")]
+    compared = [r for r in check.details if r.spectrum_distance is not None]
+    assert len(compared) == 2 and check.worst_residual <= 1e-14
+    # with the wall pair alone, nothing is compared
+    searches = _four_searches(f, h, g, region)
+    for key, search in searches.items():
+        search.points = [p for p in search.points if p.jacobian is None]
+    alone = cf.verify_spectrum_preservation(f, h, g, region, CFG, searches=searches)
+    assert alone.verdict == cf.NOT_APPLICABLE and alone.worst_residual is None
+    assert alone.details == tuple(wall) and "no matched pair" in alone.note
+
+
 def test_parent_of_run_verification_builds_no_acceleration_map_of_g(monkeypatch):
     # the worker searches g; the parent reads g's Jacobians from its points
     if not critflow.worker._worker_usable():

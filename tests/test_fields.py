@@ -14,8 +14,8 @@ from critflow.fields import (AffineConjugateField, JetAccelerationMap, accelerat
                              substitute)
 from critflow.io import load_system
 
-from conftest import (affine_map_1d, fd_gradient, fd_hessian_entry,
-                      identity_map, make_field, random_affine_map,
+from conftest import (affine_map_1d, build_counted, caches_after_import, fd_gradient,
+                      fd_hessian_entry, identity_map, make_field, random_affine_map,
                       random_expression_source, random_polynomial_field,
                       square_map_1d)
 
@@ -89,21 +89,13 @@ def test_affine_conjugate_overflow_raises_domain_error():
         accel.jacobian([0.0])
 
 
-def test_a_field_checks_each_component_for_undeclared_names_once(monkeypatch):
-    walked = []
-    free_variables = expr.free_variables
-
-    def counting(e):
-        walked.append(e)
-        return free_variables(e)
-
-    # wherever the library holds the function
-    for module in [m for name, m in sys.modules.items() if name.startswith("critflow")]:
-        for key, value in list(vars(module).items()):
-            if value is free_variables:
-                monkeypatch.setattr(module, key, counting)
-    f = make_field("pair", ["x", "y"], {"a": 2.0}, ["a*x - y^2", "x*y"])
-    assert [id(e) for e in walked] == [id(e) for e in f.components]
+def test_a_hand_built_system_with_an_undeclared_name_fails_at_its_first_compile():
+    # construction walks no tree; the first kernel names the stray identifier
+    system = cf.SystemDefinition(name="stray", state_names=("x",), parameters={"a": 2.0},
+                                 components=(cf.parse_expression("a*x + z", {"a", "x", "z"}),))
+    f = cf.VectorField(system)
+    with pytest.raises(cf.ExpressionError, match="unbound identifier 'z'"):
+        f.value([1.0])
 
 
 def test_a_hand_built_map_with_an_undeclared_name_fails_at_its_first_compile():
@@ -527,9 +519,10 @@ def test_declared_affine_map_reads_its_linear_part_without_a_hessian(monkeypatch
 
 
 def test_jets_reuse_the_kernel_of_each_derivative_order(monkeypatch):
-    # a map compiles one kernel per order however often it is asked, an
-    # affine conjugate as well, and each call gives the float interface's
-    # floats bit for bit
+    # a map compiles one kernel per order however often it is asked, and
+    # each call gives the float interface's floats bit for bit; an affine
+    # conjugate builds one kernel per order too, around its base's
+    # compiled kernels, and compiles none of its own
     compiled = []
     compile_kernel = cf.fields.compile_kernel
     monkeypatch.setattr(cf.fields, "compile_kernel",
@@ -551,7 +544,8 @@ def test_jets_reuse_the_kernel_of_each_derivative_order(monkeypatch):
             assert jac.shape == (m.n_out, m.n_in) and hess.shape == (m.n_out, 2, 2)
             for order, got in enumerate((v, jac, hess)):
                 assert _bits(got.ravel()) == _bits(m._kernel(order)(*x.tolist())), (m.name, x)
-        assert len(compiled) - before == 3 and sorted(m._kernels) == [0, 1, 2], m.name
+        own = 0 if m is g else 3
+        assert len(compiled) - before == own and sorted(m._kernels) == [0, 1, 2], m.name
 
 
 def _kernel_probe_maps(rng):
@@ -813,3 +807,116 @@ def test_domain_error_walks_each_shared_node_once_per_call(monkeypatch):
         assert str(exc.value) == ("component 3 of shared is not evaluable at [4.0]: "
                                   "sqrt of negative value -1.0")
     assert calls == [4.0, -1.0] * 2
+
+
+# ---------------------------------------------------------------------------
+# An affine conjugate evaluates through its base's compiled kernels
+
+def _composed_kernel(m, order: int):
+    """The reference for a conjugate's kernel: its base's entries composed
+    with the map, compiled into one kernel."""
+    entries = cf.fields._conjugated_entries(m.base, order, m.linear, m.input_names)
+    kernel = expr.compile_kernel(entries, m._args)
+    kernel.__defaults__ = m._param_values
+    return kernel
+
+
+def _renamed_affine_map(rng, names, region):
+    """A random invertible affine map of the builders, over ``names`` into
+    ``z1 ... zn`` (``z`` at n = 1)."""
+    h = random_affine_map(rng, len(names), region)
+    targets = ["z"] if len(names) == 1 else [f"z{i + 1}" for i in range(len(names))]
+    into = {x: Name(y) for x, y in zip(h.input_names, names)}
+    back = {y: Name(z) for y, z in zip(h.inverse.input_names, targets)}
+    return cf.TransformationMap(
+        "again", names, {}, [substitute(c, into) for c in h.components], region, True,
+        inverse=cf.VectorMap("again_inv", targets, {},
+                             [substitute(c, back) for c in h.inverse.components]))
+
+
+def _conjugate_probe_cases(rng):
+    """(conjugate, points) pairs: random conjugates with n = 1 ... 4, their
+    accelerations and a conjugate of a conjugate at points inside and far
+    outside, where the polynomials overflow; the sqrt branch's conjugate
+    on both sides of its wall at z = 5; and fields whose push-forward
+    overflows where the base is finite."""
+    cases = []
+    for n in (1, 2, 3, 4):
+        region = cf.AnalysisRegion.of(*[(-2.5, 2.5)] * n)
+        g = cf.transformed_system(random_polynomial_field(rng, n, degree=2 if n == 4 else 3),
+                                  random_affine_map(rng, n, region))
+        maps = [g, acceleration_map(g)]
+        if n < 4:
+            twice = cf.transformed_system(g, _renamed_affine_map(rng, g.input_names, region))
+            maps += [twice, acceleration_map(twice)]
+        for m in maps:
+            assert isinstance(m, (AffineConjugateField, JetAccelerationMap)), m.name
+            points = [[rng.uniform(-3.0, 3.0) for _ in range(n)] for _ in range(6)]
+            points += [[rng.choice([-1.0, 1.0]) * 1e120 for _ in range(n)] for _ in range(2)]
+            cases.append((m, points))
+    _, g = _sqrt_branch_and_conjugate()
+    walls = [[z] for z in (3.0, 4.999, 5.0, 5.0 + 1e-12, 6.0, 11.0)]
+    cases += [(g, walls), (acceleration_map(g), walls)]
+    for source, scale, accel in (("1e308 * x", 4.0, False), ("5e307 * x^2", 0.25, False),
+                                 ("1e154 * x", 4.0, True)):
+        g = cf.transformed_system(make_field("over", ["x"], {}, [source]),
+                                  affine_map_1d(scale, 0.0))
+        cases.append((acceleration_map(g) if accel else g,
+                      [[y] for y in (-4.0, -1.0, 0.0, 1.0, 4.0)]))
+    return cases
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_conjugate_kernels_match_the_composed_kernel_bit_for_bit():
+    rng = random.Random(5077)
+    results = {"finite": 0, "none": 0}
+    for m, points in _conjugate_probe_cases(rng):
+        for order in (0, 1, 2):
+            want_kernel, got_kernel = _composed_kernel(m, order), m._kernel(order)
+            for y in points:
+                want, got = want_kernel(*y), got_kernel(*y)
+                assert (got is None) == (want is None), (m.name, order, y)
+                if got is None:
+                    results["none"] += 1
+                    continue
+                assert _bits(got) == _bits(want), (m.name, order, y)
+                results["finite"] += 1
+    assert results["finite"] > 300 and results["none"] > 60, results
+
+
+def test_conjugate_searches_compile_nothing_after_the_base_searches(monkeypatch):
+    rng = random.Random(3181)
+    for n in (1, 2, 3):
+        region = cf.AnalysisRegion.of(*[(-2.5, 2.5)] * n)
+        f = random_polynomial_field(rng, n)
+        h = random_affine_map(rng, n, region)
+        g = cf.transformed_system(f, h)
+        assert isinstance(g, AffineConjugateField)
+        cfg = cf.SolverConfig(seed_count=10)
+        for search in (cf.fixed_point_search, cf.perpetual_point_search):
+            search(f, region, cfg)
+        compiled, compile_kernel = [], expr.compile_kernel
+        # wherever the library holds the function
+        for module in [m for name, m in sys.modules.items() if name.startswith("critflow")]:
+            for key, value in list(vars(module).items()):
+                if value is compile_kernel:
+                    monkeypatch.setattr(module, key, lambda *args: compiled.append(args))
+        found = [search(g, cf.image_region(h), cfg).points
+                 for search in (cf.fixed_point_search, cf.perpetual_point_search)]
+        assert compiled == [] and any(found), n
+        monkeypatch.undo()
+
+
+def test_conjugations_are_built_once_per_dimension_and_order_and_not_on_import(monkeypatch):
+    assert "currsize=0" in caches_after_import()["fields._conjugation"]
+    built = build_counted(monkeypatch, cf.fields, "_conjugation")
+    rng = random.Random(4409)
+    for n in (2, 3, 2):
+        region = cf.AnalysisRegion.of(*[(-2.5, 2.5)] * n)
+        g = cf.transformed_system(random_polynomial_field(rng, n),
+                                  random_affine_map(rng, n, region))
+        for m in (g, acceleration_map(g)):
+            m.value([0.5] * n)
+            m.jacobian([0.5] * n)
+    info = built.cache_info()
+    assert (info.misses, info.currsize) == (4, 4) and info.hits == 8
