@@ -20,8 +20,8 @@ import numpy as np
 
 from .conjugacy import THEOREM_IDS, run_verification
 from .expr import ExpressionError
-from .fields import (InverseMismatchError, JetAccelerationMap, acceleration_field,
-                     acceleration_map, image_region, transformed_system)
+from .fields import (InverseMismatchError, acceleration_map, image_region,
+                     transformed_system)
 from .flows import BlowUpError, IntegratorConfig, StepUnderflowError, integrate
 from .io import (InputError, LoadedSystem, canonical_json,
                  format_float, load_map, load_system, parse_region_flag,
@@ -154,16 +154,11 @@ def _points_csv(records: dict, state_names) -> list[list[str]]:
 def _analysis_payload(field, region, cfg):
     fixed = fixed_point_search(field, region, cfg)
     perpetual = perpetual_point_search(field, region, cfg)
-    accel = acceleration_map(field)
-    # an affine conjugate's acceleration composes its base's entries with the
-    # map; the report prints the symbolic acceleration of g's printed trees
-    if isinstance(accel, JetAccelerationMap):
-        accel = acceleration_field(field)
     payload = {
         "system": {"name": field.name, "state": list(field.input_names),
                    "params": dict(field.parameters),
                    "field": list(field.source_strings()),
-                   "acceleration_field": list(accel.source_strings())},
+                   "acceleration_field": list(acceleration_map(field).source_strings())},
         "region": [[lo, hi] for lo, hi in region.bounds],
         "fixed_points": point_search_records(fixed),
         "perpetual_points": point_search_records(perpetual),

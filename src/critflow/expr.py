@@ -309,11 +309,20 @@ def _tokenize(source: str) -> Iterator[tuple[str, str, int]]:
     yield "eof", "", len(source)
 
 
+#: the deepest nesting the parser takes: parentheses, function arguments,
+#: negations and exponents, counted together. A level costs the parser at
+#: most five frames, so at the limit it takes about 600 of Python's default
+#: recursion limit of 1000, and a caller up to some 390 frames deep gets the
+#: same result as one at the bottom of the stack.
+_MAX_NESTING = 120
+
+
 class _Parser:
     def __init__(self, source: str, allowed_names: frozenset[str]):
         self.tokens = list(_tokenize(source))
         self.allowed = allowed_names
         self.i = 0
+        self.depth = 0  # the sub-expressions open around the current token
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -356,11 +365,18 @@ class _Parser:
                 return left
 
     def unary(self) -> Expression:
+        # every nested sub-expression starts here, so the nesting is counted here
+        if self.depth > _MAX_NESTING:
+            raise ExpressionSyntaxError("expression nested too deeply", 0)
+        self.depth += 1
         kind, text, _ = self.peek()
         if kind == "op" and text == "-":
             self.take()
-            return Unary("neg", self.unary())
-        return self.power()
+            e = Unary("neg", self.unary())
+        else:
+            e = self.power()
+        self.depth -= 1
+        return e
 
     def power(self) -> Expression:
         base = self.atom()
@@ -400,8 +416,9 @@ def parse_expression(source: str, allowed_names) -> Expression:
 
     Free identifiers must be members of ``allowed_names``; violations raise
     :class:`UnknownIdentifierError` with the byte offset of the offender.
-    Nesting deep enough to exhaust the recursion limit raises
-    :class:`ExpressionSyntaxError`.
+    Nesting deeper than ``_MAX_NESTING`` levels raises
+    :class:`ExpressionSyntaxError`, and so does a caller too deep in its
+    own stack for the parser to reach that limit.
     """
     if not source or not source.strip():
         raise ExpressionSyntaxError("empty expression", 0)

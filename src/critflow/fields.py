@@ -33,21 +33,23 @@ Jacobian, the symbolic field :func:`acceleration_field` with exact first
 partials. A plain :class:`VectorField` uses it directly.
 
 Under an invertible affine map y = A x + b the transformed system is an
-:class:`AffineConjugateField` g = A f(A^-1 (y - b)), and it evaluates
-through f's compiled kernels. Its kernel of each order is a function
-generated once per dimension and order (:func:`_conjugation`): it pulls
-y back to x, calls f's kernel of that order, and pushes the entries
-forward, the output index by A and each derivative index by A^-1, with
-every sum in index order. The curvature term of the pushforward vanishes
-under an affine map, so g's acceleration is A F(A^-1 (y - b)) with
-Jacobian A DF A^-1, and :class:`JetAccelerationMap` evaluates through the
-kernels of the base's acceleration F the same way. Building g's kernels
-compiles nothing. f's entries composed with the map as trees
-(:func:`_conjugated_entries`), which that function matches bit for bit,
-serve only the messages of ``_raise_domain_error`` and ``value_grid``.
-g's large substituted trees are never compiled: reports print them, and
-``transform`` differentiates them for the symbolic acceleration it prints
-(:func:`acceleration_field`).
+:class:`AffineConjugateField` g = A f(A^-1 (y - b)), and it keeps one
+source of each thing. Its numbers come from f's compiled kernels: its
+kernel of each order is a function generated once per dimension and order
+(:func:`_conjugation`) that pulls y back to x, calls f's kernel of that
+order, and pushes the entries forward, the output index by A and each
+derivative index by A^-1, every sum in index order; building it compiles
+nothing. Its messages come from f: where its kernel is None,
+``_raise_domain_error`` pulls the point back and repeats f's message
+there. Its printed and symbolic form is its own substituted trees, which
+reports print and ``value_grid`` evaluates, within rounding of ``value``;
+nothing compiles them for the float interface. The curvature term of the
+pushforward vanishes under an affine map, so g's acceleration is
+A F(A^-1 (y - b)) with Jacobian A DF A^-1. :class:`JetAccelerationMap`
+takes its numbers and messages from the base's acceleration F the same
+way, and its components, g's symbolic acceleration
+(:func:`acceleration_field`), are built only when read, as ``transform``
+reads them to print them.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import types
 from dataclasses import dataclass
 from functools import cached_property
@@ -63,8 +66,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expr import (
-    _BINARY_BUILDERS, Binary, Const, DomainError, Expression, ExpressionError, Name,
-    Unary, SystemDefinition, _postorder, compile_array, compile_kernel, differentiate,
+    _BINARY_BUILDERS, Const, DomainError, Expression, ExpressionError, Name, Unary,
+    SystemDefinition, _postorder, compile_array, compile_kernel, differentiate,
     e_add, e_func, e_mul, e_neg, evaluate, to_source,
 )
 from .linalg import is_degenerate, solve_linear
@@ -124,10 +127,15 @@ class VectorMap:
 
     def __init__(self, name: str, input_names: Sequence[str],
                  parameters: Mapping[str, float], components: Sequence[Expression]):
+        self.components = tuple(components)
+        self._bind(name, input_names, parameters, len(self.components))
+
+    def _bind(self, name: str, input_names: Sequence[str], parameters: Mapping[str, float],
+              n_out: int) -> None:
+        """Set up everything but the components, for ``n_out`` of them."""
         self.name = name
         self.input_names = tuple(input_names)
         self.parameters = {k: float(v) for k, v in sorted(parameters.items())}
-        self.components = tuple(components)
         # the kernels take inputs and parameters as one list of argument slots
         overlap = set(self.input_names) & set(self.parameters)
         if overlap:
@@ -135,7 +143,7 @@ class VectorMap:
         self._args = self.input_names + tuple(self.parameters)
         self._param_values = tuple(self.parameters[k] for k in self.parameters)
         self.n_in = len(self.input_names)
-        self.n_out = len(self.components)
+        self.n_out = n_out
         self._kernels: dict = {}  # compiled on first use, keyed by derivative order
 
     def source_strings(self) -> tuple[str, ...]:
@@ -390,64 +398,6 @@ def substitute(e: Expression, mapping: Mapping[str, Expression]) -> Expression:
     return memo[id(e)]
 
 
-def _rebuilt(e: Expression, leaves: Mapping[str, Expression], memo: dict) -> Expression:
-    """``e`` with the named leaves replaced. Unlike :func:`substitute` it
-    folds nothing, so every other node keeps its operation and operands and
-    rounds as before. Each node is rebuilt once, so subtrees that ``e``
-    shares stay shared; ``memo`` maps a node's id to it and its copy."""
-    for node in _postorder((e,), memo):
-        if isinstance(node, Name):
-            out = leaves.get(node.ident, node)
-        elif isinstance(node, Const):
-            out = node
-        elif isinstance(node, Unary):
-            out = Unary(node.op, memo[id(node.arg)][1])
-        else:
-            out = Binary(node.op, memo[id(node.left)][1], memo[id(node.right)][1])
-        memo[id(node)] = (node, out)  # holding the node keeps its id from being reused
-    return memo[id(e)][1]
-
-
-def _index_sum(terms: list[Expression]) -> Expression:
-    """``((t0 + t1) + t2) + ...``, unfolded."""
-    return functools.reduce(lambda total, term: Binary("+", total, term), terms)
-
-
-def _conjugated_entries(base: VectorMap, order: int, linear: LinearPart,
-                        names: Sequence[str]) -> list[Expression]:
-    """The entries of ``order`` (flat, row-major) of y -> A m(A^-1 (y - b))
-    over the inputs ``names``, for the map m = ``base`` and y = A x + b.
-
-    Each state leaf of m's entries becomes the pull-back
-    ``((A^-1_i0 * y_0 + A^-1_i1 * y_1) + ...) - (A^-1 b)_i``; then the
-    output index is pushed forward by A, as sum_p A_ip * e, and each
-    derivative index by A^-1, as sum_q e * A^-1_qj. Every sum runs in index
-    order and every node is built unfolded, so a zero or unit coefficient
-    keeps its operation and the kernel of these entries rounds as that
-    float product does."""
-    n, inv = len(names), linear.inverse.tolist()
-    offset = (linear.inverse @ linear.offset).tolist()
-    pulled = {x: Binary("-", _index_sum([Binary("*", Const(m), Name(y))
-                                         for m, y in zip(row, names)]), Const(c))
-              for x, row, c in zip(base.input_names, inv, offset)}
-    memo: dict = {}
-    entries = [_rebuilt(e, pulled, memo) for e in base._entries(order)]
-    size = n ** order
-    entries = [_index_sum([Binary("*", Const(a), entries[p * size + k])
-                           for p, a in enumerate(row)])
-               for row in linear.matrix.tolist() for k in range(size)]
-    for axis in range(order):
-        stride = n ** (order - 1 - axis)
-        pushed = []
-        for k in range(len(entries)):
-            j = k // stride % n  # entry k's derivative index on this axis
-            first = k - j * stride
-            pushed.append(_index_sum([Binary("*", entries[first + q * stride], Const(inv[q][j]))
-                                      for q in range(n)]))
-        entries = pushed
-    return entries
-
-
 @functools.cache
 def _conjugation(n: int, order: int):
     """The entries of ``order`` (flat, row-major) of y -> A m(A^-1 (y - b))
@@ -457,15 +407,13 @@ def _conjugation(n: int, order: int):
     c = A^-1 b. ``AffineConjugateField._build_kernel`` binds all but the
     coordinates as defaults.
 
-    It does the float operations of the kernel compiled from
-    :func:`_conjugated_entries`, on the same operands in the same order:
-    the pull-back ``((m0_0 * y0 + m0_1 * y1) + ...) - c0``, m's entries
-    there, then the output index pushed forward by A and each derivative
-    index by A^-1, every sum in index order. So its entries are that
-    kernel's bit for bit, and it is None exactly where that kernel is:
-    where m's kernel is None, and where an entry comes out non-finite. A
-    non-finite entry of m makes every pushed entry non-finite, since every
-    pushed entry sums over all of m's and 0 * inf is NaN."""
+    It pulls y back to x = ``((m0_0 * y0 + m0_1 * y1) + ...) - c0``, calls
+    m's kernel there, and pushes the entries forward, the output index by
+    A and each derivative index by A^-1, every sum in index order: the
+    plain float product, bit for bit. It is None where m's kernel is None,
+    and where an entry comes out non-finite, by the rule of every kernel.
+    A non-finite entry of m makes every pushed entry non-finite, since
+    every pushed entry sums over all of m's and 0 * inf is NaN."""
     idx = range(n)
     a = [f"a{i}_{p}" for i in idx for p in idx]
     m = [f"m{q}_{j}" for q in idx for j in idx]
@@ -506,28 +454,20 @@ class AffineConjugateField(VectorField):
     map y = A x + b.
 
     Carries the substituted symbolic components, so serialization and the
-    symbolic API behave like any other field, but evaluates through f's own
-    compiled kernels: g's kernel of each order (its values, its Jacobian
-    A Df A^-1 and its Hessian) is the generated :func:`_conjugation` around
-    f's kernel of that order, and compiles nothing. f's entries composed
-    with the map (:func:`_conjugated_entries`) are built on first use, once
-    per order, only for what still reads trees: the message that
-    ``_raise_domain_error`` builds and ``value_grid``. The large
-    substituted trees are never compiled; only the symbolic acceleration
-    that ``transform`` prints differentiates them.
+    symbolic API behave like any other field, but its numbers and its
+    messages come from its base f. g's kernel of each order (its values,
+    its Jacobian A Df A^-1 and its Hessian) is the generated
+    :func:`_conjugation` around f's kernel of that order, and compiles
+    nothing. Where it is None, ``_raise_domain_error`` pulls the point back
+    and repeats f's own message there. The substituted trees are printed,
+    and they are all that ``value_grid`` and the symbolic API read:
+    ``value_grid`` agrees with ``value`` within rounding, not bit for bit.
     """
 
     def __init__(self, system: SystemDefinition, base: VectorField, linear: LinearPart):
         super().__init__(system)
         self.base = base
         self.linear = linear
-        self._composed: dict = {}  # entries by derivative order, built on first use
-
-    def _entries(self, order: int) -> list[Expression]:
-        if order not in self._composed:
-            self._composed[order] = _conjugated_entries(self.base, order, self.linear,
-                                                        self.input_names)
-        return self._composed[order]
 
     def _build_kernel(self, order: int):
         """The generated :func:`_conjugation` with the base's own kernel of
@@ -538,6 +478,26 @@ class AffineConjugateField(VectorField):
                     *(linear.inverse @ linear.offset).tolist())
         return types.FunctionType(conjugation.__code__, conjugation.__globals__,
                                   conjugation.__name__, defaults)
+
+    def _raise_domain_error(self, order: int, args):
+        """Raise the :class:`DomainError` for the point y = ``args``, where
+        the kernel of ``order`` is None. y is pulled back to x with the
+        kernel's own float sums, so the base's kernel is None at x exactly
+        when the kernel's call of it was; then the message is the base's
+        own at x. Otherwise the entries overflowed on the way forward."""
+        args, linear = list(args), self.linear
+        offset = (linear.inverse @ linear.offset).tolist()
+        x = [functools.reduce(operator.add, map(operator.mul, row, args)) - c
+             for row, c in zip(linear.inverse.tolist(), offset)]
+        where = f"{self.name} is not evaluable at {args}"
+        try:
+            if self.base._kernel(order)(*x) is None:
+                self.base._raise_domain_error(order, x)
+        except DomainError as err:
+            raise DomainError(f"{where}: {err}") from None
+        entries = ("value", "Jacobian", "Hessian")[order]
+        raise DomainError(f"{where}: pushing the {entries} of {self.base.name} at {x} "
+                          f"forward by the map leaves the float range")
 
     @cached_property
     def _acceleration(self):
@@ -555,10 +515,12 @@ class JetAccelerationMap(VectorMap):
     Under an affine map the curvature term of the pushforward vanishes, so
     g's acceleration is A F(A^-1 (y - b)) with Jacobian A DF A^-1, where F
     is ``acceleration_map(g.base)``, the base's symbolic acceleration. It
-    is a map over g's inputs and parameters that evaluates through F's
-    compiled kernels, as g does through f's. Its components are F's
-    entries composed with the map, which ``value_grid`` reads; it composes
-    the other orders, as g does, only for error messages.
+    is a map over g's inputs and parameters whose numbers and messages come
+    from F, as g's come from f: it shares g's ``_build_kernel`` and
+    ``_raise_domain_error``. Its components are g's symbolic acceleration,
+    the trees ``transform`` prints, built on first read, so building it
+    builds no tree; ``value_grid`` evaluates them, within rounding of
+    ``value``. It holds g's system rather than g, which caches it.
     The name dates from an earlier construction that contracted g's jets;
     it stays, and so do its one-line ``value`` and ``jacobian``, because
     the benchmark's layer tracer patches this class and its own methods by
@@ -567,12 +529,15 @@ class JetAccelerationMap(VectorMap):
 
     def __init__(self, field: AffineConjugateField):
         self.base, self.linear = acceleration_map(field.base), field.linear
-        self._composed = {0: _conjugated_entries(self.base, 0, self.linear, field.input_names)}
-        super().__init__(f"{field.name}_accel", field.input_names, field.parameters,
-                         self._composed[0])
+        self._velocity = field.system
+        self._bind(f"{field.name}_accel", field.input_names, field.parameters, field.n_out)
 
-    _entries = AffineConjugateField._entries
+    @cached_property
+    def components(self) -> tuple[Expression, ...]:
+        return acceleration_field(VectorField(self._velocity)).components
+
     _build_kernel = AffineConjugateField._build_kernel
+    _raise_domain_error = AffineConjugateField._raise_domain_error
     value, jacobian = VectorMap.value, VectorMap.jacobian
 
 

@@ -25,6 +25,9 @@ class AnalysisRegion:
         for lo, hi in self.bounds:
             if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
                 raise ValueError(f"invalid bounds [{lo}, {hi}]")
+            # the lattice and the Newton cushion scale by the span
+            if not math.isfinite(hi - lo):
+                raise ValueError(f"bounds [{lo}, {hi}] span more than the float range")
         # cached per-dimension tuples keep the hot membership test cheap
         object.__setattr__(self, "_lo", tuple(b[0] for b in self.bounds))
         object.__setattr__(self, "_hi", tuple(b[1] for b in self.bounds))

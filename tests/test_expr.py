@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import critflow as cf
+from critflow import expr
 from critflow.expr import Binary, Const, Name, compile_array, compile_kernel
 
 from conftest import random_expression_source
@@ -44,6 +45,29 @@ def test_parse_syntax_error_offsets():
         cf.parse_expression("x + ", {"x"})
     with pytest.raises(cf.ExpressionSyntaxError):
         cf.parse_expression("x $ 2", {"x"})
+
+
+def _from_deeper(extra: int, call):
+    """``call()`` made ``extra`` frames deeper in the stack than this call."""
+    return _from_deeper(extra - 1, call) if extra else call()
+
+
+@pytest.mark.parametrize("nested", [
+    lambda n: "x/(" * n + "x" + ")" * n,
+    lambda n: "sqrt(" * n + "x" + ")" * n,
+    lambda n: "-" * n + "x",
+    lambda n: "x^" * n + "x",
+], ids=["quotient", "sqrt", "negation", "power"])
+def test_parser_nesting_limit_does_not_depend_on_the_callers_stack(nested):
+    limit = expr._MAX_NESTING
+    printed = set()
+    for extra in (0, 50, 200):
+        parsed = _from_deeper(extra, lambda: cf.parse_expression(nested(limit), {"x"}))
+        printed.add(cf.to_source(parsed))
+        with pytest.raises(cf.ExpressionSyntaxError) as exc:
+            _from_deeper(extra, lambda: cf.parse_expression(nested(limit + 1), {"x"}))
+        assert (str(exc.value), exc.value.offset) == ("expression nested too deeply (offset 0)", 0)
+    assert len(printed) == 1
 
 
 def test_precedence_and_associativity():

@@ -1,6 +1,8 @@
+import gc
 import math
 import random
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +63,7 @@ def test_jet_domain_error_propagates():
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_affine_conjugate_overflow_raises_domain_error():
     # y = 4x: the symbolic field 4 * (1e308 * x) overflows at y = 4, and so
-    # must the composed evaluation, where the base alone is still finite
+    # must g's evaluation through f's kernel, where the base alone is still finite
     g = cf.transformed_system(make_field("big", ["x"], {}, ["1e308 * x"]),
                               affine_map_1d(4.0, 0.0))
     assert isinstance(g, AffineConjugateField)
@@ -352,11 +354,9 @@ def _first_failure(entries, labels, env, memo):
 def _entry_table(m: cf.VectorMap):
     n = m.n_in
     entries = [m._entries(order) for order in range(3)]
-    if not isinstance(m, (AffineConjugateField, JetAccelerationMap)):
-        # a map's entries are its components and their symbolic partials;
-        # an affine conjugate's are its base's composed with the map
-        assert entries == [list(m.components), [e for row in m.jacobian_exprs for e in row],
-                           [e for plane in m.hessian_exprs for row in plane for e in row]]
+    # a map's entries are its components and their symbolic partials
+    assert entries == [list(m.components), [e for row in m.jacobian_exprs for e in row],
+                       [e for plane in m.hessian_exprs for row in plane for e in row]]
     value = (entries[0], [f"component {i}" for i in range(m.n_out)])
     jac = (entries[1], [f"jacobian[{i},{j}]" for i in range(m.n_out) for j in range(n)])
     hess = (entries[2], [f"hessian[{i},{j},{k}]" for i in range(m.n_out) for j in range(n)
@@ -404,22 +404,38 @@ def _plain_dot(row, v):
     return total
 
 
+def _plain_pulled_back(linear, y) -> list[float]:
+    """A^-1 y - A^-1 b on Python floats, each sum in index order."""
+    offset = (linear.inverse @ linear.offset).tolist()
+    return [_plain_dot(row, list(y)) - c for row, c in zip(linear.inverse.tolist(), offset)]
+
+
 def _plain_conjugated(linear, base, y) -> list[float]:
     """A base(A^-1 y - A^-1 b) on Python floats, each sum in index order."""
-    offset = (linear.inverse @ linear.offset).tolist()
-    x = [_plain_dot(row, list(y)) - c for row, c in zip(linear.inverse.tolist(), offset)]
-    v = base.value(x).tolist()
+    v = base.value(_plain_pulled_back(linear, y)).tolist()
     return [_plain_dot(row, v) for row in linear.matrix.tolist()]
 
 
 def _plain_conjugated_jacobian(linear, base, y) -> list[float]:
     """A Dbase(A^-1 y - A^-1 b) A^-1 on Python floats, flat: the rows pushed
     forward by A, then the columns by A^-1, each sum in index order."""
-    offset = (linear.inverse @ linear.offset).tolist()
-    x = [_plain_dot(row, list(y)) - c for row, c in zip(linear.inverse.tolist(), offset)]
-    columns = base.jacobian(x).T.tolist()
+    columns = base.jacobian(_plain_pulled_back(linear, y)).T.tolist()
     pushed = [[_plain_dot(row, col) for col in columns] for row in linear.matrix.tolist()]
     return [_plain_dot(row, col) for row in pushed for col in linear.inverse.T.tolist()]
+
+
+def _plain_conjugated_hessian(linear, base, y) -> list[float]:
+    """The Hessian of base(A^-1 y - A^-1 b) pushed forward on Python floats,
+    flat: the output index by A, then the first derivative index by A^-1,
+    then the second, each sum in index order."""
+    hess = base.hessian(_plain_pulled_back(linear, y)).tolist()
+    n, inv = len(hess), linear.inverse.T.tolist()  # inv[j]: column j of A^-1
+    idx = range(n)
+    pushed = [[[_plain_dot(row, [hess[p][j][k] for p in idx]) for k in idx] for j in idx]
+              for row in linear.matrix.tolist()]
+    pushed = [[[_plain_dot([plane[q][k] for q in idx], inv[j]) for k in idx] for j in idx]
+              for plane in pushed]
+    return [_plain_dot(plane[j], inv[k]) for plane in pushed for j in idx for k in idx]
 
 
 def test_affine_conjugated_values_are_the_plain_float_product():
@@ -577,13 +593,32 @@ def _kernel_probe_maps(rng):
 
 
 def test_kernels_match_tree_walk_bit_for_bit_and_name_failing_entry():
+    # a plain map's kernels against its trees; an affine conjugate's kernels
+    # read its base's (see the plain-float reference below), and its
+    # methods raise exactly where they are None, with its base's message
     rng = random.Random(6021)
-    checked = failed = 0
+    checked = failed = conjugate_failed = 0
     for m in _kernel_probe_maps(rng):
-        table = _entry_table(m)
+        conjugate = isinstance(m, (AffineConjugateField, JetAccelerationMap))
+        table = {} if conjugate else _entry_table(m)
         for _ in range(40):
             x = np.array([rng.choice([rng.uniform(-2.0, 2.0), 0.0, 0.5])
                           for _ in range(m.n_in)])
+            if conjugate:
+                # the image of a base point, past the n = 2 base's wall at
+                # x1 = -0.5 a third of the time
+                x = m.linear.matrix @ [rng.uniform(-1.5, 1.5), *x[1:]] + m.linear.offset
+                for method in _FLOAT_INTERFACE:
+                    quiet = _float_interface(m, method, x.tolist())
+                    if quiet is None:
+                        with pytest.raises(cf.DomainError) as exc:
+                            getattr(m, method)(x)
+                        assert str(exc.value).startswith(
+                            f"{m.name} is not evaluable at {x.tolist()}: "), str(exc.value)
+                        conjugate_failed += 1
+                    else:
+                        assert _bits(getattr(m, method)(x).ravel()) == _bits(quiet)
+                continue
             env = {**m.parameters, **dict(zip(m.input_names, x.tolist()))}
             memo = {}
             for method, (entries, labels) in table.items():
@@ -603,7 +638,8 @@ def test_kernels_match_tree_walk_bit_for_bit_and_name_failing_entry():
                 assert got.shape == (m.n_out,) + (m.n_in,) * _FLOAT_INTERFACE[method]
                 assert _bits(got.ravel()) == _bits(expected), (m.name, method, x)
                 checked += 1
-    assert checked > 500 and failed > 20
+    assert checked > 500 and failed > 20 and conjugate_failed > 20, (
+        checked, failed, conjugate_failed)
 
 
 # ---------------------------------------------------------------------------
@@ -720,27 +756,34 @@ def test_rkf45_started_outside_the_domain_raises_step_underflow():
 def test_float_interface_is_none_outside_the_domain_and_value_names_the_cause():
     f, g = _sqrt_branch_and_conjugate()
     sqrt_message = "of {} is not evaluable at [{}]: sqrt of negative value -1.0"
-    # g at z = 3 pulls back to y = -1, and names its own entry at z = 3
-    for field, point, name in ((f, -1.0, "sqrt_branch"), (g, 3.0, "sqrt_branch_via_affine")):
+    # g at z = 3 pulls back to y = -1, and repeats its base's message there
+    for field, point, name in ((f, -1.0, "sqrt_branch"), (g, 3.0, "sqrt_branch")):
+        prefix = "" if field is f else f"{field.name} is not evaluable at [3.0]: "
         accel = acceleration_map(field)
         for m in (field, accel):
             assert m._kernel(0)(point) is None
             assert m._kernel(1)(point) is None
         with pytest.raises(cf.DomainError) as exc:
             field.value([point])
-        assert str(exc.value) == "component 0 " + sqrt_message.format(name, point)
+        assert str(exc.value) == prefix + "component 0 " + sqrt_message.format(name, -1.0)
         with pytest.raises(cf.DomainError) as exc:
             field.jacobian([point])
-        assert str(exc.value) == "jacobian[0,0] " + sqrt_message.format(name, point)
+        assert str(exc.value) == prefix + "jacobian[0,0] " + sqrt_message.format(name, -1.0)
         with pytest.raises(cf.DomainError) as exc:
             field.hessian([point])
-        assert str(exc.value) == "hessian[0,0,0] " + sqrt_message.format(name, point)
+        assert str(exc.value) == prefix + "hessian[0,0,0] " + sqrt_message.format(name, -1.0)
+        prefix = "" if field is f else f"{accel.name} is not evaluable at [3.0]: "
         with pytest.raises(cf.DomainError) as exc:
             accel.value([point])
-        assert str(exc.value) == "component 0 " + sqrt_message.format(name + "_accel", point)
+        assert str(exc.value) == prefix + "component 0 " + sqrt_message.format(
+            name + "_accel", -1.0)
         with pytest.raises(cf.DomainError) as exc:
             accel.jacobian([point])
-        assert str(exc.value) == "jacobian[0,0] " + sqrt_message.format(name + "_accel", point)
+        assert str(exc.value) == prefix + "jacobian[0,0] " + sqrt_message.format(
+            name + "_accel", -1.0)
+    assert str(exc.value) == ("sqrt_branch_via_affine_accel is not evaluable at [3.0]: "
+                              "jacobian[0,0] of sqrt_branch_accel is not evaluable at [-1.0]: "
+                              "sqrt of negative value -1.0")
     with pytest.raises(cf.DomainError) as exc:
         f.jacobian([0.0])
     assert str(exc.value) == "jacobian[0,0] of sqrt_branch is not evaluable at [0.0]: division by zero"
@@ -756,37 +799,81 @@ def test_float_interface_is_none_where_the_push_forward_overflows():
     assert g._kernel(1)(0.0) is None
     with pytest.raises(cf.DomainError) as exc:
         g.value([4.0])
-    assert str(exc.value) == ("component 0 of big_via_affine is not evaluable at [4.0]: "
-                              "non-finite result inf")
+    assert str(exc.value) == ("big_via_affine is not evaluable at [4.0]: pushing the value "
+                              "of big at [1.0] forward by the map leaves the float range")
+    with pytest.raises(cf.DomainError) as exc:
+        g.jacobian([0.0])
+    assert str(exc.value) == ("big_via_affine is not evaluable at [0.0]: pushing the Jacobian "
+                              "of big at [0.0] forward by the map leaves the float range")
     accel = acceleration_map(cf.transformed_system(
         make_field("fast", ["x"], {}, ["1e154 * x"]), affine_map_1d(4.0, 0.0)))
     assert accel._kernel(0)(4.0) is None
     assert accel._kernel(1)(0.0) is None
     with pytest.raises(cf.DomainError) as exc:
         accel.value([4.0])
-    assert str(exc.value) == ("component 0 of fast_via_affine_accel is not evaluable at [4.0]: "
-                              "non-finite result inf")
+    assert str(exc.value) == ("fast_via_affine_accel is not evaluable at [4.0]: pushing the "
+                              "value of fast_accel at [1.0] forward by the map leaves the "
+                              "float range")
 
 
-def test_composed_entries_are_built_once_per_order_and_map(monkeypatch):
-    # an affine conjugate and its acceleration compose each order's entries
-    # once, for the kernel and every error message alike
+def test_conjugates_build_no_tree_and_differentiate_none_of_g(monkeypatch):
+    # transformed_system, g's acceleration map, g's two searches and the
+    # spectrum check build the symbolic acceleration of f alone, and leave
+    # g's acceleration components unbuilt
     built = []
-    compose = cf.fields._conjugated_entries
-    monkeypatch.setattr(cf.fields, "_conjugated_entries", lambda base, order, *rest: (
-        built.append((base.name, order)) or compose(base, order, *rest)))
+    accelerate = cf.fields.acceleration_field
+    monkeypatch.setattr(cf.fields, "acceleration_field",
+                        lambda fld: built.append(fld.name) or accelerate(fld))
+    rng = random.Random(2357)
+    for n in (1, 2, 3):
+        region = cf.AnalysisRegion.of(*[(-2.5, 2.5)] * n)
+        f = random_polynomial_field(rng, n)
+        h = random_affine_map(rng, n, region)
+        g = cf.transformed_system(f, h)
+        assert isinstance(g, AffineConjugateField)
+        accel = acceleration_map(g)
+        cfg = cf.SolverConfig(seed_count=10)
+        searches = {(fld, kind): search(m, r, cfg) for fld, m, r in (("f", f, region),
+                                                                     ("g", g, cf.image_region(h)))
+                    for kind, search in ((cf.FIXED, cf.fixed_point_search),
+                                         (cf.PERPETUAL, cf.perpetual_point_search))}
+        cf.verify_spectrum_preservation(f, h, g, region, cf.SolverConfig(seed_count=10),
+                                        searches=searches)
+        assert built == [f.name], built
+        assert "components" not in vars(accel) and "jacobian_exprs" not in vars(g)
+        built.clear()
+
+
+def test_an_affine_conjugate_and_its_acceleration_map_make_no_cycle():
     f, g = _sqrt_branch_and_conjugate()
     accel = acceleration_map(g)
     assert accel.value([6.0])[0] == pytest.approx(2.0 * acceleration_map(f).value([0.5])[0])
-    assert built == [("sqrt_branch_accel", 0)]
-    sqrt_message = "of {} is not evaluable at [3.0]: sqrt of negative value -1.0"
-    for m, base in ((accel, "sqrt_branch_accel"), (g, "sqrt_branch")):
-        for _ in range(2):
-            with pytest.raises(cf.DomainError) as exc:
-                m.hessian([3.0])
-            assert str(exc.value) == "hessian[0,0,0] " + sqrt_message.format(m.name)
-        assert built.count((base, 2)) == 1, m.name
-    assert built == [("sqrt_branch_accel", 0), ("sqrt_branch_accel", 2), ("sqrt_branch", 2)]
+    assert g.value([6.0]).tolist() == [2.0 * f.value([0.5])[0]]
+    ref = weakref.ref(g)
+    gc.disable()
+    try:
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert accel.value([6.0]).shape == (1,)
+
+
+def test_an_affine_acceleration_prints_the_symbolic_acceleration_of_g():
+    # and value_grid evaluates the printed trees, within rounding of value
+    rng = random.Random(6173)
+    for n in (1, 2, 3):
+        region = cf.AnalysisRegion.of(*[(-2.5, 2.5)] * n)
+        g = cf.transformed_system(random_polynomial_field(rng, n),
+                                  random_affine_map(rng, n, region))
+        accel = acceleration_map(g)
+        assert accel.source_strings() == cf.acceleration_field(g).source_strings()
+        assert accel.n_out == n and len(accel.components) == n
+        points = np.array([[rng.uniform(-2.0, 2.0) for _ in range(n)] for _ in range(6)])
+        for m in (g, accel):
+            want = np.array([m.value(y) for y in points])
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert_allclose(m.value_grid(points), want, rtol=0, atol=1e-12 * scale)
 
 
 def test_domain_error_walks_each_shared_node_once_per_call(monkeypatch):
@@ -812,13 +899,15 @@ def test_domain_error_walks_each_shared_node_once_per_call(monkeypatch):
 # ---------------------------------------------------------------------------
 # An affine conjugate evaluates through its base's compiled kernels
 
-def _composed_kernel(m, order: int):
-    """The reference for a conjugate's kernel: its base's entries composed
-    with the map, compiled into one kernel."""
-    entries = cf.fields._conjugated_entries(m.base, order, m.linear, m.input_names)
-    kernel = expr.compile_kernel(entries, m._args)
-    kernel.__defaults__ = m._param_values
-    return kernel
+def _plain_reference(m, order: int, y):
+    """The reference for a conjugate's kernel of ``order`` at y: the plain
+    float product, or None where it is not evaluable or not finite."""
+    plain = (_plain_conjugated, _plain_conjugated_jacobian, _plain_conjugated_hessian)[order]
+    try:
+        out = plain(m.linear, m.base, y)
+    except cf.DomainError:
+        return None
+    return out if all(map(math.isfinite, out)) else None
 
 
 def _renamed_affine_map(rng, names, region):
@@ -867,14 +956,13 @@ def _conjugate_probe_cases(rng):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_conjugate_kernels_match_the_composed_kernel_bit_for_bit():
+def test_conjugate_kernels_match_the_plain_float_product_bit_for_bit():
     rng = random.Random(5077)
     results = {"finite": 0, "none": 0}
     for m, points in _conjugate_probe_cases(rng):
         for order in (0, 1, 2):
-            want_kernel, got_kernel = _composed_kernel(m, order), m._kernel(order)
             for y in points:
-                want, got = want_kernel(*y), got_kernel(*y)
+                want, got = _plain_reference(m, order, y), m._kernel(order)(*y)
                 assert (got is None) == (want is None), (m.name, order, y)
                 if got is None:
                     results["none"] += 1

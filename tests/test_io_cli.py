@@ -229,7 +229,8 @@ def test_cli_analyze_deterministic_bytes(tmp_path):
 
 
 def test_cli_analyze_builds_the_acceleration_field_once(tmp_path, monkeypatch):
-    # the perpetual search and the report's "acceleration_field" share it
+    # the perpetual search and the report's "acceleration_field" share it;
+    # transform's g searches through f's, and builds its own to print it
     built = []
     original = critflow.fields.acceleration_field
 
@@ -237,9 +238,12 @@ def test_cli_analyze_builds_the_acceleration_field_once(tmp_path, monkeypatch):
         built.append(field.name)
         return original(field)
     monkeypatch.setattr(critflow.fields, "acceleration_field", counted)
-    monkeypatch.setattr(critflow.cli, "acceleration_field", counted)
     assert run_cli("analyze", DATA / "planar.json", "--out", tmp_path / "a.json") == 0
     assert built == ["planar_saddlefree"]
+    built.clear()
+    assert run_cli("transform", DATA / "example1.json", DATA / "affine_map.json",
+                   "--out", tmp_path / "t.json") == 0
+    assert built == ["quadratic_well", "quadratic_well_via_affine_map"]
 
 
 def test_cli_analyze_region_and_format_flags(tmp_path, capsys):
@@ -249,6 +253,24 @@ def test_cli_analyze_region_and_format_flags(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "kind,x,residual,speed,degenerate,boundary,eigenvalues,note"
     assert any(line.startswith("perpetual,") for line in lines)
+
+
+# x = +-1 lie inside, but a span of inf puts every lattice seed at inf or NaN
+@pytest.mark.parametrize("where", ["flag", "system-region", "map-domain"])
+def test_cli_rejects_a_region_whose_span_overflows(tmp_path, capsys, where):
+    files = {"system": DATA / "example1.json", "map": DATA / "affine_map.json"}
+    flags, detail = [], "bounds [-1e+308, 1e+308] span more than the float range"
+    if where == "flag":
+        flags, detail = ["--region=-1e308:1e308"], "--region: " + detail
+    else:
+        role, key = where.split("-")
+        doc = read_json(files[role])
+        doc[key] = [[-1e308, 1e308]]
+        files[role] = tmp_path / f"{role}.json"
+        files[role].write_text(json.dumps(doc))
+        detail = f"{files[role]}: '{key}': {detail}"
+    assert run_cli("verify", files["system"], files["map"], *flags) == 2
+    assert capsys.readouterr().err == f"error: {detail}\n"
 
 
 def test_cli_analyze_nilpotent_degenerate_warning(tmp_path):
