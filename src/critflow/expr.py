@@ -722,36 +722,52 @@ class _KernelEmitter:
         """Source text for every node, in numbering order (children first):
         a leaf's text, a temporary's name, or an inline subexpression. A
         node used more than once, or nested deeper inline than
-        ``_MAX_INLINE_DEPTH``, is assigned to a temporary."""
+        ``_MAX_INLINE_DEPTH``, is assigned to a temporary. An operand is
+        parenthesised only where Python would otherwise group it another
+        way, by the printer's rules (:data:`_PRECEDENCE`): parentheses
+        change no instruction, but the compiler pays for each one."""
         texts: list[str] = []
         depths: list[int] = []
+        precs: list[int] = []  # a negative literal binds as a negation
+
+        def operand(num: int, bare: bool) -> str:
+            return texts[num] if bare else f"({texts[num]})"
+
         for num, (op, *operands) in enumerate(self.nodes):
             if op == "leaf":
                 texts.append(operands[0])
                 depths.append(0)
+                precs.append(3 if operands[0].startswith("-") else 5)
                 continue
+            prec = 5
             if op == "ipow":
                 depth = depths[operands[0]]
                 text = f"_ipow({texts[operands[0]]}, {operands[1]})"
             elif len(operands) == 1:
-                arg, depth = texts[operands[0]], depths[operands[0]]
-                text = f"(-{arg})" if op == "neg" else f"{op}({arg})"
-            else:
-                left, right = texts[operands[0]], texts[operands[1]]
-                depth = max(depths[operands[0]], depths[operands[1]])
-                if op == "^":
-                    text = f"_gpow({left}, {right})"
-                elif op == "/" and self.array:
-                    text = f"_div({left}, {right})"
+                arg, depth = operands[0], depths[operands[0]]
+                if op == "neg":
+                    text, prec = "-" + operand(arg, precs[arg] >= 3), 3
                 else:
-                    text = f"({left} {op} {right})"
+                    text = f"{op}({texts[arg]})"
+            else:
+                left, right = operands
+                depth = max(depths[left], depths[right])
+                if op == "^":
+                    text = f"_gpow({texts[left]}, {texts[right]})"
+                elif op == "/" and self.array:
+                    text = f"_div({texts[left]}, {texts[right]})"
+                else:
+                    prec = _PRECEDENCE[op]
+                    text = (f"{operand(left, precs[left] >= prec)} {op} "
+                            f"{operand(right, precs[right] > prec)}")
             depth += 1
             if self.uses[num] > 1 or depth > _MAX_INLINE_DEPTH:
                 name = f"t{len(self.lines)}"
                 self.lines.append(f"    {name} = {text}")
-                text, depth = name, 0
+                text, depth, prec = name, 0, 5
             texts.append(text)
             depths.append(depth)
+            precs.append(prec)
         return texts
 
 

@@ -595,13 +595,16 @@ def transformed_system(f: VectorField, h: TransformationMap) -> VectorField:
         raise ExpressionError("inverse dimensions do not match the map")
 
     worst = 0.0
-    for p in lattice_points(h.domain, 100, rng_seed=0):
-        try:
-            image = h.value(p)
-            back = h_inverse.value(image)
-        except DomainError as err:
-            raise InverseMismatchError(math.inf, str(err)) from err
-        worst = max(worst, float(np.max(np.abs(back - p))))
+    forward, backward = h._kernel(0), h_inverse._kernel(0)
+    for p in lattice_points(h.domain, 100, rng_seed=0).tolist():
+        image = forward(*p)
+        back = None if image is None else backward(*image)
+        if back is None:  # value raises the DomainError that names the cause
+            try:
+                h_inverse.value(h.value(p))
+            except DomainError as err:
+                raise InverseMismatchError(math.inf, str(err)) from err
+        worst = max(worst, *(abs(b - x) for b, x in zip(back, p)))
     if worst >= 1e-9:
         raise InverseMismatchError(worst)
 

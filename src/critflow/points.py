@@ -30,15 +30,33 @@ Python floats) count once. Each search counts its seeds' outcomes, its
 evaluations, steps and backtracks on the :class:`PointSearch`. Each
 point keeps the solved map's Jacobian at its location, the matrix its
 spectrum and ``degenerate`` flag come from, for the checks to read.
+
+A search of a map with three or more inputs, where a worker is usable
+(:mod:`critflow.worker`), runs on two CPUs: the calling process builds
+the map's value and Jacobian kernels, writes the seed indices to a pipe
+and forks one worker, and then both take the next index from the pipe
+until it is empty, so each runs whichever seeds it reaches first. A
+search of one or two inputs is too short to pay for the fork, which
+costs about 3 ms round trip in a 40 MB process on a 2-CPU VM. The
+results are those of the serial loop, bit for bit: a Newton run depends
+only on its seed and the kernels, the runs are merged back into seed
+order and the worker's counts are added to the caller's. Where a run
+raises, in either process, the caller runs the serial loop again, which
+raises the exception of the lowest failing seed. Inside
+``run_verification``, beside its worker or in it, a search runs all its
+seeds itself.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field
+
 import numpy as np
 
+from . import worker
 from .expr import DomainError
 from .fields import VectorField, VectorMap, acceleration_map
 from .linalg import (EigenConvergenceError, Spectrum, _elimination, eigenvalues,
@@ -64,6 +82,13 @@ _DAMPING = 0.5
 _MIN_STEP = 1e-12
 #: trial points may leave the region by this fraction of each span
 _REGION_CUSHION = 0.1
+
+#: a search of a map with at least this many inputs shares its seeds with
+#: a forked worker; below it a run is too short to pay for the fork
+_SHARED_INPUTS = 3
+#: the shared queue holds at most this many 4-byte entries, one page of a
+#: pipe, so the whole queue is written before the fork without blocking
+_QUEUE_SLOTS = 1024
 
 
 @dataclass(frozen=True)
@@ -134,6 +159,10 @@ class PointSearch:
     @property
     def clean_points(self) -> list[CriticalPoint]:
         return [p for p in self.points if not p.degenerate]
+
+
+#: the counts of a search's Newton runs
+_WORK_COUNTERS = ("residual_evals", "jacobian_evals", "solves", "steps", "backtracks")
 
 
 class NoConvergenceError(RuntimeError):
@@ -306,16 +335,63 @@ def newton_root(fieldmap: VectorMap, seed, region: AnalysisRegion,
 # ---------------------------------------------------------------------------
 # Multi-start search
 
+def _queued_runs(fieldmap: VectorMap, seeds: list, block: int, box: tuple,
+                 cfg: SolverConfig, queue_fd: int) -> tuple[list, list]:
+    """The Newton runs of the seed blocks taken from the shared queue until
+    it is empty, each as (seed index, root as a list or None, residual,
+    iterations, reason), and their counts: plain values, which a fresh
+    child pickles several times faster than :class:`_Outcome` arrays."""
+    work = PointSearch(points=[])
+    runs = []
+    while entry := os.read(queue_fd, 4):
+        start = int.from_bytes(entry, "little")
+        for i in range(start, min(start + block, len(seeds))):
+            out = _newton(fieldmap, seeds[i], box, cfg, work)
+            runs.append((i, None if out.point is None else out.point.tolist(),
+                         out.residual, out.iterations, out.reason))
+    return runs, [getattr(work, name) for name in _WORK_COUNTERS]
+
+
+def _shared_runs(fieldmap: VectorMap, seeds: list, box: tuple, cfg: SolverConfig,
+                 search: PointSearch) -> list[_Outcome] | None:
+    """The Newton run of each seed, in seed order, run by this process and
+    a forked worker (:func:`~critflow.worker.forked`) taking blocks of
+    seeds from one queue, or by this process alone where no worker is
+    usable; None where a run raised, and the serial loop then raises what
+    it raises."""
+    _newton_function(fieldmap.n_in)
+    fieldmap._kernel(0), fieldmap._kernel(1)  # built once, before the fork
+    block = -(-len(seeds) // _QUEUE_SLOTS)
+    read_fd, write_fd = os.pipe()
+    try:
+        with os.fdopen(write_fd, "wb") as queue:
+            queue.write(b"".join(i.to_bytes(4, "little") for i in range(0, len(seeds), block)))
+        share = functools.partial(_queued_runs, fieldmap, seeds, block, box, cfg, read_fd)
+        with worker.forked(share) as theirs:
+            ours, theirs = share(), theirs()
+    except Exception:
+        return None
+    finally:
+        os.close(read_fd)
+    for name, *counts in zip(_WORK_COUNTERS, ours[1], theirs[1]):
+        setattr(search, name, getattr(search, name) + sum(counts))
+    return [_Outcome(None if point is None else np.array(point), residual, iterations, reason)
+            for _, point, residual, iterations, reason in sorted(ours[0] + theirs[0])]
+
+
 def _collect_roots(fieldmap: VectorMap, region: AnalysisRegion, cfg: SolverConfig,
                    search: PointSearch):
     """Deduplicated roots as (location, residual); ``search`` receives the
     seed counts, the outcome reasons and the evaluation counts."""
     seeds = lattice_points(region, cfg.seed_count, cfg.rng_seed).tolist()
     box = region.cushioned_bounds(_REGION_CUSHION)
+    outcomes = (_shared_runs(fieldmap, seeds, box, cfg, search)
+                if fieldmap.n_in >= _SHARED_INPUTS else None)
+    if outcomes is None:  # a small search, or a run raised
+        outcomes = [_newton(fieldmap, seed, box, cfg, search) for seed in seeds]
     hits: list[tuple[np.ndarray, float]] = []
     reasons: dict[str, int] = {}
-    for seed in seeds:
-        out = _newton(fieldmap, seed, box, cfg, search)
+    for out in outcomes:
         reasons[out.reason] = reasons.get(out.reason, 0) + 1
         if out.point is not None:
             hits.append((out.point, out.residual))

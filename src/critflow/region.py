@@ -78,13 +78,19 @@ class AnalysisRegion:
 def lattice_points(region: AnalysisRegion, count: int, rng_seed: int = 0) -> np.ndarray:
     """Stratified sample lattice inside ``region``.
 
-    Each dimension is split into ceil(count**(1/n)) cells; one point is
-    placed per cell at its center plus a jitter of up to ``_JITTER`` cell
-    widths, drawn from a private RNG seeded with ``rng_seed``. The result
-    is fully determined by (region, count, rng_seed).
+    Each dimension is split into the fewest cells c with c**n >= count,
+    found in integers: a float root can land above an exact power, and
+    its ceiling then adds a cell. One point is placed per cell at its
+    center plus a jitter of up to ``_JITTER`` cell widths, drawn from a
+    private RNG seeded with ``rng_seed``. The result is fully determined
+    by (region, count, rng_seed).
     """
     n = region.dimension
-    cells = max(1, math.ceil(count ** (1.0 / n)))
+    cells = max(1, round(count ** (1.0 / n)))
+    while cells ** n < count:
+        cells += 1
+    while cells > 1 and (cells - 1) ** n >= count:
+        cells -= 1
     rng = random.Random(rng_seed)
     lower = region._lo
     cell = [span / cells for span in region._spans]

@@ -4,11 +4,16 @@
 with independent work, and hands its result (or the exception that ended
 it) back through a pipe in one piece. ``run_verification`` runs g's point
 searches there while it checks the flow and searches f; ``portrait``
-renders its grid there while it integrates and writes the trajectories.
+renders its grid there while it integrates and writes the trajectories;
+a point search of a map with three or more inputs runs part of its
+Newton seeds there (:mod:`critflow.points`).
 
 A worker is used where ``os.fork`` and ``os.sched_getaffinity`` exist, at
-least two CPUs are usable and the calling process runs a single thread;
-elsewhere the function runs in the calling process, when its result is
+least two CPUs are usable, the calling process runs a single thread and
+no worker is running: the flag ``_busy`` is set in a forked child and in
+its parent until the child is reaped, so a search inside
+``run_verification``, beside its worker or in it, forks no second one.
+Elsewhere the function runs in the calling process, when its result is
 read. Either way it runs the same code on the same inputs, so its result
 and the files it writes are the same.
 """
@@ -29,10 +34,16 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+#: True in a forked child, and in its parent until the child is reaped:
+#: the two CPUs are taken, so a nested :func:`forked` works in place
+_busy = False
+
+
 def _worker_usable() -> bool:
     # a forked child holds only the forking thread: a lock another thread
     # held at the fork would stay locked in the child forever
-    return hasattr(os, "fork") and _usable_cpus() >= 2 and threading.active_count() == 1
+    return (not _busy and hasattr(os, "fork") and _usable_cpus() >= 2
+            and threading.active_count() == 1)
 
 
 def _pickled_error(err: Exception) -> bytes:
@@ -77,6 +88,7 @@ def forked(work: Callable):
 
     A fork, not a spawned interpreter: the child starts with the parent's
     imports and objects, whose compiled kernels do not pickle."""
+    global _busy
     if not _worker_usable():
         yield work
         return
@@ -88,6 +100,7 @@ def forked(work: Callable):
         os.close(write_fd)
         yield work
         return
+    _busy = True  # in both processes
     if pid == 0:
         try:
             os.close(read_fd)
@@ -104,6 +117,7 @@ def forked(work: Callable):
         with os.fdopen(read_fd, "rb") as stream:
             yield partial(_received, stream)
     finally:
+        _busy = False
         try:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

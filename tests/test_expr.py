@@ -265,6 +265,40 @@ def test_kernel_matches_tree_walk_on_deep_and_shared_trees():
         compile_kernel([deep], ["x"])
 
 
+# each tree needs one kind of parenthesis in kernel source, or none; the
+# text pins the parentheses, and at (1e16, 3.0, 3.0) most other groupings
+# round to another value than evaluate's
+@pytest.mark.parametrize("source, text", [
+    ("x - (y - z)", "v0 - (v1 - v2)"),
+    ("x - y - z", "v0 - v1 - v2"),
+    ("x + (y + z)", "v0 + (v1 + v2)"),
+    ("x / (y * z)", "v0 / (v1 * v2)"),
+    ("x * y / z", "v0 * v1 / v2"),
+    ("(x + y) * (y - z)", "(v0 + v1) * (v1 - v2)"),
+    ("-(x + y)", "-(v0 + v1)"),
+    ("-(x * y) / z", "-(v0 * v1) / v2"),
+    ("-x * y", "-v0 * v1"),
+    ("x * -y", "v0 * -v1"),
+    ("x - -y", "v0 - -v1"),
+    ("x - -2.5 * y", "v0 - -2.5 * v1"),
+])
+def test_kernels_parenthesise_only_where_python_would_group_otherwise(source, text):
+    names = ["x", "y", "z"]
+    e = cf.parse_expression(source, set(names))
+    emitter = expr._KernelEmitter({n: f"v{i}" for i, n in enumerate(names)}, array=False)
+    root, = emitter.number([e])
+    emitter.uses[root] += 1
+    assert emitter.emit()[root] == text
+    kernel, array_kernel = compile_kernel([e], names), compile_array([e], names)
+    points = [(1e16, 3.0, 3.0), (0.1, 0.2, 0.3), (-1.7, 1e-8, 2.9)]
+    for point in points:
+        expected = cf.evaluate(e, dict(zip(names, point)))
+        assert kernel(*point) == (expected,)
+    columns = [np.array(column) for column in zip(*points)]
+    out, = array_kernel(*columns)
+    assert out.tolist() == [cf.evaluate(e, dict(zip(names, p))) for p in points]
+
+
 def test_array_kernel_and_value_grid_evaluate_deep_trees():
     # the same 300 nested sums through the broadcasting kernel, alone and
     # as one component of a map evaluated on a grid

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import os
 import random
 from pathlib import Path
 
@@ -7,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import critflow as cf
+import critflow.worker
 
 from critflow import points
 from critflow.fields import acceleration_map
@@ -14,8 +17,8 @@ from critflow.io import load_system
 from critflow.linalg import SingularMatrixError, _solve
 from critflow.points import _DAMPING, _MIN_STEP, _Outcome
 
-from conftest import (build_counted, caches_after_import, grid_scan_roots, make_field,
-                      random_affine_map, random_polynomial_field)
+from conftest import (assert_no_child_process, build_counted, caches_after_import,
+                      grid_scan_roots, make_field, random_affine_map, random_polynomial_field)
 
 
 REGION_1D = cf.AnalysisRegion.of((-3, 3))
@@ -126,6 +129,16 @@ def test_seeding_determinism():
     shifted = cf.SolverConfig(rng_seed=1)
     c = cf.fixed_point_search(f, region, shifted).points
     assert len(a) == len(c)  # same roots from different jitter
+
+
+def test_lattice_has_count_points_at_every_exact_power():
+    # a float root can land above an exact power: 3125 ** (1 / 5) > 5
+    for n in range(1, 11):
+        region = cf.AnalysisRegion.of(*[(-1, 1)] * n)
+        for c in range(1, 26):
+            if c ** n > 20000:
+                break
+            assert len(cf.lattice_points(region, c ** n)) == c ** n, (c, n)
 
 
 def test_classification_dichotomy_and_kinds(quad_field):
@@ -486,3 +499,147 @@ def test_classify_point_evaluates_each_jacobian_once(monkeypatch, quad_field):
     assert point.kind == cf.PERPETUAL and point.spectrum.values == (-2.0,)
     accel = acceleration_map(quad_field).name
     assert sorted(calls) == [(quad_field.name, 0), (quad_field.name, 1), (accel, 1)]
+
+
+# ---------------------------------------------------------------------------
+# A search of three or more inputs shares its seeds with a forked worker
+
+SHARED_CFG = cf.SolverConfig(seed_count=30, max_newton_iters=40)
+
+
+def _force_worker(monkeypatch, usable: bool):
+    """Make a worker usable, on one CPU too, or unusable."""
+    monkeypatch.setattr(critflow.worker, "_usable_cpus", lambda: 2 if usable else 1)
+
+
+def _counting_forks(monkeypatch, log):
+    """Append the calling process to the file ``log`` at each ``os.fork``;
+    a file, so that a fork made in a forked worker counts too."""
+    fork = os.fork
+
+    def counted():
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()}\n")
+        return fork()
+    monkeypatch.setattr(os, "fork", counted)
+    return lambda: [int(pid) for pid in log.read_text().split()] if log.exists() else []
+
+
+def _search_fields(search):
+    """Every field of ``search`` and of its points, arrays as their bytes."""
+    def plain(value):
+        return value.tobytes() if isinstance(value, np.ndarray) else value
+    return ([tuple(plain(getattr(p, f.name)) for f in dataclasses.fields(p))
+             for p in search.points],
+            [getattr(search, f.name) for f in dataclasses.fields(search) if f.name != "points"])
+
+
+def _shared_cases():
+    """Random cubics of 2, 3 and 4 inputs with their affine conjugates."""
+    rng = random.Random(4)
+    for n in (2, 3, 4):
+        region = cf.AnalysisRegion.of(*[(-2.5, 2.5)] * n)
+        f = random_polynomial_field(rng, n)
+        yield f, region
+        yield cf.transformed_system(f, random_affine_map(rng, n, region)), region
+
+
+def test_shared_searches_equal_serial_ones_field_by_field(monkeypatch, tmp_path):
+    forks = _counting_forks(monkeypatch, tmp_path / "forks")
+    here, checked = os.getpid(), 0
+    for f, region in _shared_cases():
+        for search_fn in (cf.fixed_point_search, cf.perpetual_point_search):
+            _force_worker(monkeypatch, True)
+            before = len(forks())
+            shared = search_fn(f, region, SHARED_CFG)
+            assert_no_child_process()
+            # the split rule: three or more inputs, one worker per search
+            assert forks()[before:] == ([here] if f.dimension >= 3 else [])
+            _force_worker(monkeypatch, False)
+            serial = search_fn(f, region, SHARED_CFG)
+            assert len(forks()) == before + (f.dimension >= 3)
+            assert _search_fields(shared) == _search_fields(serial), (f.name, search_fn)
+            checked += len(serial.points)
+    assert checked > 20
+
+
+def test_a_queue_of_seed_blocks_gives_the_serial_search(monkeypatch):
+    # past _QUEUE_SLOTS seeds an entry stands for a block of seeds: here 64
+    # seeds in 5 slots, blocks of 13 and a short last one
+    f = random_polynomial_field(random.Random(5), 3)
+    region = cf.AnalysisRegion.of(*[(-2.5, 2.5)] * 3)
+    _force_worker(monkeypatch, False)
+    serial = cf.perpetual_point_search(f, region, SHARED_CFG)
+    _force_worker(monkeypatch, True)
+    monkeypatch.setattr(points, "_QUEUE_SLOTS", 5)
+    assert serial.seeds_used == 64
+    assert _search_fields(cf.perpetual_point_search(f, region, SHARED_CFG)) == _search_fields(serial)
+    assert_no_child_process()
+
+
+def test_searches_beside_a_worker_or_in_one_fork_nothing(monkeypatch, tmp_path):
+    _force_worker(monkeypatch, True)
+    forks = _counting_forks(monkeypatch, tmp_path / "forks")
+    rng = random.Random(1)
+    region = cf.AnalysisRegion.of(*[(-2.5, 2.5)] * 3)
+    f = random_polynomial_field(rng, 3)
+    h = random_affine_map(rng, 3, region)
+    # run_verification forks its worker for g's searches, and nothing more
+    report, g = cf.run_verification(f, h, region, theorems=("t1", "t2"), cfg=SHARED_CFG)
+    assert_no_child_process()
+    assert forks() == [os.getpid()]
+    # a search inside an open forked block runs in this process alone
+    with critflow.worker.forked(lambda: os.getpid()) as other:
+        inside = cf.perpetual_point_search(f, region, SHARED_CFG)
+        assert other() != os.getpid()
+    assert_no_child_process()
+    assert forks() == [os.getpid()] * 2
+    assert _search_fields(inside) == _search_fields(cf.perpetual_point_search(f, region,
+                                                                              SHARED_CFG))
+    assert len(forks()) == 3
+
+
+def _failing_runs(monkeypatch, seeds, failures: dict):
+    """Make the Newton run of the seed of index k raise ``failures[k]``, in
+    this process and in a forked worker."""
+    run = points._newton
+
+    def failing(fieldmap, seed, *args):
+        error = failures.get(seeds.index(seed))
+        if error is not None:
+            raise error
+        return run(fieldmap, seed, *args)
+    monkeypatch.setattr(points, "_newton", failing)
+
+
+@pytest.mark.parametrize("usable", [True, False], ids=["worker", "in-process"])
+@pytest.mark.parametrize("error", [RecursionError("maximum recursion depth exceeded"),
+                                   cf.DomainError("injected"),
+                                   cf.EigenConvergenceError(np.eye(3)),
+                                   KeyboardInterrupt("injected")],
+                         ids=lambda e: type(e).__name__)
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_an_error_in_one_seeds_run_reaches_the_caller(monkeypatch, usable, error, where):
+    _force_worker(monkeypatch, usable)
+    region = cf.AnalysisRegion.of(*[(-2.5, 2.5)] * 3)
+    f = random_polynomial_field(random.Random(2), 3)
+    seeds = cf.lattice_points(region, SHARED_CFG.seed_count, SHARED_CFG.rng_seed).tolist()
+    _failing_runs(monkeypatch, seeds, {0 if where == "first" else len(seeds) - 1: error})
+    with pytest.raises(type(error)) as caught:
+        cf.fixed_point_search(f, region, SHARED_CFG)
+    assert type(caught.value) is type(error) and str(caught.value) == str(error)
+    assert_no_child_process()
+
+
+@pytest.mark.parametrize("usable", [True, False], ids=["worker", "in-process"])
+def test_the_lowest_failing_seed_decides_the_error_as_in_the_serial_loop(monkeypatch, usable):
+    _force_worker(monkeypatch, usable)
+    region = cf.AnalysisRegion.of(*[(-2.5, 2.5)] * 3)
+    f = random_polynomial_field(random.Random(2), 3)
+    seeds = cf.lattice_points(region, SHARED_CFG.seed_count, SHARED_CFG.rng_seed).tolist()
+    failing = (len(seeds) - 1, len(seeds) // 2, len(seeds) // 3 + 1)
+    _failing_runs(monkeypatch, seeds, {k: cf.DomainError(f"seed {k}") for k in failing})
+    with pytest.raises(cf.DomainError) as caught:
+        cf.perpetual_point_search(f, region, SHARED_CFG)
+    assert str(caught.value) == f"seed {min(failing)}"
+    assert_no_child_process()
