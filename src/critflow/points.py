@@ -13,23 +13,30 @@ Each Newton run is one function, generated for each dimension with every
 component written out and compiled on first use
 (:func:`_newton_function`). It keeps the iterate in local floats, calls
 the solved map's compiled kernels (``VectorMap._kernel``) and the
-generated elimination of :mod:`critflow.linalg` directly, tests the
-trial point against the box component by component, and builds an array
-only for a returned root. At a point outside the solved map's domain a
-kernel returns None, which the run tests with ``is None``: a trial there
-counts as infinitely bad, a step there ends the run as "domain-error",
-and no error message is built. The sufficient-decrease test compares
-products, ``rt * rt <= r * r * (1 - 1e-4 t)``: a float ``** 2`` raises
+generated elimination of :mod:`critflow.linalg` directly, and tests the
+trial point against the box component by component. It returns one tuple
+of plain values: the root as a list of floats (None where the run
+failed), the residual, the iterations and the reason, then its counts of
+evaluations, Jacobians, solves, steps and backtracks
+(``_WORK_COUNTERS``). A per-run value is one more element. At a point
+outside the solved map's domain a kernel returns None, which the run
+tests with ``is None``: a trial there counts as infinitely bad, a step
+there ends the run as "domain-error", and no error message is built. The
+sufficient-decrease test compares products,
+``rt * rt <= r * r * (1 - 1e-4 t)``: a float ``** 2`` raises
 ``OverflowError`` above 1.34e154, where a product gives inf, and a steep
 field's residual norm can pass that. Where ``r * r`` is inf the products
 would accept any finite trial, so the test compares the ratio
-``(rt / r) * (rt / r) <= 1 - 1e-4 t`` instead; the search then takes the
-same steps at every scale c of a field c·f, up to the rounding of c·f in
-a step's last bit. Roots within ``dedup_tol`` of each other (``math.dist`` on
-Python floats) count once. Each search counts its seeds' outcomes, its
-evaluations, steps and backtracks on the :class:`PointSearch`. Each
-point keeps the solved map's Jacobian at its location, the matrix its
-spectrum and ``degenerate`` flag come from, for the checks to read.
+``(rt / r) * (rt / r) <= 1 - 1e-4 t`` instead; the search then takes
+the same steps at every scale c of a field c·f, up to the rounding of
+c·f in a step's last bit. One loop (:func:`_runs`) runs blocks of seeds
+and tags each run with its seed index. The search sorts its runs into
+seed order, sums their counts and tallies their reasons on the
+:class:`PointSearch`, and keeps one root of those within ``dedup_tol``
+of each other (``math.dist`` on the floats). It builds arrays only for
+the kept points. Each point keeps the solved
+map's Jacobian at its location, the matrix its spectrum and
+``degenerate`` flag come from, for the checks to read.
 
 A search of a map with three or more inputs, where a worker is usable
 (:mod:`critflow.worker`), runs on two CPUs: the calling process builds
@@ -39,12 +46,12 @@ until it is empty, so each runs whichever seeds it reaches first. A
 search of one or two inputs is too short to pay for the fork, which
 costs about 3 ms round trip in a 40 MB process on a 2-CPU VM. The
 results are those of the serial loop, bit for bit: a Newton run depends
-only on its seed and the kernels, the runs are merged back into seed
-order and the worker's counts are added to the caller's. Where a run
-raises, in either process, the caller runs the serial loop again, which
-raises the exception of the lowest failing seed. Inside
-``run_verification``, beside its worker or in it, a search runs all its
-seeds itself.
+only on its seed and the kernels, and the worker sends its runs, plain
+tuples, to the caller, which sorts them into seed order with its own
+before it counts or deduplicates. Where a run raises, in either process,
+the caller runs the serial loop again, which raises the exception of the
+lowest failing seed. Inside ``run_verification``, beside its worker or
+in it, a search runs all its seeds itself.
 """
 
 from __future__ import annotations
@@ -52,6 +59,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,22 +185,15 @@ class NoConvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Damped Newton
 
-@dataclass
-class _Outcome:
-    point: np.ndarray | None
-    residual: float
-    iterations: int
-    reason: str
-
-
 @functools.cache
 def _newton_function(n: int):
     """The damped Newton run for n unknowns, compiled from generated
-    source on first use: ``run(kernel, seed, lo, hi, max_iters, root_tol,
-    work)`` takes the solved map's kernel accessor (``VectorMap._kernel``),
-    the seed, the corners of the cushioned box and the two limits, and
-    returns an :class:`_Outcome`. It adds its counts to the
-    :class:`PointSearch` ``work`` once, at the end.
+    source on first use: ``run(kernel, seed, lo, hi, max_iters, root_tol)``
+    takes the solved map's kernel accessor (``VectorMap._kernel``), the
+    seed, the corners of the cushioned box and the two limits. It returns
+    one tuple of plain values: the root as a list of floats (None where the
+    run failed), the last residual, the iterations and the reason, then the
+    run's five counts in ``_WORK_COUNTERS`` order.
 
     The iterate is the locals ``x0 ... x<n-1>`` and the values at it
     ``f0 ... f<n-1>``, with residual ``r = hypot(*values)``. Each step
@@ -236,7 +237,7 @@ def _newton_function(n: int):
                 f"{pad}{targets('s')}= s"]
 
     lines = [
-        "def run(kernel, seed, lo, hi, max_iters, root_tol, work):",
+        "def run(kernel, seed, lo, hi, max_iters, root_tol):",
         "    values, jacobian = kernel(0), None",
         f"    {targets('x')}= map(float, seed)",
         f"    {targets('lo')}= lo",
@@ -244,8 +245,7 @@ def _newton_function(n: int):
         "    evals, jacobians, solves, steps, backtracks = 1, 0, 0, 0, 0",
         f"    fx = values({xs})",
         "    if fx is None:",
-        "        work.residual_evals += 1",
-        "        return _Outcome(None, inf, 0, 'domain-error-at-seed')",
+        "        return None, inf, 0, 'domain-error-at-seed', 1, 0, 0, 0, 0",
         f"    {targets('f')}= fx",
         "    r, point = hypot(*fx), None",
         "    for it in range(max_iters):",
@@ -297,116 +297,104 @@ def _newton_function(n: int):
         f"            point, reason = [{xs}], 'converged'",
         "        else:",
         "            reason = 'iteration-cap'",
-        "    work.residual_evals += evals",
-        "    work.jacobian_evals += jacobians",
-        "    work.solves += solves",
-        "    work.steps += steps",
-        "    work.backtracks += backtracks",
-        "    return _Outcome(None if point is None else array(point), r, it, reason)",
+        "    return point, r, it, reason, evals, jacobians, solves, steps, backtracks",
     ]
-    scope = {"_Outcome": _Outcome, "array": np.array, "eliminate": _elimination(n),
-             "hypot": math.hypot, "inf": math.inf}
+    scope = {"eliminate": _elimination(n), "hypot": math.hypot, "inf": math.inf}
     exec(compile("\n".join(lines) + "\n", f"<critflow-newton-{n}>", "exec"), scope)
     return scope["run"]
 
 
-def _newton(fieldmap: VectorMap, seed, box: tuple, cfg: SolverConfig,
-            work: PointSearch) -> _Outcome:
-    """Damped Newton from ``seed`` (:func:`_newton_function`); ``box`` is
-    the (lower, upper) pair of the cushioned search region that trial
-    points must stay in, and ``work`` counts the evaluations, solves,
-    steps and backtracks."""
+def _newton(fieldmap: VectorMap, seed, box: tuple, cfg: SolverConfig) -> tuple:
+    """Damped Newton from ``seed`` (:func:`_newton_function`, whose tuple
+    it returns); ``box`` is the (lower, upper) pair of the cushioned search
+    region that trial points must stay in."""
     return _newton_function(fieldmap.n_in)(fieldmap._kernel, seed, *box,
-                                           cfg.max_newton_iters, cfg.root_tol, work)
+                                           cfg.max_newton_iters, cfg.root_tol)
+
+
+def _check_dimension(fieldmap: VectorMap, region: AnalysisRegion):
+    if region.dimension != fieldmap.n_in:
+        raise ValueError(f"region has dimension {region.dimension}, "
+                         f"{fieldmap.name} has {fieldmap.n_in} inputs")
 
 
 def newton_root(fieldmap: VectorMap, seed, region: AnalysisRegion,
                 cfg: SolverConfig = SolverConfig()) -> np.ndarray:
     """Damped Newton from ``seed``; returns a point with ||field|| <= root_tol
     or raises :class:`NoConvergenceError` with diagnostics."""
+    _check_dimension(fieldmap, region)
     if len(seed) != region.dimension:
         raise ValueError(f"seed has {len(seed)} coordinates, region has {region.dimension}")
-    out = _newton(fieldmap, seed, region.cushioned_bounds(_REGION_CUSHION), cfg, PointSearch(points=[]))
-    if out.point is None:
-        raise NoConvergenceError(out.reason, out.iterations, out.residual)
-    return out.point
+    point, residual, iterations, reason, *_ = _newton(
+        fieldmap, seed, region.cushioned_bounds(_REGION_CUSHION), cfg)
+    if point is None:
+        raise NoConvergenceError(reason, iterations, residual)
+    return np.array(point)
 
 
 # ---------------------------------------------------------------------------
 # Multi-start search
 
-def _queued_runs(fieldmap: VectorMap, seeds: list, block: int, box: tuple,
-                 cfg: SolverConfig, queue_fd: int) -> tuple[list, list]:
-    """The Newton runs of the seed blocks taken from the shared queue until
-    it is empty, each as (seed index, root as a list or None, residual,
-    iterations, reason), and their counts: plain values, which a fresh
-    child pickles several times faster than :class:`_Outcome` arrays."""
-    work = PointSearch(points=[])
-    runs = []
-    while entry := os.read(queue_fd, 4):
-        start = int.from_bytes(entry, "little")
-        for i in range(start, min(start + block, len(seeds))):
-            out = _newton(fieldmap, seeds[i], box, cfg, work)
-            runs.append((i, None if out.point is None else out.point.tolist(),
-                         out.residual, out.iterations, out.reason))
-    return runs, [getattr(work, name) for name in _WORK_COUNTERS]
+def _runs(fieldmap: VectorMap, seeds: list, starts, block: int, box: tuple,
+          cfg: SolverConfig) -> list[tuple]:
+    """The Newton runs of the blocks of ``block`` seeds that begin at the
+    indices in ``starts``, each as (seed index, *run); plain values, which
+    a forked worker pickles several times faster than arrays."""
+    return [(i, *_newton(fieldmap, seeds[i], box, cfg))
+            for start in starts for i in range(start, min(start + block, len(seeds)))]
 
 
-def _shared_runs(fieldmap: VectorMap, seeds: list, box: tuple, cfg: SolverConfig,
-                 search: PointSearch) -> list[_Outcome] | None:
-    """The Newton run of each seed, in seed order, run by this process and
-    a forked worker (:func:`~critflow.worker.forked`) taking blocks of
-    seeds from one queue, or by this process alone where no worker is
-    usable; None where a run raised, and the serial loop then raises what
-    it raises."""
+def _shared_runs(fieldmap: VectorMap, seeds: list, box: tuple,
+                 cfg: SolverConfig) -> list[tuple] | None:
+    """The Newton runs of all ``seeds`` (:func:`_runs`), run by this
+    process and a forked worker (:func:`~critflow.worker.forked`) taking
+    blocks of seeds from one queue, or by this process alone where no
+    worker is usable; None where a run raised, and the serial loop then
+    raises what it raises."""
     _newton_function(fieldmap.n_in)
     fieldmap._kernel(0), fieldmap._kernel(1)  # built once, before the fork
     block = -(-len(seeds) // _QUEUE_SLOTS)
     read_fd, write_fd = os.pipe()
+
+    def queued():
+        starts = iter(functools.partial(os.read, read_fd, 4), b"")
+        return _runs(fieldmap, seeds, (int.from_bytes(e, "little") for e in starts),
+                     block, box, cfg)
     try:
         with os.fdopen(write_fd, "wb") as queue:
             queue.write(b"".join(i.to_bytes(4, "little") for i in range(0, len(seeds), block)))
-        share = functools.partial(_queued_runs, fieldmap, seeds, block, box, cfg, read_fd)
-        with worker.forked(share) as theirs:
-            ours, theirs = share(), theirs()
+        with worker.forked(queued) as theirs:
+            return queued() + theirs()
     except Exception:
         return None
     finally:
         os.close(read_fd)
-    for name, *counts in zip(_WORK_COUNTERS, ours[1], theirs[1]):
-        setattr(search, name, getattr(search, name) + sum(counts))
-    return [_Outcome(None if point is None else np.array(point), residual, iterations, reason)
-            for _, point, residual, iterations, reason in sorted(ours[0] + theirs[0])]
 
 
 def _collect_roots(fieldmap: VectorMap, region: AnalysisRegion, cfg: SolverConfig,
-                   search: PointSearch):
-    """Deduplicated roots as (location, residual); ``search`` receives the
-    seed counts, the outcome reasons and the evaluation counts."""
+                   search: PointSearch) -> list[tuple[list, float]]:
+    """Deduplicated roots as (location as a list of floats, residual);
+    ``search`` receives the seed counts, the outcome reasons and the
+    evaluation counts."""
+    _check_dimension(fieldmap, region)
     seeds = lattice_points(region, cfg.seed_count, cfg.rng_seed).tolist()
     box = region.cushioned_bounds(_REGION_CUSHION)
-    outcomes = (_shared_runs(fieldmap, seeds, box, cfg, search)
-                if fieldmap.n_in >= _SHARED_INPUTS else None)
-    if outcomes is None:  # a small search, or a run raised
-        outcomes = [_newton(fieldmap, seed, box, cfg, search) for seed in seeds]
-    hits: list[tuple[np.ndarray, float]] = []
-    reasons: dict[str, int] = {}
-    for out in outcomes:
-        reasons[out.reason] = reasons.get(out.reason, 0) + 1
-        if out.point is not None:
-            hits.append((out.point, out.residual))
+    runs = (_shared_runs(fieldmap, seeds, box, cfg)
+            if fieldmap.n_in >= _SHARED_INPUTS else None)
+    if runs is None:  # a small search, or a run raised
+        runs = _runs(fieldmap, seeds, (0,), len(seeds), box, cfg)
+    runs.sort()  # into seed order; the indices are distinct
+    for k, name in enumerate(_WORK_COUNTERS, 5):
+        setattr(search, name, sum(run[k] for run in runs))
     # lowest-residual representative wins its dedup cluster
-    hits.sort(key=lambda h: (h[1], tuple(h[0])))
-    kept: list[tuple[np.ndarray, float]] = []
-    kept_coords: list[list[float]] = []  # the kept points as Python floats
-    for point, res in hits:
-        coords = point.tolist()
-        if all(math.dist(coords, q) > cfg.dedup_tol for q in kept_coords):
-            kept.append((point, res))
-            kept_coords.append(coords)
+    hits = sorted((residual, point) for _, point, residual, *_ in runs if point is not None)
+    kept: list[tuple[list, float]] = []
+    for residual, point in hits:
+        if all(math.dist(point, q) > cfg.dedup_tol for q, _ in kept):
+            kept.append((point, residual))
     search.seeds_used = len(seeds)
     search.seeds_converged = len(hits)
-    search.reasons = dict(sorted(reasons.items()))
+    search.reasons = dict(sorted(Counter(run[4] for run in runs).items()))
     return kept
 
 
@@ -431,17 +419,13 @@ def _run_search(f: VectorField, solved: VectorMap, kind: str,
     roots = _collect_roots(solved, region, cfg, search)
     points = search.points
     for location, residual in roots:
-        try:
-            velocity = f.value(location)
-        except DomainError:
-            velocity = np.full(f.dimension, np.nan)
-        speed = float(np.linalg.norm(velocity))
-        if kind == PERPETUAL and speed <= cfg.velocity_floor:
+        fx = f._kernel(0)(*location)
+        velocity = np.full(f.dimension, np.nan) if fx is None else np.array(fx)
+        if kind == PERPETUAL and float(np.linalg.norm(velocity)) <= cfg.velocity_floor:
             continue  # a zero of F that is actually a fixed point
-        points.append(CriticalPoint(kind=kind, location=location, residual=residual,
+        points.append(CriticalPoint(kind=kind, location=np.array(location), residual=residual,
                                     velocity=velocity, boundary=not region.contains(location),
-                                    **_spectrum_of(solved._kernel(1)(*location.tolist()),
-                                                   f.dimension)))
+                                    **_spectrum_of(solved._kernel(1)(*location), f.dimension)))
     points.sort(key=CriticalPoint.sort_key)
     n_degenerate = sum(1 for p in points if p.degenerate)
     if n_degenerate > _CONTINUUM_THRESHOLD:

@@ -53,6 +53,9 @@ class AnalysisRegion:
     def span(self) -> np.ndarray:
         return np.array(self._spans)
 
+    def __str__(self) -> str:
+        return " x ".join(f"[{lo}, {hi}]" for lo, hi in self.bounds)
+
     def cushioned_bounds(self, cushion: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Lower and upper corners of the box inflated by ``cushion`` (a
         fraction of each dimension's span) on both sides."""
@@ -70,7 +73,7 @@ class AnalysisRegion:
         for (alo, ahi), (blo, bhi) in zip(self.bounds, other.bounds):
             lo, hi = max(alo, blo), min(ahi, bhi)
             if not lo < hi:
-                raise ValueError("regions do not overlap")
+                raise ValueError(f"regions {self} and {other} do not overlap")
             bounds.append((lo, hi))
         return AnalysisRegion(tuple(bounds))
 

@@ -273,6 +273,13 @@ def test_cli_rejects_a_region_whose_span_overflows(tmp_path, capsys, where):
     assert capsys.readouterr().err == f"error: {detail}\n"
 
 
+def test_cli_names_both_boxes_of_a_region_off_the_map_domain(capsys):
+    assert run_cli("verify", DATA / "example1.json", DATA / "affine_map.json",
+                   "--region=50:60") == 2
+    assert capsys.readouterr().err == ("error: regions [50.0, 60.0] and [-10.0, 10.0] "
+                                       "do not overlap\n")
+
+
 def test_cli_analyze_nilpotent_degenerate_warning(tmp_path):
     out = tmp_path / "nil.json"
     assert run_cli("analyze", DATA / "nilpotent.json", "--out", out) == 0

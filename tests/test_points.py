@@ -15,7 +15,7 @@ from critflow import points
 from critflow.fields import acceleration_map
 from critflow.io import load_system
 from critflow.linalg import SingularMatrixError, _solve
-from critflow.points import _DAMPING, _MIN_STEP, _Outcome
+from critflow.points import _DAMPING, _MIN_STEP, _WORK_COUNTERS
 
 from conftest import (assert_no_child_process, build_counted, caches_after_import,
                       grid_scan_roots, make_field, random_affine_map, random_polynomial_field)
@@ -280,9 +280,9 @@ def _numpy_dedup_reference(fieldmap, region, cfg):
     box = region.cushioned_bounds(points._REGION_CUSHION)
     hits = []
     for seed in cf.lattice_points(region, cfg.seed_count, cfg.rng_seed).tolist():
-        out = points._newton(fieldmap, seed, box, cfg, cf.PointSearch(points=[]))
-        if out.point is not None:
-            hits.append((out.point, out.residual))
+        point, residual, *_ = points._newton(fieldmap, seed, box, cfg)
+        if point is not None:
+            hits.append((np.array(point), residual))
     hits.sort(key=lambda h: (h[1], tuple(h[0])))
     kept = []
     for point, res in hits:
@@ -301,7 +301,7 @@ def test_dedup_keeps_what_the_numpy_norm_keeps(name, kind):
     for cfg in (CFG, cf.SolverConfig(seed_count=300, dedup_tol=1e-3)):
         kept = points._collect_roots(solved, region, cfg, cf.PointSearch(points=[]))
         want = _numpy_dedup_reference(solved, region, cfg)
-        assert [(p.tolist(), r) for p, r in kept] == [(p.tolist(), r) for p, r in want]
+        assert kept == [(p.tolist(), r) for p, r in want]
     if name == "nilpotent":  # a continuum: every pair of roots is compared
         assert len(kept) > 100
 
@@ -356,25 +356,26 @@ def _trial_point(lo, hi, xs, ss, t):
 
 
 def _reference_newton(fieldmap, seed, box, cfg, work):
-    """``points._newton`` as a loop over helpers, with lists for points; it
-    counts ``steps`` and ``backtracks`` where the generated run does."""
+    """``points._newton`` as a loop over helpers, with lists for points:
+    (root or None, residual, iterations, reason); it counts on ``work``,
+    ``steps`` and ``backtracks`` where the generated run does."""
     lo, hi = box
     x = [float(v) for v in seed]
     state = _residual(fieldmap, x, work)
     if state is None:
-        return _Outcome(None, math.inf, 0, "domain-error-at-seed")
+        return None, math.inf, 0, "domain-error-at-seed"
     fx, r = state
 
     for it in range(cfg.max_newton_iters):
         if r <= cfg.root_tol:
             x, r = _polish(fieldmap, x, fx, r, work)
-            return _Outcome(np.array(x), r, it, "converged")
+            return x, r, it, "converged"
         try:
             step = _step(fieldmap, x, fx, work)
         except SingularMatrixError:
-            return _Outcome(None, r, it, "singular-jacobian")
+            return None, r, it, "singular-jacobian"
         if step is None:
-            return _Outcome(None, r, it, "domain-error")
+            return None, r, it, "domain-error"
 
         t = 1.0
         accepted = False
@@ -401,11 +402,11 @@ def _reference_newton(fieldmap, seed, box, cfg, work):
             work.backtracks += 1
             t *= _DAMPING
         if not accepted:
-            return _Outcome(None, r, it, "region-exit" if exited else "no-descent")
+            return None, r, it, "region-exit" if exited else "no-descent"
 
     if r <= cfg.root_tol:
-        return _Outcome(np.array(x), r, cfg.max_newton_iters, "converged")
-    return _Outcome(None, r, cfg.max_newton_iters, "iteration-cap")
+        return x, r, cfg.max_newton_iters, "converged"
+    return None, r, cfg.max_newton_iters, "iteration-cap"
 
 
 def _reference_cases():
@@ -441,10 +442,10 @@ def _reference_cases():
     yield "steep", make_field("steep", ["x"], {}, ["1e200*(x^2 - 1)"]), REGION_1D, CFG
 
 
-def _run_key(out, work):
-    point = None if out.point is None else out.point.tobytes()
-    return (out.reason, out.iterations, out.residual, point, work.residual_evals,
-            work.jacobian_evals, work.solves, work.steps, work.backtracks)
+def _run_key(point, residual, iterations, reason, *counts):
+    """A Newton run's tuple with each root coordinate as its bits."""
+    bits = None if point is None else [v.hex() for v in point]
+    return (reason, iterations, residual, bits, *counts)
 
 
 def test_generated_newton_run_matches_the_reference_loop_bit_for_bit():
@@ -453,12 +454,14 @@ def test_generated_newton_run_matches_the_reference_loop_bit_for_bit():
     for name, solved, region, cfg in _reference_cases():
         box = region.cushioned_bounds(points._REGION_CUSHION)
         for seed in cf.lattice_points(region, cfg.seed_count, cfg.rng_seed).tolist():
-            got_work, want_work = cf.PointSearch(points=[]), cf.PointSearch(points=[])
-            got = points._newton(solved, seed, box, cfg, got_work)
+            got = points._newton(solved, seed, box, cfg)
+            want_work = cf.PointSearch(points=[])
             want = _reference_newton(solved, seed, box, cfg, want_work)
-            assert _run_key(got, got_work) == _run_key(want, want_work), (name, seed)
-            reasons[got.reason] = reasons.get(got.reason, 0) + 1
-            capped_roots += got.reason == "converged" and got.iterations == cfg.max_newton_iters
+            want_counts = [getattr(want_work, counter) for counter in _WORK_COUNTERS]
+            assert _run_key(*got) == _run_key(*want, *want_counts), (name, seed)
+            _, _, iterations, reason, *_ = got
+            reasons[reason] = reasons.get(reason, 0) + 1
+            capped_roots += reason == "converged" and iterations == cfg.max_newton_iters
     assert set(reasons) == {"converged", "domain-error-at-seed", "domain-error",
                             "singular-jacobian", "no-descent", "region-exit",
                             "iteration-cap"}, reasons
@@ -642,4 +645,65 @@ def test_the_lowest_failing_seed_decides_the_error_as_in_the_serial_loop(monkeyp
     with pytest.raises(cf.DomainError) as caught:
         cf.perpetual_point_search(f, region, SHARED_CFG)
     assert str(caught.value) == f"seed {min(failing)}"
+    assert_no_child_process()
+
+
+def test_a_region_of_another_dimension_than_the_map_is_rejected_by_name(monkeypatch, tmp_path):
+    _force_worker(monkeypatch, True)
+    forks = _counting_forks(monkeypatch, tmp_path / "forks")
+    rng = random.Random(3)
+    plane = random_polynomial_field(rng, 2)
+    for search_fn in (cf.fixed_point_search, cf.perpetual_point_search):
+        for d in (1, 3):
+            region = cf.AnalysisRegion.of(*[(-2, 2)] * d)
+            with pytest.raises(ValueError, match=f"region has dimension {d}, .* has 2 inputs"):
+                search_fn(plane, region, SHARED_CFG)
+    # a search that would share its seeds fails before it forks
+    space = random_polynomial_field(rng, 3)
+    with pytest.raises(ValueError, match="region has dimension 2, .* has 3 inputs"):
+        cf.fixed_point_search(space, cf.AnalysisRegion.of((-2, 2), (-2, 2)), SHARED_CFG)
+    assert forks() == []
+    with pytest.raises(ValueError, match="region has dimension 1, .* has 2 inputs"):
+        cf.newton_root(plane, [0.5], cf.AnalysisRegion.of((-2, 2)), CFG)
+    assert_no_child_process()
+
+
+def _plain(run) -> bool:
+    """Whether a run holds only ints, floats, strings, None and lists of
+    floats, which a forked worker pickles fast."""
+    return all(type(v) in (int, float, str, type(None))
+               or type(v) is list and all(type(x) is float for x in v) for v in run)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_shared_searches_leave_the_open_files_as_they_were(monkeypatch, tmp_path):
+    log = tmp_path / "runs"
+    seed_loop = points._runs
+
+    def logged(*args):
+        runs = seed_loop(*args)
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()} {len(runs)} {all(map(_plain, runs))}\n")
+        return runs
+    monkeypatch.setattr(points, "_runs", logged)
+    region = cf.AnalysisRegion.of(*[(-2.5, 2.5)] * 3)
+    f = random_polynomial_field(random.Random(2), 3)
+    seeds = cf.lattice_points(region, SHARED_CFG.seed_count, SHARED_CFG.rng_seed).tolist()
+    open_files = sorted(os.listdir("/proc/self/fd"))
+    for usable in (True, False):
+        _force_worker(monkeypatch, usable)
+        log.unlink(missing_ok=True)
+        cf.perpetual_point_search(f, region, SHARED_CFG)
+        assert sorted(os.listdir("/proc/self/fd")) == open_files
+        assert_no_child_process()
+        lines = [line.split() for line in log.read_text().splitlines()]
+        # each side runs the loop once, in two processes where a worker is usable
+        assert len(lines) == 2 and len({pid for pid, _, _ in lines}) == (2 if usable else 1)
+        assert sum(int(count) for _, count, _ in lines) == len(seeds)
+        assert all(plain == "True" for _, _, plain in lines)
+    _force_worker(monkeypatch, True)
+    _failing_runs(monkeypatch, seeds, {len(seeds) // 2: cf.DomainError("injected")})
+    with pytest.raises(cf.DomainError):
+        cf.perpetual_point_search(f, region, SHARED_CFG)
+    assert sorted(os.listdir("/proc/self/fd")) == open_files
     assert_no_child_process()
