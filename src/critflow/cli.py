@@ -218,6 +218,9 @@ def cmd_verify(args) -> int:
     if unknown:
         raise InputError(f"--theorems: unknown ids {sorted(unknown)}")
     cfg = _solver_config(args)
+    for flag, value in (("--T", args.t_end), ("--tol", args.tol)):
+        if value is not None and not 0.0 < value < math.inf:
+            raise InputError(f"{flag} {value!r}: must be finite and positive")
     # --tol overrides run_verification's defaults
     tols = {} if args.tol is None else {
         "flow_tol": args.tol, "spectrum_tol": args.tol, "similarity_tol": args.tol / 10.0}

@@ -25,22 +25,21 @@ region ∩ h.domain, side ``"g"`` the transformed system searched over
 ``image_region(h)``, kind is ``FIXED`` or ``PERPETUAL``. A check runs and
 stores a search only when its key is missing, so checks handed one mapping
 run each search at most once. :func:`run_verification` fills the mapping
-with every search its checks read before running them. The two sides are
-independent, so it runs g's searches (and ``image_region(h)``) in one
-forked worker process while the parent runs the flow check and then f's
-searches; only after those does it read g's searches. Where no worker is
-usable (see :mod:`critflow.worker`), g's searches run in the calling
-process after f's. Both ways run the same
-searches on the same inputs, so reports are byte-identical either way, and
-both raise the same error: f's side first, then g's.
+with every search its checks read before running them. It plans all of
+them first, f's and then g's (``image_region(h)`` included), and runs
+their Newton seeds from one queue shared with a forked worker
+(:func:`critflow.points._seed_queue`), which starts on it while the parent
+checks the flow; then the parent takes seeds from it too. Where no worker
+is usable (see :mod:`critflow.worker`), the parent runs every seed after
+the flow check. Both ways run the same searches on the same inputs, so
+reports are byte-identical either way, and both raise the same error:
+the first in the order flow, f's searches, g's searches.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -50,10 +49,9 @@ from .fields import TransformationMap, VectorField, image_region, transformed_sy
 from .flows import (BlowUpError, IntegratorConfig, StepUnderflowError, _sampled_states,
                     integrate)
 from .linalg import min_pivot, spectrum_distance
-from .points import (FIXED, PERPETUAL, SolverConfig, fixed_point_search,
-                     perpetual_point_search)
+from .points import (FIXED, PERPETUAL, SolverConfig, _plan_search, _searches, _seed_queue,
+                     fixed_point_search, perpetual_point_search)
 from .region import AnalysisRegion, lattice_points
-from .worker import forked
 
 __all__ = [
     "HOLDS", "FAILS", "NOT_APPLICABLE", "THEOREM_IDS",
@@ -245,15 +243,10 @@ def _search(kind: str):
     return fixed_point_search if kind == FIXED else perpetual_point_search
 
 
-def _side_searches(side: str, fld, h: TransformationMap, region: AnalysisRegion,
-                   kinds: Sequence[str], cfg: SolverConfig) -> list:
-    """One side's search of each kind in ``kinds``, in that order: side
-    ``"f"`` searches over region ∩ h.domain, side ``"g"`` over
-    ``image_region(h)``. Neither region is computed when ``kinds`` is empty."""
-    if not kinds:
-        return []
-    sub = region.intersect(h.domain) if side == "f" else image_region(h)
-    return [_search(kind)(fld, sub, cfg) for kind in kinds]
+def _side_region(side: str, h: TransformationMap, region: AnalysisRegion) -> AnalysisRegion:
+    """The region a side is searched over: region ∩ h.domain for ``"f"``,
+    ``image_region(h)`` for ``"g"``."""
+    return region.intersect(h.domain) if side == "f" else image_region(h)
 
 
 def _match_tol(cfg: SolverConfig) -> float:
@@ -275,7 +268,7 @@ def _match_points(f, h, g, region, cfg, kind, searches: dict | None):
     searches = {} if searches is None else searches
     for side, fld in (("f", f), ("g", g)):
         if (side, kind) not in searches:
-            searches[side, kind] = _side_searches(side, fld, h, region, [kind], cfg)[0]
+            searches[side, kind] = _search(kind)(fld, _side_region(side, h, region), cfg)
     f_points, g_points = searches["f", kind].points, searches["g", kind].points
     match_tol = _match_tol(cfg)
     taken = [False] * len(g_points)
@@ -460,19 +453,22 @@ def run_verification(f: VectorField, h: TransformationMap,
     ``THEOREM_IDS``; anything else raises :class:`ValueError`.
 
     The point searches the checks read run first, each once, and the
-    checks share them through one ``searches`` mapping. g's searches,
-    with ``image_region(h)``, run in one forked worker process while this
-    process runs the flow check and then f's searches; the worker sends
-    the list of its :class:`~critflow.points.PointSearch` results,
-    counters included, back through a pipe. Where no worker is usable
-    (see :mod:`critflow.worker`), g's searches run here, after f's. The
-    report is byte-identical either way.
+    checks share them through one ``searches`` mapping. Their Newton seeds
+    run from one queue (:func:`~critflow.points._seed_queue`) that a
+    forked worker starts to drain at once, while this process runs the
+    flow check and then drains it too; where no worker is usable (see
+    :mod:`critflow.worker`), this process runs every seed. Each search is
+    then finished here from its runs in seed order, so the report is
+    byte-identical either way.
 
     An exception from a check or a search is raised here with its type
-    and message. This process's side comes first: an exception from the
-    flow check or from f's searches is raised as it happens, and g's
-    first exception only when f's side succeeded. The rule is the same
-    with and without the worker, which never outlives the call.
+    and message, and the first in the order flow, f's fixed and perpetual
+    searches, g's fixed and perpetual searches: a flow error as it
+    happens, a failed Newton run through the serial loop of every search,
+    which raises the lowest failing seed's error of the first failing
+    search, and an error from planning a search (``image_region(h)``, say)
+    only when the searches before it succeeded. The rule is the same with
+    and without the worker, which never outlives the call.
     """
     if not theorems:
         raise ValueError("no theorem ids given: a run without checks verifies nothing")
@@ -484,14 +480,23 @@ def run_verification(f: VectorField, h: TransformationMap,
                          "finite and positive")
     g = transformed_system(f, h)
     kinds = _search_kinds(h, theorems)
-    g_side = partial(_side_searches, "g", g, h, region, kinds, cfg)
-    worker = forked(g_side) if kinds else contextlib.nullcontext(g_side)
+    plans, unplanned = [], None
+    try:
+        for side, fld in (("f", f), ("g", g)):
+            if kinds:
+                sub = _side_region(side, h, region)
+                plans += [_plan_search(fld, kind, sub, cfg) for kind in kinds]
+    except Exception as err:  # raised once the searches planned before it succeed
+        unplanned = err
     flow = None
-    with worker as g_result:
+    with _seed_queue(plans, cfg) as drain:
         if "flow" in theorems:
             pts = select_flow_points(f, h, region, _FLOW_POINTS, t_end)
             flow = verify_flow_conjugacy(f, g, h, pts, t_end, flow_tol)
-        found = _side_searches("f", f, h, region, kinds, cfg) + g_result()
+        runs = drain()
+    found = _searches(plans, runs, cfg)
+    if unplanned is not None:
+        raise unplanned
     searches = dict(zip([(side, kind) for side in ("f", "g") for kind in kinds], found))
     checks: list[TheoremCheck] = []
     for tid in THEOREM_IDS:

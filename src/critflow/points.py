@@ -38,29 +38,36 @@ the kept points. Each point keeps the solved
 map's Jacobian at its location, the matrix its spectrum and
 ``degenerate`` flag come from, for the checks to read.
 
-A search of a map with three or more inputs, where a worker is usable
-(:mod:`critflow.worker`), runs on two CPUs: the calling process builds
-the map's value and Jacobian kernels, writes the seed indices to a pipe
-and forks one worker, and then both take the next index from the pipe
-until it is empty, so each runs whichever seeds it reaches first. A
-search of one or two inputs is too short to pay for the fork, which
-costs about 3 ms round trip in a 40 MB process on a 2-CPU VM. The
+Every search that shares its seeds with a forked worker
+(:mod:`critflow.worker`) runs them from one queue (:func:`_seed_queue`):
+the calling process plans each search (its solved map, seeds and box,
+:func:`_plan_search`), builds the maps' value and Jacobian kernels, writes
+one entry per block of seeds to a pipe and forks one worker; then both
+take the next entry from the pipe until it is empty, so each runs
+whichever blocks it reaches first. An entry names a search and the first
+seed of its block, so one queue serves a lone search and the four searches
+of ``run_verification``, whose worker starts on the queue while the caller
+checks the flow. A lone search shares its seeds where its map has three or
+more inputs; one of one or two inputs is too short to pay for the fork,
+which costs about 3 ms round trip in a 40 MB process on a 2-CPU VM. The
 results are those of the serial loop, bit for bit: a Newton run depends
 only on its seed and the kernels, and the worker sends its runs, plain
-tuples, to the caller, which sorts them into seed order with its own
-before it counts or deduplicates. Where a run raises, in either process,
-the caller runs the serial loop again, which raises the exception of the
-lowest failing seed. Inside ``run_verification``, beside its worker or
-in it, a search runs all its seeds itself.
+tuples, to the caller, which sorts them into seed order with its own and
+then finishes each search (:func:`_searches`). Where a run raises, in
+either process, the caller runs the serial loop over every search again,
+which raises the exception of the lowest failing seed of the first search
+with one. Where no worker is usable, the caller drains the queue alone.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,8 +98,8 @@ _MIN_STEP = 1e-12
 #: trial points may leave the region by this fraction of each span
 _REGION_CUSHION = 0.1
 
-#: a search of a map with at least this many inputs shares its seeds with
-#: a forked worker; below it a run is too short to pay for the fork
+#: a lone search of a map with at least this many inputs shares its seeds
+#: with a forked worker; below it a run is too short to pay for the fork
 _SHARED_INPUTS = 3
 #: the shared queue holds at most this many 4-byte entries, one page of a
 #: pipe, so the whole queue is written before the fork without blocking
@@ -335,66 +342,102 @@ def newton_root(fieldmap: VectorMap, seed, region: AnalysisRegion,
 # ---------------------------------------------------------------------------
 # Multi-start search
 
-def _runs(fieldmap: VectorMap, seeds: list, starts, block: int, box: tuple,
-          cfg: SolverConfig) -> list[tuple]:
-    """The Newton runs of the blocks of ``block`` seeds that begin at the
-    indices in ``starts``, each as (seed index, *run); plain values, which
-    a forked worker pickles several times faster than arrays."""
-    return [(i, *_newton(fieldmap, seeds[i], box, cfg))
-            for start in starts for i in range(start, min(start + block, len(seeds)))]
+class _Plan(NamedTuple):
+    """One search before its Newton runs: the field, the map Newton solves
+    (f, or its acceleration map F), the kind, the region, its seeds as
+    lists of floats and the cushioned box that trial points stay in."""
+    f: VectorField
+    solved: VectorMap
+    kind: str
+    region: AnalysisRegion
+    seeds: list
+    box: tuple
 
 
-def _shared_runs(fieldmap: VectorMap, seeds: list, box: tuple,
-                 cfg: SolverConfig) -> list[tuple] | None:
-    """The Newton runs of all ``seeds`` (:func:`_runs`), run by this
-    process and a forked worker (:func:`~critflow.worker.forked`) taking
-    blocks of seeds from one queue, or by this process alone where no
-    worker is usable; None where a run raised, and the serial loop then
-    raises what it raises."""
-    _newton_function(fieldmap.n_in)
-    fieldmap._kernel(0), fieldmap._kernel(1)  # built once, before the fork
-    block = -(-len(seeds) // _QUEUE_SLOTS)
+def _plan_search(f: VectorField, kind: str, region: AnalysisRegion,
+                 cfg: SolverConfig) -> _Plan:
+    solved = f if kind == FIXED else acceleration_map(f)
+    _check_dimension(solved, region)
+    return _Plan(f, solved, kind, region,
+                 lattice_points(region, cfg.seed_count, cfg.rng_seed).tolist(),
+                 region.cushioned_bounds(_REGION_CUSHION))
+
+
+def _runs(plans: list[_Plan], entries, block: int, cfg: SolverConfig) -> list[tuple]:
+    """The Newton runs of the blocks of ``block`` seeds that ``entries``
+    name, each entry a (search, first seed) pair of indices into ``plans``
+    and its seeds, and each run as (search, seed index, *run); plain
+    values, which a forked worker pickles several times faster than
+    arrays."""
+    return [(k, i, *_newton(plans[k].solved, plans[k].seeds[i], plans[k].box, cfg))
+            for k, start in entries
+            for i in range(start, min(start + block, len(plans[k].seeds)))]
+
+
+@contextlib.contextmanager
+def _seed_queue(plans: list[_Plan], cfg: SolverConfig):
+    """Share the seeds of every search in ``plans`` between this process
+    and a forked worker (:func:`~critflow.worker.forked`) through one
+    queue of seed blocks, which the worker starts to drain at once. Yields
+    ``drain``, which drains the queue here too and returns every run
+    (:func:`_runs`) of both processes, or None where a run raised in
+    either; where no worker is usable it runs all the seeds here. The
+    block may do other work before it calls ``drain``."""
+    if not plans:
+        yield list
+        return
+    for plan in plans:  # built once, before the fork
+        _newton_function(plan.solved.n_in)
+        plan.solved._kernel(0), plan.solved._kernel(1)
+    # each search ends its last block early, so at most _QUEUE_SLOTS entries
+    block = -(-sum(len(plan.seeds) for plan in plans) // (_QUEUE_SLOTS - len(plans) + 1))
+    entries = [(k, start) for k, plan in enumerate(plans)
+               for start in range(0, len(plan.seeds), block)]
     read_fd, write_fd = os.pipe()
 
     def queued():
-        starts = iter(functools.partial(os.read, read_fd, 4), b"")
-        return _runs(fieldmap, seeds, (int.from_bytes(e, "little") for e in starts),
-                     block, box, cfg)
+        taken = iter(functools.partial(os.read, read_fd, 4), b"")
+        return _runs(plans, (entries[int.from_bytes(j, "little")] for j in taken), block, cfg)
+
+    def in_worker():
+        try:
+            return queued()
+        except BaseException:  # the caller's serial loop raises it again
+            return None
+
+    def drain():
+        try:
+            mine = queued()
+        except Exception:
+            return None
+        theirs = their_runs()
+        return None if theirs is None else mine + theirs
     try:
         with os.fdopen(write_fd, "wb") as queue:
-            queue.write(b"".join(i.to_bytes(4, "little") for i in range(0, len(seeds), block)))
-        with worker.forked(queued) as theirs:
-            return queued() + theirs()
-    except Exception:
-        return None
+            queue.write(b"".join(j.to_bytes(4, "little") for j in range(len(entries))))
+        with worker.forked(in_worker) as their_runs:
+            yield drain
     finally:
         os.close(read_fd)
 
 
-def _collect_roots(fieldmap: VectorMap, region: AnalysisRegion, cfg: SolverConfig,
+def _collect_roots(runs: list[tuple], cfg: SolverConfig,
                    search: PointSearch) -> list[tuple[list, float]]:
-    """Deduplicated roots as (location as a list of floats, residual);
-    ``search`` receives the seed counts, the outcome reasons and the
-    evaluation counts."""
-    _check_dimension(fieldmap, region)
-    seeds = lattice_points(region, cfg.seed_count, cfg.rng_seed).tolist()
-    box = region.cushioned_bounds(_REGION_CUSHION)
-    runs = (_shared_runs(fieldmap, seeds, box, cfg)
-            if fieldmap.n_in >= _SHARED_INPUTS else None)
-    if runs is None:  # a small search, or a run raised
-        runs = _runs(fieldmap, seeds, (0,), len(seeds), box, cfg)
-    runs.sort()  # into seed order; the indices are distinct
-    for k, name in enumerate(_WORK_COUNTERS, 5):
+    """Deduplicated roots of one search's ``runs`` (:func:`_runs`, in seed
+    order) as (location as a list of floats, residual); ``search``
+    receives the seed counts, the outcome reasons and the evaluation
+    counts."""
+    for k, name in enumerate(_WORK_COUNTERS, 6):
         setattr(search, name, sum(run[k] for run in runs))
     # lowest-residual representative wins its dedup cluster
-    hits = sorted((residual, point) for _, point, residual, *_ in runs if point is not None)
+    hits = sorted((residual, point) for _, _, point, residual, *_ in runs if point is not None)
     kept: list[tuple[list, float]] = []
     for residual, point in hits:
         if all(math.dist(point, q) > cfg.dedup_tol for q, _ in kept):
             kept.append((point, residual))
-    search.seeds_used = len(seeds)
+    search.seeds_used = len(runs)
     search.seeds_converged = len(hits)
-    search.reasons = dict(sorted(Counter(run[4] for run in runs).items()))
+    search.reasons = dict(sorted(Counter(run[5] for run in runs).items()))
     return kept
 
 
@@ -413,10 +456,25 @@ def _spectrum_of(flat, n: int) -> dict:
     return dict(spectrum=spec, degenerate=is_degenerate(jac), note=note, jacobian=jac)
 
 
-def _run_search(f: VectorField, solved: VectorMap, kind: str,
-                region: AnalysisRegion, cfg: SolverConfig) -> PointSearch:
+def _searches(plans: list[_Plan], runs: list[tuple] | None,
+              cfg: SolverConfig) -> list[PointSearch]:
+    """The searches of ``plans``, in that order, from their ``runs``
+    (:func:`_seed_queue`); where ``runs`` is None, from the serial loop,
+    which raises the error of the lowest failing seed of the first search
+    with one."""
+    if runs is None:
+        runs = _runs(plans, [(k, 0) for k in range(len(plans))],
+                     max(len(plan.seeds) for plan in plans), cfg)
+    per_search: list[list[tuple]] = [[] for _ in plans]
+    for run in sorted(runs):  # into seed order; the indices are distinct
+        per_search[run[0]].append(run)
+    return [_finished(plan, plan_runs, cfg) for plan, plan_runs in zip(plans, per_search)]
+
+
+def _finished(plan: _Plan, runs: list[tuple], cfg: SolverConfig) -> PointSearch:
+    f, solved, kind, region, *_ = plan
     search = PointSearch(points=[])
-    roots = _collect_roots(solved, region, cfg, search)
+    roots = _collect_roots(runs, cfg, search)
     points = search.points
     for location, residual in roots:
         fx = f._kernel(0)(*location)
@@ -442,12 +500,22 @@ def _run_search(f: VectorField, solved: VectorMap, kind: str,
     return search
 
 
+def _run_search(f: VectorField, kind: str, region: AnalysisRegion,
+                cfg: SolverConfig) -> PointSearch:
+    plans = [_plan_search(f, kind, region, cfg)]
+    runs = None  # a small search runs its seeds serially
+    if plans[0].solved.n_in >= _SHARED_INPUTS:
+        with _seed_queue(plans, cfg) as drain:
+            runs = drain()
+    return _searches(plans, runs, cfg)[0]
+
+
 def fixed_point_search(f: VectorField, region: AnalysisRegion,
                        cfg: SolverConfig = SolverConfig()) -> PointSearch:
     """The search for fixed points of f inside ``region``. Its ``points``
     are deduplicated and sorted by location, each carrying the eigenvalues
     of Df."""
-    return _run_search(f, f, FIXED, region, cfg)
+    return _run_search(f, FIXED, region, cfg)
 
 
 def perpetual_point_search(f: VectorField, region: AnalysisRegion,
@@ -456,7 +524,7 @@ def perpetual_point_search(f: VectorField, region: AnalysisRegion,
     acceleration field with speed above the velocity floor. Its ``points``
     are deduplicated and sorted by location, each carrying the eigenvalues
     of DF and the signed velocity."""
-    return _run_search(f, acceleration_map(f), PERPETUAL, region, cfg)
+    return _run_search(f, PERPETUAL, region, cfg)
 
 
 def classify_point(f: VectorField, point,

@@ -2,17 +2,16 @@
 
 :func:`forked` runs a function in a forked child while the parent goes on
 with independent work, and hands its result (or the exception that ended
-it) back through a pipe in one piece. ``run_verification`` runs g's point
-searches there while it checks the flow and searches f; ``portrait``
-renders its grid there while it integrates and writes the trajectories;
-a point search of a map with three or more inputs runs part of its
-Newton seeds there (:mod:`critflow.points`).
+it) back through a pipe in one piece. ``run_verification`` and a point
+search of a map with three or more inputs run part of their Newton seeds
+there, taken from one queue (:mod:`critflow.points`); ``portrait`` renders
+its grid there while it integrates and writes the trajectories.
 
 A worker is used where ``os.fork`` and ``os.sched_getaffinity`` exist, at
 least two CPUs are usable, the calling process runs a single thread and
 no worker is running: the flag ``_busy`` is set in a forked child and in
-its parent until the child is reaped, so a search inside
-``run_verification``, beside its worker or in it, forks no second one.
+its parent until the child is reaped, so code that runs beside a worker
+or in it forks no second one.
 Elsewhere the function runs in the calling process, when its result is
 read. Either way it runs the same code on the same inputs, so its result
 and the files it writes are the same.
@@ -63,10 +62,12 @@ def _pickled_error(err: Exception) -> bytes:
 
 def _received(stream):
     """The result the worker wrote to ``stream``, or its exception raised
-    again here."""
+    again here. A result larger than the pipe's buffer is written in
+    pieces, so a worker that ends between two leaves a truncated pickle:
+    that too ended without sending its result."""
     try:
         ok, payload = pickle.load(stream)
-    except EOFError:
+    except (EOFError, pickle.UnpicklingError):
         raise RuntimeError("the forked worker ended without sending its result") from None
     if ok:
         return payload

@@ -2,7 +2,6 @@ import collections
 import math
 import os
 import random
-import sys
 import types
 from dataclasses import replace
 from pathlib import Path
@@ -13,6 +12,7 @@ import pytest
 import critflow as cf
 import critflow.conjugacy
 import critflow.fields
+import critflow.points
 import critflow.worker
 from critflow.cli import main
 
@@ -409,40 +409,53 @@ def test_run_verification_without_theorems_raises(quad_field, theorems):
 # ---------------------------------------------------------------------------
 # Sharing contract: one search per (side, kind), one image region per map
 
-def _counting_searches(monkeypatch, log=None, fail=False):
-    """Replace the search functions critflow.conjugacy holds with wrappers
-    that append one line per call to the file ``log``: the searched
-    field's name, the kind and the calling process. A file, so that calls
-    made in the forked search worker count too. With ``fail`` any call
-    raises."""
-    for kind, name in ((cf.FIXED, "fixed_point_search"),
-                       (cf.PERPETUAL, "perpetual_point_search")):
-        original = getattr(critflow.conjugacy, name)
+def _counting_runs(monkeypatch, log=None, fail=False):
+    """Replace the Newton run of critflow.points with a wrapper that
+    appends one line per run to the file ``log``: the solved map's name,
+    the seed and the calling process. A file, so that runs made in the
+    forked worker count too. With ``fail`` any run raises."""
+    run = critflow.points._newton
 
-        def counted(field, region, cfg, _kind=kind, _original=original):
-            if fail:
-                raise AssertionError(f"{_kind} search of {field.name} was rerun")
-            with open(log, "a") as out:
-                out.write(f"{field.name}\t{_kind}\t{os.getpid()}\n")
-            return _original(field, region, cfg)
-        monkeypatch.setattr(critflow.conjugacy, name, counted)
+    def counted(fieldmap, seed, *args):
+        if fail:
+            raise AssertionError(f"a Newton run of {fieldmap.name} was rerun")
+        with open(log, "a") as out:
+            out.write(f"{fieldmap.name}\t{seed!r}\t{os.getpid()}\n")
+        return run(fieldmap, seed, *args)
+    monkeypatch.setattr(critflow.points, "_newton", counted)
 
 
-def _logged_calls(log) -> list[tuple[str, str, int]]:
-    """(field name, kind, process id) of each call :func:`_counting_searches` logged."""
+def _logged_runs(log) -> list[tuple[str, str, int]]:
+    """(solved map's name, seed, process id) of each run :func:`_counting_runs` logged."""
     lines = log.read_text().splitlines() if log.exists() else []
-    return [(name, kind, int(pid)) for name, kind, pid in (line.split("\t") for line in lines)]
+    return [(name, seed, int(pid)) for name, seed, pid in (line.split("\t") for line in lines)]
+
+
+def _solved_maps(f, g) -> dict:
+    """The name of each map verify's searches solve, by (side, kind)."""
+    accel = critflow.fields.acceleration_map
+    return {("f", cf.FIXED): f.name, ("f", cf.PERPETUAL): accel(f).name,
+            ("g", cf.FIXED): g.name, ("g", cf.PERPETUAL): accel(g).name}
+
+
+def _seeds_of_each_map(f, h, g, region, cfg=CFG) -> collections.Counter:
+    """One (solved map's name, seed) pair per run of run_verification's four searches."""
+    regions = {"f": region.intersect(h.domain), "g": cf.image_region(h)}
+    return collections.Counter(
+        (name, repr(seed)) for (side, _), name in _solved_maps(f, g).items()
+        for seed in cf.lattice_points(regions[side], cfg.seed_count, cfg.rng_seed).tolist())
 
 
 def test_run_verification_runs_each_search_once(quad_field, monkeypatch, tmp_path):
     h = affine_map_1d(2.0, 5.0)
-    log = tmp_path / "calls"
-    _counting_searches(monkeypatch, log)
+    log = tmp_path / "runs"
+    _counting_runs(monkeypatch, log)
     report, g = cf.run_verification(quad_field, h, REGION)
     assert report.all_accepted
-    calls = collections.Counter((name, kind) for name, kind, _ in _logged_calls(log))
-    assert calls == {(f.name, kind): 1 for f in (quad_field, g)
-                     for kind in (cf.FIXED, cf.PERPETUAL)}
+    # every seed of each of the four searches runs once, and nothing more
+    runs = collections.Counter((name, seed) for name, seed, _ in _logged_runs(log))
+    assert runs == _seeds_of_each_map(quad_field, h, g, REGION)
+    assert set(runs.values()) == {1}
 
 
 def test_image_region_is_computed_once_per_map(monkeypatch):
@@ -472,7 +485,7 @@ def test_spectrum_check_reuses_supplied_searches_and_adds_no_keys(affine_setup, 
     f, h, g = affine_setup
     searches = _four_searches(f, h, g, REGION)
     supplied = dict(searches)
-    _counting_searches(monkeypatch, fail=True)
+    _counting_runs(monkeypatch, fail=True)
     check = cf.verify_spectrum_preservation(f, h, g, REGION, CFG, searches=searches)
     assert check.verdict == cf.HOLDS
     assert searches.keys() == supplied.keys()
@@ -555,29 +568,30 @@ def test_a_fixed_point_on_a_domain_wall_decides_no_spectrum_verdict():
     assert alone.details == tuple(wall) and "no matched pair" in alone.note
 
 
-def test_parent_of_run_verification_builds_no_acceleration_map_of_g(monkeypatch):
-    # the worker searches g; the parent reads g's Jacobians from its points
-    if not critflow.worker._worker_usable():
-        pytest.skip("the forked worker is not usable here")
-    calls = []
-    for module in [m for name, m in list(sys.modules.items())
-                   if name.startswith("critflow") and hasattr(m, "acceleration_map")]:
-        def recording(fld, _original=module.acceleration_map):
-            calls.append((fld.name, os.getpid()))
-            return _original(fld)
-        monkeypatch.setattr(module, "acceleration_map", recording)
-    built = []
-    init = critflow.fields.JetAccelerationMap.__init__
-    monkeypatch.setattr(critflow.fields.JetAccelerationMap, "__init__",
-                        lambda self, fld: built.append(os.getpid()) or init(self, fld))
-    f, h, region = _builder_case(2, 1)
+def test_run_verification_compiles_each_kernel_once_in_this_process(monkeypatch, tmp_path):
+    # the searches' kernels are built before the fork, so the worker that
+    # shares their seeds compiles none of its own
+    monkeypatch.setattr(critflow.worker, "_usable_cpus", lambda: 2)
+    log, runs = tmp_path / "compiled", tmp_path / "runs"
+    _counting_runs(monkeypatch, runs)
+    compile_kernel = critflow.fields.compile_kernel
+
+    def logged(exprs, arg_names):
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()}\t{[cf.to_source(e) for e in exprs]}{list(arg_names)}\n")
+        return compile_kernel(exprs, arg_names)
+    monkeypatch.setattr(critflow.fields, "compile_kernel", logged)
+    f, h, region = _builder_case(3, 1)
     report, g = cf.run_verification(f, h, region)
     assert_no_child_process()
     assert {r.kind for r in report.check("t3").details
             if r.spectrum_distance is not None} == {cf.FIXED, cf.PERPETUAL}
     here = os.getpid()
-    assert {name for name, pid in calls if pid == here} == {f.name}
-    assert here not in built
+    assert {pid for _, _, pid in _logged_runs(runs)} > {here}  # the worker ran seeds
+    compiled = [line.split("\t") for line in log.read_text().splitlines()]
+    assert {int(pid) for pid, _ in compiled} == {here}
+    kernels = collections.Counter(kernel for _, kernel in compiled)
+    assert len(kernels) >= 4 and set(kernels.values()) == {1}
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +656,7 @@ def test_tiny_linear_map_counts_as_singular(quad_field):
 
 
 # ---------------------------------------------------------------------------
-# The search worker: g's searches in a forked process, the same results
+# The seed queue: verify's searches on two CPUs, the same results
 
 def _without_worker(monkeypatch):
     monkeypatch.setattr(critflow.worker, "_usable_cpus", lambda: 1)
@@ -650,20 +664,41 @@ def _without_worker(monkeypatch):
 
 @pytest.mark.parametrize("n, seed", [(2, 1), (3, 1), (4, 1)])
 def test_reports_are_the_same_with_and_without_the_worker(n, seed, monkeypatch, tmp_path):
-    log = tmp_path / "calls"
-    _counting_searches(monkeypatch, log)
-    forked = critflow.worker._worker_usable()
-    report, g = cf.run_verification(*_builder_case(n, seed))
+    log = tmp_path / "runs"
+    _counting_runs(monkeypatch, log)
+    f, h, region = _builder_case(n, seed)
+    monkeypatch.setattr(critflow.worker, "_usable_cpus", lambda: 2)
+    report, g = cf.run_verification(f, h, region)
     assert_no_child_process()
-    here, calls = os.getpid(), _logged_calls(log)
-    assert len(calls) == 4
-    for name, _, pid in calls:
-        assert (pid != here) == (forked and name == g.name)
+    # every (search, seed) pair runs once, in one process or the other
+    want = _seeds_of_each_map(f, h, g, region)
+    here, runs = os.getpid(), _logged_runs(log)
+    assert collections.Counter((name, seed) for name, seed, _ in runs) == want
+    assert set(want.values()) == {1}
+    pids = {pid for _, _, pid in runs}
+    assert len(pids) <= 2
+    if n >= 3:  # long enough that both processes take blocks
+        assert here in pids and len(pids) == 2
+    log.unlink()
     _without_worker(monkeypatch)
     assert not critflow.worker._worker_usable()
     in_process, _ = cf.run_verification(*_builder_case(n, seed))
     assert repr(report) == repr(in_process)
-    assert [pid for _, _, pid in _logged_calls(log)[4:]] == [here] * 4
+    runs = _logged_runs(log)
+    assert collections.Counter((name, seed) for name, seed, _ in runs) == want
+    assert {pid for _, _, pid in runs} == {here}
+
+
+def test_a_queue_of_blocks_across_searches_gives_the_same_report(monkeypatch):
+    # ten slots for four searches of 125 seeds: blocks of 72 seeds, two
+    # entries per search, the second ending early at its search's last seed
+    case = _builder_case(3, 1)
+    _without_worker(monkeypatch)
+    in_process, _ = cf.run_verification(*case)
+    monkeypatch.setattr(critflow.worker, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(critflow.points, "_QUEUE_SLOTS", 10)
+    assert repr(cf.run_verification(*case)[0]) == repr(in_process)
+    assert_no_child_process()
 
 
 @pytest.mark.parametrize("map_file", ["affine_map.json", "square_map.json"])
@@ -683,17 +718,18 @@ def test_cli_verify_writes_the_same_bytes_with_and_without_the_worker(map_file, 
 
 def _failing_searches(monkeypatch, failures: dict):
     """Make the searches and the flow-point selection of critflow.conjugacy
-    raise: ``failures`` maps (side, kind) or "flow" to the error."""
-    for kind, name in ((cf.FIXED, "fixed_point_search"),
-                       (cf.PERPETUAL, "perpetual_point_search")):
-        original = getattr(critflow.conjugacy, name)
+    raise: ``failures`` maps (side, kind) or "flow" to the error, which
+    every Newton run of that search raises, in this process and in the
+    forked worker. g's maps are told from f's by their ``_via_`` name."""
+    run = critflow.points._newton
 
-        def failing(field, region, cfg, _kind=kind, _original=original):
-            side = "g" if "_via_" in field.name else "f"
-            if (side, _kind) in failures:
-                raise failures[side, _kind]
-            return _original(field, region, cfg)
-        monkeypatch.setattr(critflow.conjugacy, name, failing)
+    def failing(fieldmap, *args):
+        side = "g" if "_via_" in fieldmap.name else "f"
+        kind = cf.PERPETUAL if fieldmap.name.endswith("_accel") else cf.FIXED
+        if (side, kind) in failures:
+            raise failures[side, kind]
+        return run(fieldmap, *args)
+    monkeypatch.setattr(critflow.points, "_newton", failing)
     if "flow" in failures:
         def failing_flow(*args):
             raise failures["flow"]
@@ -729,24 +765,24 @@ def test_an_interrupt_in_f_search_leaves_no_process(quad_field, monkeypatch):
 def test_a_worker_that_ends_without_results_raises_and_leaves_no_process(quad_field,
                                                                          monkeypatch):
     if not critflow.worker._worker_usable():
-        pytest.skip("no worker: g's search would end this process")
+        pytest.skip("no worker: the seed loop would end this process")
     here = os.getpid()
-    original = critflow.conjugacy.fixed_point_search
+    seed_loop = critflow.points._runs
 
-    def ending_in_the_child(field, region, cfg):
+    def ending_in_the_child(*args):
         if os.getpid() != here:
             os._exit(1)
-        return original(field, region, cfg)
-    monkeypatch.setattr(critflow.conjugacy, "fixed_point_search", ending_in_the_child)
+        return seed_loop(*args)
+    monkeypatch.setattr(critflow.points, "_runs", ending_in_the_child)
     with pytest.raises(RuntimeError) as caught:
         cf.run_verification(quad_field, affine_map_1d(2.0, 5.0), REGION)
     assert str(caught.value) == "the forked worker ended without sending its result"
     assert_no_child_process()
 
 
-# this process's side runs first, in the order flow, f fixed, f perpetual,
-# and its first error is raised; g's first error is raised only when f's
-# side raised none, with and without the worker
+# the first error in the order flow, f fixed, f perpetual, g fixed, g
+# perpetual is raised, with and without the worker: a failing run of any
+# search sends all four through the serial loop, in that order
 @pytest.mark.parametrize("worker", [True, False], ids=["worker", "in-process"])
 @pytest.mark.parametrize("steps, first", [
     (["flow", ("g", cf.FIXED)], "flow"),
@@ -763,6 +799,27 @@ def test_the_first_error_of_a_serial_run_is_raised(quad_field, monkeypatch, step
     with pytest.raises(cf.DomainError) as caught:
         cf.run_verification(quad_field, affine_map_1d(2.0, 5.0), REGION)
     assert str(caught.value) == repr(first)
+    assert_no_child_process()
+
+
+@pytest.mark.parametrize("worker", [True, False], ids=["worker", "in-process"])
+def test_an_image_region_error_is_raised_only_after_f_searches_succeed(quad_field, monkeypatch,
+                                                                       worker):
+    if not worker:
+        _without_worker(monkeypatch)
+
+    def failing_image_region(h):
+        raise cf.DomainError("image region")
+    monkeypatch.setattr(critflow.conjugacy, "image_region", failing_image_region)
+    h = affine_map_1d(2.0, 5.0)
+    with pytest.raises(cf.DomainError) as caught:
+        cf.run_verification(quad_field, h, REGION)
+    assert str(caught.value) == "image region"
+    assert_no_child_process()
+    _failing_searches(monkeypatch, {("f", cf.FIXED): cf.DomainError("f fixed")})
+    with pytest.raises(cf.DomainError) as caught:
+        cf.run_verification(quad_field, h, REGION)
+    assert str(caught.value) == "f fixed"
     assert_no_child_process()
 
 

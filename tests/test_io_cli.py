@@ -425,10 +425,12 @@ def test_cli_verify_exit_one_on_failure(tmp_path):
 
 @pytest.mark.parametrize("flags", [
     ["--tol", "nan"], ["--tol", "-1"], ["--tol", "inf"], ["--T", "nan"], ["--T", "0"],
-    ["--T", "-1"]])
+    ["--T", "-1"], ["--T", "inf"]])
 def test_cli_verify_rejects_bad_tolerances(flags, capsys):
     assert run_cli("verify", DATA / "example1.json", DATA / "affine_map.json", *flags) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    flag, value = flags
+    assert capsys.readouterr().err == (f"error: {flag} {float(value)!r}: "
+                                       f"must be finite and positive\n")
 
 
 @pytest.mark.parametrize("source, inverse", [

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import random
+import types
 from pathlib import Path
 
 import numpy as np
@@ -297,10 +298,11 @@ def test_dedup_keeps_what_the_numpy_norm_keeps(name, kind):
     from critflow import points
     loaded = load_system(Path(__file__).parent / "data" / f"{name}.json")
     f, region = loaded.field, loaded.region
-    solved = f if kind == "fixed" else points.acceleration_map(f)
     for cfg in (CFG, cf.SolverConfig(seed_count=300, dedup_tol=1e-3)):
-        kept = points._collect_roots(solved, region, cfg, cf.PointSearch(points=[]))
-        want = _numpy_dedup_reference(solved, region, cfg)
+        plan = points._plan_search(f, kind, region, cfg)
+        runs = points._runs([plan], [(0, 0)], len(plan.seeds), cfg)
+        kept = points._collect_roots(runs, cfg, cf.PointSearch(points=[]))
+        want = _numpy_dedup_reference(plan.solved, region, cfg)
         assert kept == [(p.tolist(), r) for p, r in want]
     if name == "nilpotent":  # a continuum: every pair of roots is compared
         assert len(kept) > 100
@@ -587,7 +589,7 @@ def test_searches_beside_a_worker_or_in_one_fork_nothing(monkeypatch, tmp_path):
     region = cf.AnalysisRegion.of(*[(-2.5, 2.5)] * 3)
     f = random_polynomial_field(rng, 3)
     h = random_affine_map(rng, 3, region)
-    # run_verification forks its worker for g's searches, and nothing more
+    # run_verification forks one worker for its searches' seeds, and nothing more
     report, g = cf.run_verification(f, h, region, theorems=("t1", "t2"), cfg=SHARED_CFG)
     assert_no_child_process()
     assert forks() == [os.getpid()]
@@ -600,6 +602,21 @@ def test_searches_beside_a_worker_or_in_one_fork_nothing(monkeypatch, tmp_path):
     assert _search_fields(inside) == _search_fields(cf.perpetual_point_search(f, region,
                                                                               SHARED_CFG))
     assert len(forks()) == 3
+
+
+def test_a_worker_that_ends_within_its_result_raises_and_leaves_no_process(monkeypatch):
+    # a result past the pipe's buffer is written in pieces; here the worker
+    # writes the first 1,000 bytes of its pickle and ends
+    _force_worker(monkeypatch, True)
+    real = critflow.worker.pickle
+    cut = types.SimpleNamespace(dumps=lambda obj: real.dumps(obj)[:1000], load=real.load,
+                                loads=real.loads, UnpicklingError=real.UnpicklingError)
+    monkeypatch.setattr(critflow.worker, "pickle", cut)
+    with pytest.raises(RuntimeError) as caught:
+        with critflow.worker.forked(lambda: list(range(100_000))) as result:
+            result()
+    assert str(caught.value) == "the forked worker ended without sending its result"
+    assert_no_child_process()
 
 
 def _failing_runs(monkeypatch, seeds, failures: dict):
