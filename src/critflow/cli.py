@@ -40,10 +40,13 @@ EXIT_INPUT_ERROR = 2
 PORTRAIT_LIMIT = 10 ** 7
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
+def _add_region_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--region",
-                   help="override search region, lo:hi[,lo:hi...] "
+                   help="override the file's region, lo:hi[,lo:hi...] "
                         "(write --region=-3:3 when the bound is negative)")
+
+
+def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seeds", type=int, default=100, help="Newton seed count (default 100)")
     p.add_argument("--rng-seed", type=int, default=0, help="seed-lattice jitter RNG (default 0)")
     p.add_argument("--eps-v", type=float, default=1e-6,
@@ -67,6 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="find and classify critical points")
     p.add_argument("system", help="system definition file (JSON)")
+    _add_region_flag(p)
     _add_solver_flags(p)
     _add_output_flags(p)
 
@@ -80,6 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run conjugacy checks against the transformed system")
     p.add_argument("system")
     p.add_argument("map")
+    _add_region_flag(p)
     _add_solver_flags(p)
     _add_output_flags(p)
     p.add_argument("--theorems", default=",".join(THEOREM_IDS),
@@ -92,7 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("portrait", help="export field grids and trajectories as CSV")
     p.add_argument("system")
-    _add_solver_flags(p)
+    _add_region_flag(p)
+    p.add_argument("--rng-seed", type=int, default=0,
+                   help="trajectory start lattice jitter RNG (default 0)")
     p.add_argument("--grid", default=None, help="grid resolution: N (1-D) or NxM (2-D)")
     p.add_argument("--trajectories", type=int, default=0,
                    help="number of trajectories to integrate (default 0)")
@@ -282,7 +289,8 @@ def cmd_portrait(args) -> int:
     is rendered here after them. The files are byte-identical either way.
     As in ``verify``, this process's side comes first: an error from the
     trajectories is raised as it happens, and the grid's only when the
-    trajectories succeeded."""
+    trajectories succeeded. A worker whose rendering raised, or that ended
+    early, sends nothing, and the grid is rendered again here."""
     loaded = load_system(args.system)
     field = loaded.field
     if field.dimension > 2:
@@ -331,6 +339,8 @@ def cmd_portrait(args) -> int:
                 states = np.asarray(x0, dtype=float).reshape(1, -1)
             write_trajectory_csv(out / f"trajectory_{i:02d}.csv", times, states)
         rows = grid_rows()
+    if rows is None:  # the worker sent no result: render the grid here
+        rows = render_grid()
     sys.stderr.write(f"portrait: wrote {rows} grid rows to {grid_path}\n")
     return EXIT_OK
 

@@ -33,7 +33,9 @@ checks the flow; then the parent takes seeds from it too. Where no worker
 is usable (see :mod:`critflow.worker`), the parent runs every seed after
 the flow check. Both ways run the same searches on the same inputs, so
 reports are byte-identical either way, and both raise the same error:
-the first in the order flow, f's searches, g's searches.
+the first in the order flow, f's searches, g's searches. A worker whose
+run raised, or that ended early, sends nothing, and the parent runs every
+seed again serially.
 """
 
 from __future__ import annotations
@@ -142,7 +144,8 @@ def verify_flow_conjugacy(f: VectorField, g: VectorField, h: TransformationMap,
     The residual is the max norm difference over initial points and sample
     times. Samples after a blow-up, after phi leaves h's domain, or after
     either state norm passes the comparison ceiling are dropped (noted per
-    point).
+    point). An initial point outside h's domain, or one where h cannot be
+    evaluated, is skipped and recorded with a note.
 
     When f's integration fails (its step size underflows, as it does
     where the trajectory leaves f's domain), only the initial point is
@@ -161,7 +164,12 @@ def verify_flow_conjugacy(f: VectorField, g: VectorField, h: TransformationMap,
             records.append(MatchRecord(source=tuple(x0),
                                        note="skipped: initial point outside map domain"))
             continue
-        y0 = h.value(x0)
+        try:
+            y0 = h.value(x0)
+        except DomainError:
+            records.append(MatchRecord(source=tuple(x0),
+                                       note="skipped: map not evaluable at initial point"))
+            continue
         xs, note_x, failed = _scheduled_states(f, x0, cfg)
         if failed:  # only x0 is compared, where the residual is exactly 0.0
             ys, note_y = y0.reshape(1, -1), ""
@@ -461,14 +469,16 @@ def run_verification(f: VectorField, h: TransformationMap,
     then finished here from its runs in seed order, so the report is
     byte-identical either way.
 
-    An exception from a check or a search is raised here with its type
-    and message, and the first in the order flow, f's fixed and perpetual
-    searches, g's fixed and perpetual searches: a flow error as it
-    happens, a failed Newton run through the serial loop of every search,
-    which raises the lowest failing seed's error of the first failing
-    search, and an error from planning a search (``image_region(h)``, say)
-    only when the searches before it succeeded. The rule is the same with
-    and without the worker, which never outlives the call.
+    An exception from a check or a search is raised by this process's own
+    call, with all its attributes, and the first in the order flow, f's
+    fixed and perpetual searches, g's fixed and perpetual searches: a flow
+    error as it happens, a failed Newton run through the serial loop of
+    every search, which raises the lowest failing seed's error of the
+    first failing search, and an error from planning a search
+    (``image_region(h)``, say) only when the searches before it succeeded.
+    A worker whose run raised, or that ended early, sends nothing, and the
+    serial loop runs every seed here: the rule is the same with and
+    without the worker, which never outlives the call.
     """
     if not theorems:
         raise ValueError("no theorem ids given: a run without checks verifies nothing")

@@ -21,9 +21,12 @@ Every pass over a tree (evaluation, differentiation, printing, the
 kernels' numbering and the substitutions of :mod:`critflow.fields`) is a
 loop over :func:`_postorder`, the distinct nodes with each after its
 children, so how deep a tree nests is bounded by memory alone. Only the
-parser recurses, once per level of parentheses, ``^`` or unary minus in
-the text, and has its own limit: past Python's recursion limit it raises
-:class:`ExpressionSyntaxError`. Chains of ``+ - * /`` parse in loops.
+parser recurses, once per level of parentheses, function call, ``^`` or
+unary minus in the text, and has its own limit: past ``_MAX_NESTING``
+(120) levels it raises :class:`ExpressionSyntaxError`. It raises the same
+where a caller already deep in its own stack leaves it too few frames to
+reach that limit (a ``RecursionError`` caught at the top). Chains of
+``+ - * /`` parse in loops.
 """
 
 from __future__ import annotations

@@ -53,10 +53,11 @@ which costs about 3 ms round trip in a 40 MB process on a 2-CPU VM. The
 results are those of the serial loop, bit for bit: a Newton run depends
 only on its seed and the kernels, and the worker sends its runs, plain
 tuples, to the caller, which sorts them into seed order with its own and
-then finishes each search (:func:`_searches`). Where a run raises, in
-either process, the caller runs the serial loop over every search again,
-which raises the exception of the lowest failing seed of the first search
-with one. Where no worker is usable, the caller drains the queue alone.
+then finishes each search (:func:`_searches`). Where a run raises in the
+caller, or the worker sends nothing (a run raised there, or it ended
+early), the caller runs the serial loop over every search again, which
+raises the exception of the lowest failing seed of the first search with
+one. Where no worker is usable, the caller drains the queue alone.
 """
 
 from __future__ import annotations
@@ -380,9 +381,9 @@ def _seed_queue(plans: list[_Plan], cfg: SolverConfig):
     and a forked worker (:func:`~critflow.worker.forked`) through one
     queue of seed blocks, which the worker starts to drain at once. Yields
     ``drain``, which drains the queue here too and returns every run
-    (:func:`_runs`) of both processes, or None where a run raised in
-    either; where no worker is usable it runs all the seeds here. The
-    block may do other work before it calls ``drain``."""
+    (:func:`_runs`) of both processes, or None where a run raised here or
+    the worker sent nothing; where no worker is usable it runs all the
+    seeds here. The block may do other work before it calls ``drain``."""
     if not plans:
         yield list
         return
@@ -399,12 +400,6 @@ def _seed_queue(plans: list[_Plan], cfg: SolverConfig):
         taken = iter(functools.partial(os.read, read_fd, 4), b"")
         return _runs(plans, (entries[int.from_bytes(j, "little")] for j in taken), block, cfg)
 
-    def in_worker():
-        try:
-            return queued()
-        except BaseException:  # the caller's serial loop raises it again
-            return None
-
     def drain():
         try:
             mine = queued()
@@ -415,7 +410,7 @@ def _seed_queue(plans: list[_Plan], cfg: SolverConfig):
     try:
         with os.fdopen(write_fd, "wb") as queue:
             queue.write(b"".join(j.to_bytes(4, "little") for j in range(len(entries))))
-        with worker.forked(in_worker) as their_runs:
+        with worker.forked(queued) as their_runs:
             yield drain
     finally:
         os.close(read_fd)

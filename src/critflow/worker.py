@@ -1,11 +1,15 @@
 """One forked worker process beside the calling one.
 
 :func:`forked` runs a function in a forked child while the parent goes on
-with independent work, and hands its result (or the exception that ended
-it) back through a pipe in one piece. ``run_verification`` and a point
-search of a map with three or more inputs run part of their Newton seeds
-there, taken from one queue (:mod:`critflow.points`); ``portrait`` renders
-its grid there while it integrates and writes the trajectories.
+with independent work, and hands its result back through a pipe in one
+piece. No exception crosses the pipe: the child sends its result or
+nothing (its work raised, or it ended before it had sent all of it), and
+on nothing the caller reads None and does the work again itself, so an
+error is raised by the caller's own call with all its attributes.
+``run_verification`` and a point search of a map with three or more
+inputs run part of their Newton seeds there, taken from one queue
+(:mod:`critflow.points`); ``portrait`` renders its grid there while it
+integrates and writes the trajectories.
 
 A worker is used where ``os.fork`` and ``os.sched_getaffinity`` exist, at
 least two CPUs are usable, the calling process runs a single thread and
@@ -45,47 +49,25 @@ def _worker_usable() -> bool:
             and threading.active_count() == 1)
 
 
-def _pickled_error(err: Exception) -> bytes:
-    """``err`` pickled as itself when it unpickles to the same type and
-    message, else as its type and message (an exception whose constructor
-    takes other arguments than its message, such as
-    :class:`~critflow.linalg.EigenConvergenceError`, does not unpickle)."""
-    try:
-        data = pickle.dumps((False, err))
-        back = pickle.loads(data)[1]
-        if type(back) is type(err) and str(back) == str(err):
-            return data
-    except Exception:
-        pass
-    return pickle.dumps((False, (type(err), str(err))))
-
-
 def _received(stream):
-    """The result the worker wrote to ``stream``, or its exception raised
-    again here. A result larger than the pipe's buffer is written in
-    pieces, so a worker that ends between two leaves a truncated pickle:
-    that too ended without sending its result."""
+    """The result the worker wrote to ``stream``, or None where it wrote
+    none. A result larger than the pipe's buffer is written in pieces, so
+    a worker that ends between two leaves a truncated pickle: that too is
+    no result."""
     try:
-        ok, payload = pickle.load(stream)
+        return pickle.load(stream)
     except (EOFError, pickle.UnpicklingError):
-        raise RuntimeError("the forked worker ended without sending its result") from None
-    if ok:
-        return payload
-    if isinstance(payload, tuple):  # the type and message of an exception
-        cls, message = payload
-        err = cls.__new__(cls)
-        err.args = (message,)
-        raise err
-    raise payload
+        return None
 
 
 @contextlib.contextmanager
 def forked(work: Callable):
     """Run ``work()`` in a forked child process. Yields a function that
-    returns its result, or raises the exception that ended it, read from a
-    pipe in one piece; or ``work`` itself where no worker is usable or no
-    process can be forked. The child leaves only through ``os._exit``; the
-    parent kills and reaps it when the block exits, however it exits.
+    returns its result, read from a pipe in one piece, or None where the
+    child sent none, so ``work`` must not return None itself; or yields
+    ``work`` itself where no worker is usable or no process can be forked.
+    The child leaves only through ``os._exit``; the parent kills and reaps
+    it when the block exits, however it exits.
 
     A fork, not a spawned interpreter: the child starts with the parent's
     imports and objects, whose compiled kernels do not pickle."""
@@ -106,12 +88,8 @@ def forked(work: Callable):
         try:
             os.close(read_fd)
             with os.fdopen(write_fd, "wb") as out:
-                try:
-                    data = pickle.dumps((True, work()))
-                except Exception as err:
-                    data = _pickled_error(err)
-                out.write(data)
-        finally:
+                out.write(pickle.dumps(work()))
+        finally:  # an exception of work() ends the child with nothing sent
             os._exit(0)
     os.close(write_fd)
     try:

@@ -1,4 +1,5 @@
 import collections
+import json
 import math
 import os
 import random
@@ -15,6 +16,7 @@ import critflow.fields
 import critflow.points
 import critflow.worker
 from critflow.cli import main
+from critflow.io import load_map, load_system
 
 from conftest import (affine_map_1d, assert_no_child_process, identity_map,
                       make_field, random_affine_map, random_polynomial_field,
@@ -158,6 +160,30 @@ def test_flow_check_skips_g_where_f_fails():
     assert calls[0] > 0  # x0 = 0.5 blows up only at t = 2
     assert both.details[0] == record and both.verdict == cf.HOLDS
     assert both.details[1].note == "compared 32/32 samples"
+
+
+def test_flow_check_skips_a_start_where_the_map_cannot_be_evaluated(tmp_path):
+    # h(x) = x + 0*(1/(x - a)) is x, but not evaluable at a, the first
+    # candidate flow start point over region ∩ h.domain = [0, 3]
+    a = float(cf.lattice_points(cf.AnalysisRegion.of((0, 3)), 20, 0)[0, 0])
+    map_file = tmp_path / "map.json"
+    map_file.write_text(json.dumps({"map": [f"x + 0*(1/(x - {a!r}))"], "inverse": ["y"],
+                                    "params": {}, "domain": [[0, 3]], "linear": False}))
+    system = load_system(DATA / "example1.json")
+    h = load_map(map_file, system.field).map
+    report, _ = cf.run_verification(system.field, h, system.region, theorems=("flow",))
+    (flow,) = report.checks
+    assert flow.verdict == cf.HOLDS
+    skipped = cf.MatchRecord(source=(a,), note="skipped: map not evaluable at initial point")
+    assert skipped in flow.details
+    compared = [r for r in flow.details if r != skipped]
+    assert len(compared) == 4 and all(r.note.startswith("compared ") for r in compared)
+    out = tmp_path / "report.json"
+    assert main(["verify", str(DATA / "example1.json"), str(map_file), "--theorems", "flow",
+                 "--out", str(out)]) == 0
+    (record,) = json.loads(out.read_text())["checks"]
+    assert record["verdict"] == cf.HOLDS
+    assert_no_child_process()
 
 
 def test_point_mapping_affine(affine_setup):
@@ -762,22 +788,25 @@ def test_an_interrupt_in_f_search_leaves_no_process(quad_field, monkeypatch):
     assert_no_child_process()
 
 
-def test_a_worker_that_ends_without_results_raises_and_leaves_no_process(quad_field,
-                                                                         monkeypatch):
-    if not critflow.worker._worker_usable():
-        pytest.skip("no worker: the seed loop would end this process")
-    here = os.getpid()
-    seed_loop = critflow.points._runs
+def test_a_worker_that_ends_without_results_is_redone_here_and_leaves_no_process(
+        quad_field, monkeypatch, tmp_path):
+    # the worker ends at its call of the seed loop and sends nothing: this
+    # process runs every seed again and gives the in-process report
+    monkeypatch.setattr(critflow.worker, "_usable_cpus", lambda: 2)
+    here, seed_loop, ended = os.getpid(), critflow.points._runs, tmp_path / "ended"
 
     def ending_in_the_child(*args):
         if os.getpid() != here:
+            ended.touch()
             os._exit(1)
         return seed_loop(*args)
     monkeypatch.setattr(critflow.points, "_runs", ending_in_the_child)
-    with pytest.raises(RuntimeError) as caught:
-        cf.run_verification(quad_field, affine_map_1d(2.0, 5.0), REGION)
-    assert str(caught.value) == "the forked worker ended without sending its result"
+    report, _ = cf.run_verification(quad_field, affine_map_1d(2.0, 5.0), REGION)
     assert_no_child_process()
+    assert ended.exists()
+    _without_worker(monkeypatch)
+    in_process, _ = cf.run_verification(quad_field, affine_map_1d(2.0, 5.0), REGION)
+    assert repr(report) == repr(in_process)
 
 
 # the first error in the order flow, f fixed, f perpetual, g fixed, g

@@ -575,6 +575,21 @@ def test_cli_portrait_rejects_sizes_it_cannot_honour_before_writing(tmp_path, ca
     assert list(tmp_path.iterdir()) == []
 
 
+# each subcommand takes only the flags it reads
+@pytest.mark.parametrize("args", [
+    ["portrait", DATA / "planar.json", "--seeds=0"],
+    ["portrait", DATA / "planar.json", "--eps-v=-1"],
+    ["portrait", DATA / "planar.json", "--root-tol=5"],
+    ["transform", DATA / "example1.json", DATA / "affine_map.json", "--region=garbage"],
+], ids=["portrait-seeds", "portrait-eps-v", "portrait-root-tol", "transform-region"])
+def test_cli_rejects_a_flag_its_subcommand_does_not_read(tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as caught:
+        run_cli(*args)
+    assert caught.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_portrait_deterministic(tmp_path, monkeypatch):
     # as the machine allows, then with the grid rendered in a forked worker
     # and in this process: the same bytes every time
@@ -617,29 +632,50 @@ def test_cli_portrait_raises_the_trajectory_error_before_the_grid_error(tmp_path
     assert_no_child_process()
 
 
-def test_cli_portrait_grid_worker_that_ends_without_its_result_raises_and_leaves_no_process(
+def test_cli_portrait_grid_worker_that_ends_early_is_redone_and_leaves_no_process(
         tmp_path, monkeypatch):
-    if not critflow.worker._worker_usable():
-        pytest.skip("no worker: the grid writer would end this process")
+    # the worker ends halfway through the grid file and sends nothing: this
+    # process renders the grid again, and writes the bytes of a run without it
     here = os.getpid()
     original = critflow.cli.write_grid_csv
 
-    def ending_in_the_child(*args):
+    def ending_in_the_child(path, *args):
         if os.getpid() != here:
+            Path(path).write_text("x,y,f1")
             os._exit(1)
-        return original(*args)
+        return original(path, *args)
     monkeypatch.setattr(critflow.cli, "write_grid_csv", ending_in_the_child)
-    with pytest.raises(RuntimeError) as caught:
+    runs = {}
+    for label, usable in (("worker", True), ("in-process", False)):
+        monkeypatch.setattr(critflow.worker, "_worker_usable", lambda: usable)
+        out = tmp_path / label
+        assert run_cli("portrait", DATA / "planar.json", "--grid", "7x7", "--trajectories", "2",
+                       "--T", "1.0", "--out", out) == 0
+        assert_no_child_process()
+        runs[label] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert list(runs["worker"]) == ["grid.csv", "trajectory_00.csv", "trajectory_01.csv"]
+    assert runs["worker"] == runs["in-process"]
+
+
+def test_cli_portrait_raises_the_grid_error_with_its_attributes(tmp_path, monkeypatch):
+    # the worker's rendering raises and it sends nothing; this process's own
+    # rendering raises the error again, whole
+    monkeypatch.setattr(critflow.worker, "_worker_usable", lambda: True)
+
+    def underflowing(*args):
+        raise cf.StepUnderflowError(0.5, 1e-15)
+    monkeypatch.setattr(critflow.cli, "write_grid_csv", underflowing)
+    with pytest.raises(cf.StepUnderflowError) as caught:
         run_cli("portrait", DATA / "planar.json", "--grid", "7x7", "--trajectories", "2",
                 "--T", "1.0", "--out", tmp_path / "portrait")
-    assert str(caught.value) == "the forked worker ended without sending its result"
+    assert (caught.value.t, caught.value.step) == (0.5, 1e-15)
     assert_no_child_process()
 
 
 # an output path that cannot be written ends the command with one line and
 # exit 2, as an input error does, and not with a traceback and exit 1 (a
 # failed check). The grid's file is written in the forked worker, where
-# there is one, and its error is raised again here
+# there is one; where that fails, it is written again here, which raises
 @pytest.mark.parametrize("args, target, errno_", [
     (["analyze", DATA / "example1.json", "--out", "missing/report.json"],
      "missing/report.json", errno.ENOENT),

@@ -1,7 +1,9 @@
 import dataclasses
+import itertools
 import math
 import os
 import random
+import time
 import types
 from pathlib import Path
 
@@ -604,7 +606,7 @@ def test_searches_beside_a_worker_or_in_one_fork_nothing(monkeypatch, tmp_path):
     assert len(forks()) == 3
 
 
-def test_a_worker_that_ends_within_its_result_raises_and_leaves_no_process(monkeypatch):
+def test_a_worker_that_ends_within_its_result_sends_none_and_leaves_no_process(monkeypatch):
     # a result past the pipe's buffer is written in pieces; here the worker
     # writes the first 1,000 bytes of its pickle and ends
     _force_worker(monkeypatch, True)
@@ -612,10 +614,65 @@ def test_a_worker_that_ends_within_its_result_raises_and_leaves_no_process(monke
     cut = types.SimpleNamespace(dumps=lambda obj: real.dumps(obj)[:1000], load=real.load,
                                 loads=real.loads, UnpicklingError=real.UnpicklingError)
     monkeypatch.setattr(critflow.worker, "pickle", cut)
-    with pytest.raises(RuntimeError) as caught:
-        with critflow.worker.forked(lambda: list(range(100_000))) as result:
-            result()
-    assert str(caught.value) == "the forked worker ended without sending its result"
+    with critflow.worker.forked(lambda: list(range(100_000))) as result:
+        assert result() is None
+    assert_no_child_process()
+
+
+def _worker_takes_the_first_block(monkeypatch, taken: Path, ends: bool):
+    """Make this process wait, at its call of the seed loop, until the
+    forked worker has taken the first block of seeds off the queue (it
+    touches ``taken``); with ``ends`` the worker then ends at once and
+    sends nothing, else it runs its share as usual."""
+    here, seed_loop = os.getpid(), points._runs
+
+    def runs(plans, entries, *args):
+        if os.getpid() != here:
+            entries = iter(entries)
+            first = next(entries)
+            taken.touch()
+            if ends:
+                os._exit(1)
+            return seed_loop(plans, itertools.chain([first], entries), *args)
+        deadline = time.monotonic() + 10
+        while not taken.exists() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return seed_loop(plans, entries, *args)
+    monkeypatch.setattr(points, "_runs", runs)
+
+
+def _lone_search_case():
+    return random_polynomial_field(random.Random(5), 3), cf.AnalysisRegion.of(*[(-2.5, 2.5)] * 3)
+
+
+def test_a_lone_search_whose_worker_ends_mid_queue_gives_the_serial_search(monkeypatch,
+                                                                           tmp_path):
+    # the worker's block is lost with it, so this process runs every seed again
+    f, region = _lone_search_case()
+    _force_worker(monkeypatch, False)
+    serial = cf.perpetual_point_search(f, region, SHARED_CFG)
+    _force_worker(monkeypatch, True)
+    _worker_takes_the_first_block(monkeypatch, tmp_path / "taken", ends=True)
+    shared = cf.perpetual_point_search(f, region, SHARED_CFG)
+    assert _search_fields(shared) == _search_fields(serial)
+    assert (tmp_path / "taken").exists()
+    assert_no_child_process()
+
+
+def test_a_fixed_point_search_whose_worker_sends_a_truncated_result_gives_the_serial_one(
+        monkeypatch, tmp_path):
+    f, region = _lone_search_case()
+    _force_worker(monkeypatch, False)
+    serial = cf.fixed_point_search(f, region, SHARED_CFG)
+    _force_worker(monkeypatch, True)
+    _worker_takes_the_first_block(monkeypatch, tmp_path / "taken", ends=False)
+    real = critflow.worker.pickle
+    half = types.SimpleNamespace(dumps=lambda obj: (data := real.dumps(obj))[:len(data) // 2],
+                                 load=real.load, UnpicklingError=real.UnpicklingError)
+    monkeypatch.setattr(critflow.worker, "pickle", half)
+    shared = cf.fixed_point_search(f, region, SHARED_CFG)
+    assert _search_fields(shared) == _search_fields(serial)
+    assert (tmp_path / "taken").exists()
     assert_no_child_process()
 
 
