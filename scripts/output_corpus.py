@@ -26,7 +26,10 @@ The commands: ``analyze`` of the five ``tests/data`` systems;
 ``example1`` and ``example2_system`` (9 trajectories each); ``analyze`` of
 the deep system, ``transform`` of it under ``square_map`` and ``verify``
 under ``affine_map``; ``verify`` and ``transform`` of the wall system under
-``affine_map``.
+``affine_map``; last, ``verify`` of ``example1`` with ``--theorems t3
+--tol 1e-5`` under ``affine_map`` and with ``--theorems flow,t2`` under
+``square_map``. New commands go at the end, so that the earlier ones keep
+their output names and digests.
 
 The script exits 1 if any command's exit code differs from
 ``EXPECTED_FAILURES`` (exit 1) or 0 (every other command).
@@ -100,7 +103,10 @@ def commands() -> list[list[str]]:
              ["transform", "cases/deep-system.json", "data/square_map.json"],
              ["verify", "cases/deep-system.json", "data/affine_map.json"],
              ["verify", "cases/wall-system.json", "data/affine_map.json"],
-             ["transform", "cases/wall-system.json", "data/affine_map.json"]]
+             ["transform", "cases/wall-system.json", "data/affine_map.json"],
+             ["verify", "data/example1.json", "data/affine_map.json",
+              "--theorems", "t3", "--tol", "1e-5"],
+             ["verify", "data/example1.json", "data/square_map.json", "--theorems", "flow,t2"]]
     return cmds
 
 

@@ -92,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, default=1.0, dest="t_end",
                    help="flow-conjugacy horizon (default 1.0)")
     p.add_argument("--tol", type=float, default=None,
-                   help="flow/spectrum residual tolerance "
-                        "(defaults: flow 1e-6, spectra 1e-6, similarity 1e-7)")
+                   help="flow/spectrum residual tolerance; the similarity "
+                        "tolerance is a tenth of it (default 1e-6)")
 
     p = sub.add_parser("portrait", help="export field grids and trajectories as CSV")
     p.add_argument("system")
@@ -130,8 +130,8 @@ def _resolve_region(args, loaded: LoadedSystem) -> AnalysisRegion:
     raise InputError(f"{loaded.path}: no 'region' in the file; pass --region")
 
 
-def _emit(doc: dict, args, csv_rows=None) -> None:
-    if args.format == "csv" and csv_rows is not None:
+def _emit(doc: dict, args, csv_rows: list[list[str]]) -> None:
+    if args.format == "csv":
         text = "\n".join(",".join(row) for row in csv_rows) + "\n"
     else:
         text = canonical_json(doc)
@@ -228,9 +228,8 @@ def cmd_verify(args) -> int:
     for flag, value in (("--T", args.t_end), ("--tol", args.tol)):
         if value is not None and not 0.0 < value < math.inf:
             raise InputError(f"{flag} {value!r}: must be finite and positive")
-    # --tol overrides run_verification's defaults
-    tols = {} if args.tol is None else {
-        "flow_tol": args.tol, "spectrum_tol": args.tol, "similarity_tol": args.tol / 10.0}
+    # --tol overrides run_verification's default
+    tols = {} if args.tol is None else {"tol": args.tol}
     try:
         report, g = run_verification(loaded.field, lmap.map, region, theorems=theorems,
                                      t_end=args.t_end, cfg=cfg, **tols)

@@ -77,6 +77,8 @@ _COMPARE_CEILING = 1e6
 #: from this many initial points chosen by select_flow_points
 _FLOW_SAMPLES = 32
 _FLOW_POINTS = 5
+#: the similarity identities are held to the flow and spectrum tolerance over this
+_SIMILARITY_DIVISOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -209,10 +211,11 @@ def verify_flow_conjugacy(f: VectorField, g: VectorField, h: TransformationMap,
 
 
 def select_flow_points(f: VectorField, h: TransformationMap,
-                       region: AnalysisRegion, count: int, t_end: float) -> list[np.ndarray]:
-    """Deterministic initial points for the flow check: a stratified lattice
-    over region ∩ h.domain, preferring points whose trajectory stays inside
-    the map domain and bounded over [0, t_end].
+                       region: AnalysisRegion, t_end: float) -> list[np.ndarray]:
+    """Up to ``_FLOW_POINTS`` deterministic initial points for the flow
+    check: a stratified lattice over region ∩ h.domain, without the points
+    where h cannot be evaluated, preferring points whose trajectory stays
+    inside the map domain and bounded over [0, t_end].
 
     A candidate is preferred when every sampled state lies in h.domain and
     the integration reaches t_end. The samples are the flow check's own
@@ -227,20 +230,21 @@ def select_flow_points(f: VectorField, h: TransformationMap,
     and comes back between two samples.
     """
     base = region.intersect(h.domain)
-    candidates = lattice_points(base, 4 * count, rng_seed=0)
-    quick = IntegratorConfig(abs_tol=1e-6, rel_tol=1e-6, t_end=float(t_end),
-                             sample_count=_FLOW_SAMPLES)
+    candidates = lattice_points(base, 4 * _FLOW_POINTS, rng_seed=0)
+    quick = IntegratorConfig(tol=1e-6, t_end=float(t_end), sample_count=_FLOW_SAMPLES)
     good: list[np.ndarray] = []
     rest: list[np.ndarray] = []
     for c in candidates:
-        if len(good) >= count:
+        if len(good) >= _FLOW_POINTS:
             break
+        if h._kernel(0)(*c.tolist()) is None:
+            continue
         try:
             inside = all(h.domain.contains(s) for s in _sampled_states(f, c, quick))
         except (BlowUpError, StepUnderflowError):
             inside = False
         (good if inside else rest).append(c)
-    return (good + rest)[:count]
+    return (good + rest)[:_FLOW_POINTS]
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +354,12 @@ def _similarity(dh: np.ndarray, dh_inv: np.ndarray, j_src: np.ndarray,
 
 def verify_spectrum_preservation(f: VectorField, h: TransformationMap,
                                  g: VectorField, region: AnalysisRegion,
-                                 cfg: SolverConfig,
-                                 spectrum_tol: float = 1e-6,
-                                 similarity_tol: float = 1e-7,
+                                 cfg: SolverConfig, tol: float = 1e-6,
                                  searches: dict | None = None) -> TheoremCheck:
     """Check eigenvalue preservation at matched critical points, plus the
-    two similarity identities as relative matrix residuals.
+    two similarity identities as relative matrix residuals. A pair holds
+    when its spectrum distance is at most ``tol`` and its similarity
+    residual at most ``tol / 10``; the check's tolerance is ``tol``.
 
     Each point's spectrum and Jacobian are the ones its search computed
     there, so this check evaluates neither. A pair whose spectrum is
@@ -398,7 +402,7 @@ def verify_spectrum_preservation(f: VectorField, h: TransformationMap,
             sim = _similarity(linear.matrix, linear.inverse, p.jacobian, q.jacobian)
             worst_sd = max(worst_sd, sd)
             worst_sim = max(worst_sim, sim)
-            if sd > spectrum_tol or sim > similarity_tol:
+            if sd > tol or sim > tol / _SIMILARITY_DIVISOR:
                 ok = False
             records.append(replace(rec, spectrum_distance=sd, similarity_residual=sim))
     if not any_pair:
@@ -409,7 +413,7 @@ def verify_spectrum_preservation(f: VectorField, h: TransformationMap,
         note = ""
     verdict = FAILS if not ok else HOLDS if decided else NOT_APPLICABLE
     return TheoremCheck("t3", verdict, max(worst_sd, worst_sim) if decided else None,
-                        tuple(records), tolerance=spectrum_tol, note=note)
+                        tuple(records), tolerance=tol, note=note)
 
 
 def detect_new_points(f: VectorField, h: TransformationMap, g: VectorField,
@@ -452,13 +456,13 @@ def run_verification(f: VectorField, h: TransformationMap,
                      region: AnalysisRegion,
                      theorems: Sequence[str] = THEOREM_IDS,
                      t_end: float = 1.0,
-                     flow_tol: float = 1e-6,
-                     spectrum_tol: float = 1e-6,
-                     similarity_tol: float = 1e-7,
+                     tol: float = 1e-6,
                      cfg: SolverConfig = SolverConfig()) -> tuple[ConjugacyReport, VectorField]:
     """Run the requested checks against the transformed system built from
     h's declared inverse. ``theorems`` names at least one check of
-    ``THEOREM_IDS``; anything else raises :class:`ValueError`.
+    ``THEOREM_IDS``; anything else raises :class:`ValueError`. The flow
+    check runs over [0, ``t_end``]. ``tol`` is the flow and spectrum
+    tolerance, and ``tol / 10`` the similarity one (see ``tolerances``).
 
     The point searches the checks read run first, each once, and the
     checks share them through one ``searches`` mapping. Their Newton seeds
@@ -485,9 +489,8 @@ def run_verification(f: VectorField, h: TransformationMap,
     unknown = set(theorems) - set(THEOREM_IDS)
     if unknown:
         raise ValueError(f"unknown theorem ids: {sorted(unknown)}")
-    if not all(0.0 < t < math.inf for t in (t_end, flow_tol, spectrum_tol, similarity_tol)):
-        raise ValueError("t_end and the flow, spectrum and similarity tolerances must be "
-                         "finite and positive")
+    if not all(0.0 < t < math.inf for t in (t_end, tol)):
+        raise ValueError("t_end and tol must be finite and positive")
     g = transformed_system(f, h)
     kinds = _search_kinds(h, theorems)
     plans, unplanned = [], None
@@ -501,8 +504,8 @@ def run_verification(f: VectorField, h: TransformationMap,
     flow = None
     with _seed_queue(plans, cfg) as drain:
         if "flow" in theorems:
-            pts = select_flow_points(f, h, region, _FLOW_POINTS, t_end)
-            flow = verify_flow_conjugacy(f, g, h, pts, t_end, flow_tol)
+            pts = select_flow_points(f, h, region, t_end)
+            flow = verify_flow_conjugacy(f, g, h, pts, t_end, tol)
         runs = drain()
     found = _searches(plans, runs, cfg)
     if unplanned is not None:
@@ -518,8 +521,7 @@ def run_verification(f: VectorField, h: TransformationMap,
             kind = FIXED if tid == "t1" else PERPETUAL
             checks.append(verify_point_mapping(f, h, g, region, cfg, kind, searches))
         elif tid == "t3":
-            checks.append(verify_spectrum_preservation(
-                f, h, g, region, cfg, spectrum_tol, similarity_tol, searches))
+            checks.append(verify_spectrum_preservation(f, h, g, region, cfg, tol, searches))
         elif tid == "r1":
             checks.append(detect_new_points(f, h, g, region, cfg, searches))
     report = ConjugacyReport(
@@ -529,8 +531,7 @@ def run_verification(f: VectorField, h: TransformationMap,
         declared_linear=h.declared_linear,
         diffeomorphic=_invertible_linear(h),
         checks=tuple(checks),
-        tolerances={"flow": flow_tol, "spectrum": spectrum_tol,
-                    "similarity": similarity_tol,
+        tolerances={"flow": tol, "spectrum": tol, "similarity": tol / _SIMILARITY_DIVISOR,
                     "match": _match_tol(cfg)},
     )
     return report, g

@@ -652,6 +652,12 @@ KERNEL_ERRORS = (DomainError, OverflowError, ZeroDivisionError, ValueError)
 _SCALAR_NAMESPACE = {**_SCALAR_FUNCS, "_ipow": _k_ipow, "_gpow": _k_gpow,
                      "KERNEL_ERRORS": KERNEL_ERRORS, "isfinite": math.isfinite}
 
+#: the one evaluability rule of every generated scalar kernel, the lines that
+#: end it: ``out`` if every entry is finite (a finite sum proves it), else None
+_RETURN_IF_FINITE = ("    if isfinite(sum(out)) or all(map(isfinite, out)):",
+                    "        return out",
+                    "    return None")
+
 
 def _kernel_const(v: float) -> str:
     return repr(v) if math.isfinite(v) else f"float('{v!r}')"
@@ -791,14 +797,11 @@ def _generate(exprs, arg_names, namespace: dict, array: bool) -> Callable[..., t
     if array:
         body = "\n".join(emitter.lines + [f"    return {out}"])
     else:
-        # the one evaluability rule; a finite sum proves every entry finite
         body = "\n".join(["    try:", *(f"    {line}" for line in emitter.lines),
                           f"        out = {out}",
                           "    except KERNEL_ERRORS:",
                           "        return None",
-                          "    if isfinite(sum(out)) or all(map(isfinite, out)):",
-                          "        return out",
-                          "    return None"])
+                          *_RETURN_IF_FINITE])
     src = f"def _kernel({', '.join(slot[n] for n in arg_names)}):\n{body}\n"
     scope = dict(namespace)
     exec(compile(src, "<critflow-kernel>", "exec"), scope)

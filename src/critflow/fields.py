@@ -66,8 +66,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expr import (
-    _BINARY_BUILDERS, Const, DomainError, Expression, ExpressionError, Name, Unary,
-    SystemDefinition, _postorder, compile_array, compile_kernel, differentiate,
+    _BINARY_BUILDERS, _RETURN_IF_FINITE, Const, DomainError, Expression, ExpressionError,
+    Name, Unary, SystemDefinition, _postorder, compile_array, compile_kernel, differentiate,
     e_add, e_func, e_mul, e_neg, evaluate, to_source,
 )
 from .linalg import is_degenerate, solve_linear
@@ -366,7 +366,7 @@ class TransformationMap(VectorMap):
                                     for l, u, p in zip(lo, hi, pad)))
 
 
-def default_target_names(n: int, taken=()) -> tuple[str, ...]:
+def default_target_names(n: int, taken) -> tuple[str, ...]:
     names = ("y",) if n == 1 else tuple(f"y{i + 1}" for i in range(n))
     clash = set(names) & set(taken)
     if clash:
@@ -437,11 +437,7 @@ def _conjugation(n: int, order: int):
             first = k - j * stride
             sums.append(" + ".join(f"{totals[first + q * stride]} * {m[q * n + j]}"
                                    for q in idx))
-    lines += [f"    out = ({''.join(t + ', ' for t in sums)})",
-              # the one evaluability rule of compile_kernel's kernels
-              "    if isfinite(sum(out)) or all(map(isfinite, out)):",
-              "        return out",
-              "    return None"]
+    lines += [f"    out = ({''.join(t + ', ' for t in sums)})", *_RETURN_IF_FINITE]
     params = ", ".join([*(f"y{i}" for i in idx), "base", *a, *m, *c])
     src = f"def conjugation({params}):\n" + "\n".join(lines) + "\n"
     scope = {"isfinite": math.isfinite}

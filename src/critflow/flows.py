@@ -33,6 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import VectorField
+from .region import grid_axis
 
 __all__ = [
     "IntegratorConfig", "Trajectory", "BlowUpError", "StepUnderflowError",
@@ -64,10 +65,13 @@ _BLOWUP_NORM = 1e12
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """``tol`` is RKF45's absolute and relative tolerance in one: a step is
+    accepted when each component's error estimate is at most ``tol + tol *
+    size``, size the larger magnitude of the component before and after."""
+
     method: str = RKF45
     step: float = 1e-2  # fixed step for rk4
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
+    tol: float = 1e-9
     t_end: float = 1.0
     sample_count: int = 33
 
@@ -76,8 +80,8 @@ class IntegratorConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if not 0.0 <= self.t_end < math.inf:
             raise ValueError("t_end must be finite and non-negative")
-        if not all(0.0 < v < math.inf for v in (self.step, self.abs_tol, self.rel_tol)):
-            raise ValueError("step sizes and tolerances must be finite and positive")
+        if not all(0.0 < v < math.inf for v in (self.step, self.tol)):
+            raise ValueError("step and tol must be finite and positive")
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
 
@@ -114,12 +118,8 @@ class StepUnderflowError(RuntimeError):
         self.step = step
 
 
-def sample_times(t_end: float, count: int) -> np.ndarray:
-    """Evenly spaced times in [0, t_end]; computed multiply-first so exact
-    landmarks (like the midpoint of a symmetric span) stay exact."""
-    if count == 1:
-        return np.array([0.0])
-    return np.array([(i * t_end) / (count - 1) for i in range(count)])
+#: ``sample_times(t_end, count)``: evenly spaced times in [0, t_end]
+sample_times = functools.partial(grid_axis, 0.0)
 
 
 def _rk4_segment(f, x, t0, t1, h_target):
@@ -145,7 +145,7 @@ def _combination(weights, i: int) -> str:
 @functools.cache
 def _step_function(n: int):
     """The RKF45 step for states of n floats, compiled from generated
-    source on first use: ``step(values, x, h, abs_tol, rel_tol)`` calls the
+    source on first use: ``step(values, x, h, tol)`` calls the
     field's order-0 kernel ``values`` at each stage and returns the
     4th-order solution as a list and the largest |err| / scale, or None as
     soon as a stage is outside the field's domain.
@@ -155,7 +155,7 @@ def _step_function(n: int):
     component by component like ``np.max``, so a NaN anywhere makes it
     NaN, which rejects the step."""
     comps = range(n)
-    lines = ["def step(values, x, h, abs_tol, rel_tol):",
+    lines = ["def step(values, x, h, tol):",
              f"    {''.join(f'x{i}, ' for i in comps)}= x"]
     for row, letter in zip(_A, "abcdef"):
         parts = ", ".join(f"x{i} + h * ({_combination(row, i)})" if row else f"x{i}"
@@ -168,7 +168,7 @@ def _step_function(n: int):
     for i in comps:
         # np.maximum: NaN wins
         size = f"(abs(x{i}) if abs(x{i}) >= abs(w{i}) else abs(w{i}))"
-        lines.append(f"    r = abs(h * ({_combination(_E, i)})) / (abs_tol + rel_tol * {size})")
+        lines.append(f"    r = abs(h * ({_combination(_E, i)})) / (tol + tol * {size})")
         lines += (["    ratio = r"] if i == 0 else
                   ["    if r > ratio or r != r:", "        ratio = r"])
     lines.append(f"    return [{', '.join(f'w{i}' for i in comps)}], ratio")
@@ -184,7 +184,7 @@ def _rkf45_segment(f, x, t0, t1, cfg, h_start):
     x = x.tolist()
     t, t1 = float(t0), float(t1)
     h = min(h_start, t1 - t)
-    abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
+    tol = cfg.tol
     values, step = f._kernel(0), _step_function(len(x))
     while t < t1:
         h = min(h, t1 - t)
@@ -195,7 +195,7 @@ def _rkf45_segment(f, x, t0, t1, cfg, h_start):
             if float(np.linalg.norm(x)) > 1e-3 * _BLOWUP_NORM:
                 return np.array(x), h, t
             raise StepUnderflowError(t, h)
-        stepped = step(values, x, h, abs_tol, rel_tol)
+        stepped = step(values, x, h, tol)
         if stepped is None:  # a stage left the field's domain
             h *= 0.5
             continue

@@ -27,7 +27,7 @@ from .expr import ExpressionError, SystemDefinition, parse_expression
 from .fields import TransformationMap, VectorField, VectorMap, default_target_names
 from .linalg import Spectrum
 from .points import CriticalPoint, PointSearch, SolverConfig
-from .region import AnalysisRegion
+from .region import AnalysisRegion, grid_axis
 
 __all__ = [
     "InputError", "LoadedSystem", "LoadedMap",
@@ -309,16 +309,14 @@ def solver_record(cfg: SolverConfig) -> dict:
 
 
 def report_envelope(command: str, inputs: Sequence[tuple[str, str, str]],
-                    cfg: SolverConfig | None = None) -> dict:
-    doc = {
+                    cfg: SolverConfig) -> dict:
+    return {
         "tool": {"name": "critflow", "version": __version__},
         "command": command,
         "inputs": [{"role": role, "path": path, "sha256": digest}
                    for role, path, digest in inputs],
+        "solver": solver_record(cfg),
     }
-    if cfg is not None:
-        doc["solver"] = solver_record(cfg)
-    return doc
 
 
 def system_file_payload(field: VectorField, region: AnalysisRegion | None) -> dict:
@@ -335,14 +333,6 @@ def system_file_payload(field: VectorField, region: AnalysisRegion | None) -> di
 
 # ---------------------------------------------------------------------------
 # CSV export
-
-def grid_axis(lo: float, hi: float, count: int) -> np.ndarray:
-    """Evenly spaced samples, multiply-first so symmetric grids hit exact
-    landmark values (e.g. 0 on a symmetric range with odd count)."""
-    if count == 1:
-        return np.array([lo])
-    return np.array([lo + (i * (hi - lo)) / (count - 1) for i in range(count)])
-
 
 def _csv_rows(table) -> list[str]:
     """The rows of a 2-D float table as CSV lines, each cell

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["AnalysisRegion", "lattice_points"]
+__all__ = ["AnalysisRegion", "lattice_points", "grid_axis"]
 
 #: lattice points sit up to this many cell widths off their cell centres
 _JITTER = 0.4
@@ -106,3 +106,11 @@ def lattice_points(region: AnalysisRegion, count: int, rng_seed: int = 0) -> np.
             row.append(center + rng.uniform(-_JITTER, _JITTER) * cell[d])
         rows.append(row)
     return np.array(rows)
+
+
+def grid_axis(lo: float, hi: float, count: int) -> np.ndarray:
+    """Evenly spaced samples, multiply-first so symmetric grids hit exact
+    landmark values (e.g. 0 on a symmetric range with odd count)."""
+    if count == 1:
+        return np.array([lo])
+    return np.array([lo + (i * (hi - lo)) / (count - 1) for i in range(count)])

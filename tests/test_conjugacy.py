@@ -76,7 +76,7 @@ def _whole_horizon_flow_points(f, h, region, count, t_end):
     horizon: keep a candidate when the integration reaches t_end and all
     its samples lie in h.domain. Returns (points, how many were kept)."""
     candidates = cf.lattice_points(region.intersect(h.domain), 4 * count, rng_seed=0)
-    quick = cf.IntegratorConfig(abs_tol=1e-6, rel_tol=1e-6, t_end=float(t_end),
+    quick = cf.IntegratorConfig(tol=1e-6, t_end=float(t_end),
                                 sample_count=critflow.conjugacy._FLOW_SAMPLES)
     good, rest = [], []
     for c in candidates:
@@ -124,7 +124,7 @@ def test_flow_points_stop_early_and_match_whole_horizon_rule(n, seed, kept):
     want, kept_whole_horizon = _whole_horizon_flow_points(f, h, region, 5, 1.0)
     assert kept_whole_horizon == kept
     whole_horizon_calls, calls[0] = calls[0], 0
-    got = cf.select_flow_points(f, h, region, 5, 1.0)
+    got = cf.select_flow_points(f, h, region, 1.0)
     assert len(got) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert calls[0] < whole_horizon_calls
@@ -139,7 +139,7 @@ def test_flow_points_reject_escaping_candidates_on_the_check_grid(n, seed):
     calls = _counting_values(f)
     _whole_horizon_flow_points(f, h, region, 5, 1.0)
     whole_horizon_calls, calls[0] = calls[0], 0
-    cf.select_flow_points(f, h, region, 5, 1.0)
+    cf.select_flow_points(f, h, region, 1.0)
     assert 0 < 4 * calls[0] < whole_horizon_calls
 
 
@@ -162,28 +162,51 @@ def test_flow_check_skips_g_where_f_fails():
     assert both.details[1].note == "compared 32/32 samples"
 
 
+def _flow_candidate(k):
+    """The k-th of the 20 candidate flow start points over [0, 3]."""
+    return float(cf.lattice_points(cf.AnalysisRegion.of((0, 3)), 20, 0)[k, 0])
+
+
+def _walled_map(a):
+    """h(x) = x + 0*(1/(x - a)) on [0, 3]: x, but not evaluable at a."""
+    comp = cf.parse_expression(f"x + 0*(1/(x - {a!r}))", {"x"})
+    inv = cf.parse_expression("y", {"y"})
+    return cf.TransformationMap("walled", ["x"], {}, [comp], cf.AnalysisRegion.of((0, 3)),
+                                False, inverse=cf.VectorMap("walled_inv", ["y"], {}, [inv]))
+
+
 def test_flow_check_skips_a_start_where_the_map_cannot_be_evaluated(tmp_path):
-    # h(x) = x + 0*(1/(x - a)) is x, but not evaluable at a, the first
-    # candidate flow start point over region ∩ h.domain = [0, 3]
-    a = float(cf.lattice_points(cf.AnalysisRegion.of((0, 3)), 20, 0)[0, 0])
+    # a is the first candidate flow start point over region ∩ h.domain =
+    # [0, 3]; select_flow_points passes over it, and the flow check skips
+    # it when handed it
+    a = _flow_candidate(0)
     map_file = tmp_path / "map.json"
     map_file.write_text(json.dumps({"map": [f"x + 0*(1/(x - {a!r}))"], "inverse": ["y"],
                                     "params": {}, "domain": [[0, 3]], "linear": False}))
     system = load_system(DATA / "example1.json")
     h = load_map(map_file, system.field).map
-    report, _ = cf.run_verification(system.field, h, system.region, theorems=("flow",))
+    report, g = cf.run_verification(system.field, h, system.region, theorems=("flow",))
     (flow,) = report.checks
     assert flow.verdict == cf.HOLDS
+    assert len(flow.details) == 5 and all(r.note.startswith("compared ") for r in flow.details)
+    direct = cf.verify_flow_conjugacy(system.field, g, h, [[a], [1.0]], t_end=1.0, tol=1e-6)
     skipped = cf.MatchRecord(source=(a,), note="skipped: map not evaluable at initial point")
-    assert skipped in flow.details
-    compared = [r for r in flow.details if r != skipped]
-    assert len(compared) == 4 and all(r.note.startswith("compared ") for r in compared)
+    assert direct.details[0] == skipped and direct.verdict == cf.HOLDS
     out = tmp_path / "report.json"
     assert main(["verify", str(DATA / "example1.json"), str(map_file), "--theorems", "flow",
                  "--out", str(out)]) == 0
     (record,) = json.loads(out.read_text())["checks"]
     assert record["verdict"] == cf.HOLDS
     assert_no_child_process()
+
+
+# the wall on a rejected start (0) and on a preferred one (5)
+@pytest.mark.parametrize("k", [0, 5])
+def test_flow_points_are_starts_where_the_map_can_be_evaluated(quad_field, k):
+    h = _walled_map(_flow_candidate(k))
+    points = cf.select_flow_points(quad_field, h, REGION, 1.0)
+    assert len(points) == 5
+    assert all(h._kernel(0)(*p.tolist()) is not None for p in points)
 
 
 def test_point_mapping_affine(affine_setup):
@@ -423,6 +446,21 @@ def test_run_verification_selected_theorems(quad_field):
     assert {c.theorem_id for c in report.checks} == {"t1", "t3"}
     with pytest.raises(ValueError):
         cf.run_verification(quad_field, h, REGION, theorems=("bogus",))
+
+
+# flow and spectra use tol, the similarity identities tol / 10; the
+# match distance is 10 * dedup_tol, whatever tol is
+@pytest.mark.parametrize("tol, tolerances", [
+    ({}, {"flow": 1e-6, "spectrum": 1e-6, "similarity": 1e-7,
+          "match": 9.999999999999999e-06}),
+    ({"tol": 1e-5}, {"flow": 1e-5, "spectrum": 1e-5, "similarity": 1.0000000000000002e-06,
+                     "match": 9.999999999999999e-06}),
+], ids=["default", "1e-5"])
+def test_run_verification_reports_its_tolerances(quad_field, tol, tolerances):
+    report, _ = cf.run_verification(quad_field, affine_map_1d(2.0, 5.0), REGION,
+                                    theorems=("t3",), **tol)
+    assert report.tolerances == tolerances
+    assert report.check("t3").tolerance == tolerances["spectrum"]
 
 
 @pytest.mark.parametrize("theorems", [(), []])
