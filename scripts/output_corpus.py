@@ -28,8 +28,10 @@ the deep system, ``transform`` of it under ``square_map`` and ``verify``
 under ``affine_map``; ``verify`` and ``transform`` of the wall system under
 ``affine_map``; last, ``verify`` of ``example1`` with ``--theorems t3
 --tol 1e-5`` under ``affine_map`` and with ``--theorems flow,t2`` under
-``square_map``. New commands go at the end, so that the earlier ones keep
-their output names and digests.
+``square_map``; then ``verify`` of ``example1`` with ``--theorems r1`` under
+``square_map`` (both kinds searched under a nonlinear map) and with
+``--theorems t1,t3`` under ``affine_map``. New commands go at the end, so
+that the earlier ones keep their output names and digests.
 
 The script exits 1 if any command's exit code differs from
 ``EXPECTED_FAILURES`` (exit 1) or 0 (every other command).
@@ -106,7 +108,9 @@ def commands() -> list[list[str]]:
              ["transform", "cases/wall-system.json", "data/affine_map.json"],
              ["verify", "data/example1.json", "data/affine_map.json",
               "--theorems", "t3", "--tol", "1e-5"],
-             ["verify", "data/example1.json", "data/square_map.json", "--theorems", "flow,t2"]]
+             ["verify", "data/example1.json", "data/square_map.json", "--theorems", "flow,t2"],
+             ["verify", "data/example1.json", "data/square_map.json", "--theorems", "r1"],
+             ["verify", "data/example1.json", "data/affine_map.json", "--theorems", "t1,t3"]]
     return cmds
 
 

@@ -17,32 +17,24 @@ Five checks, each producing a verdict plus per-point records:
 
 Target-side point sets are found independently by the same multi-start
 solver, never trusted from the pushforward, which is what makes the checks
-non-circular.
+non-circular. For each kind, one matching (``_Matching``) pairs the images
+h(x*) of f's critical points, searched over region ∩ h.domain, with the
+transformed system's own, searched over ``image_region(h)``: ``t1``/``t2``
+read it, ``t3`` its pairs and ``r1`` its unmatched targets.
 
-The point checks share work through one optional ``searches`` mapping
-whose only keys are ``(side, kind)``: side ``"f"`` is f searched over
-region ∩ h.domain, side ``"g"`` the transformed system searched over
-``image_region(h)``, kind is ``FIXED`` or ``PERPETUAL``. A check runs and
-stores a search only when its key is missing, so checks handed one mapping
-run each search at most once. :func:`run_verification` fills the mapping
-with every search its checks read before running them. It plans all of
-them first, f's and then g's (``image_region(h)`` included), and runs
-their Newton seeds from one queue shared with a forked worker
-(:func:`critflow.points._seed_queue`), which starts on it while the parent
-checks the flow; then the parent takes seeds from it too. Where no worker
-is usable (see :mod:`critflow.worker`), the parent runs every seed after
-the flow check. Both ways run the same searches on the same inputs, so
-reports are byte-identical either way, and both raise the same error:
-the first in the order flow, f's searches, g's searches. A worker whose
-run raised, or that ended early, sends nothing, and the parent runs every
-seed again serially.
+:func:`run_verification` runs each search its checks read once, sharing
+the Newton seeds with a forked worker, and builds each matching once. The
+public point checks take an optional ``searches`` mapping keyed ``(side,
+kind)``, side ``"f"`` or ``"g"``: each runs and stores the searches the
+mapping lacks, so checks handed one mapping run each search at most once,
+and then builds its own matchings.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -250,11 +242,6 @@ def select_flow_points(f: VectorField, h: TransformationMap,
 # ---------------------------------------------------------------------------
 # Point mapping, spectra, new points
 
-def _search(kind: str):
-    # looked up on each call, so a replaced module attribute takes effect
-    return fixed_point_search if kind == FIXED else perpetual_point_search
-
-
 def _side_region(side: str, h: TransformationMap, region: AnalysisRegion) -> AnalysisRegion:
     """The region a side is searched over: region ∩ h.domain for ``"f"``,
     ``image_region(h)`` for ``"g"``."""
@@ -270,24 +257,21 @@ def _invertible_linear(h: TransformationMap) -> bool:
     return h.declared_linear and h.linear_part.inverse is not None
 
 
-def _match_points(f, h, g, region, cfg, kind, searches: dict | None):
-    """Greedily match h(x*) for the critical points x* of f against the
-    independently discovered critical points of g; the two searches are
-    taken from ``searches`` or run and stored there. Returns the records,
-    the unmatched target points, the worst matched distance, whether
-    every source point was matched, and the matched (record, point of f,
-    point of g) triples in source order."""
-    searches = {} if searches is None else searches
-    for side, fld in (("f", f), ("g", g)):
-        if (side, kind) not in searches:
-            searches[side, kind] = _search(kind)(fld, _side_region(side, h, region), cfg)
-    f_points, g_points = searches["f", kind].points, searches["g", kind].points
-    match_tol = _match_tol(cfg)
+class _Matching(NamedTuple):
+    """One kind's matching, built by :func:`_matching`."""
+    records: tuple[MatchRecord, ...]  # one per point of f, in source order
+    pairs: tuple  # (record, point of f, point of g) of each matched record
+    unmatched: tuple  # the points of g no record took
+    worst: float  # the worst matched distance
+    all_matched: bool
+
+
+def _matching(f_points, g_points, h: TransformationMap, match_tol: float) -> _Matching:
+    """Greedily match h(x*) for the critical points x* of f, in order, with
+    the critical points of g: each takes the nearest untaken one within
+    ``match_tol``, or else the nearest one within it, taken or not."""
     taken = [False] * len(g_points)
-    records: list[MatchRecord] = []
-    pairs = []
-    worst = 0.0
-    all_matched = True
+    records, pairs, worst, all_matched = [], [], 0.0, True
     for p in f_points:
         try:
             mapped = h.value(p.location)
@@ -319,8 +303,36 @@ def _match_points(f, h, g, region, cfg, kind, searches: dict | None):
                 source=tuple(p.location), mapped=tuple(mapped), kind=p.kind,
                 residual=best_d if best_d < math.inf else None,
                 note="image does not coincide with any discovered target point"))
-    unmatched_targets = [q for j, q in enumerate(g_points) if not taken[j]]
-    return records, unmatched_targets, worst, all_matched, pairs
+    unmatched = tuple(q for j, q in enumerate(g_points) if not taken[j])
+    return _Matching(tuple(records), tuple(pairs), unmatched, worst, all_matched)
+
+
+def _searched_matchings(f, h, g, region, cfg, kinds, searches: dict | None) -> Iterator[_Matching]:
+    """The matchings of ``kinds`` from ``searches``, where a search it lacks
+    is run and stored first: the one place where a check runs a search."""
+    searches = {} if searches is None else searches
+    for kind in kinds:
+        for side, fld in (("f", f), ("g", g)):
+            if (side, kind) not in searches:
+                # looked up on each call, so a replaced module attribute takes effect
+                search = fixed_point_search if kind == FIXED else perpetual_point_search
+                searches[side, kind] = search(fld, _side_region(side, h, region), cfg)
+        yield _matching(searches["f", kind].points, searches["g", kind].points, h,
+                        _match_tol(cfg))
+
+
+def _point_mapping(h: TransformationMap, kind: str, matching: _Matching) -> TheoremCheck:
+    records = matching.records + tuple(
+        MatchRecord(matched=tuple(q.location), kind=q.kind,
+                    note="target point has no preimage among mapped points")
+        for q in matching.unmatched)
+    theorem_id = "t1" if kind == FIXED else "t2"
+    if kind == PERPETUAL and not h.declared_linear:
+        return TheoremCheck(theorem_id, NOT_APPLICABLE, matching.worst, records,
+                            note="map is nonlinear; perpetual-point mapping is "
+                                 "not guaranteed, details are advisory")
+    verdict = HOLDS if matching.all_matched else FAILS
+    return TheoremCheck(theorem_id, verdict, matching.worst, records)
 
 
 def verify_point_mapping(f: VectorField, h: TransformationMap, g: VectorField,
@@ -331,18 +343,8 @@ def verify_point_mapping(f: VectorField, h: TransformationMap, g: VectorField,
     of g. For perpetual points the verdict requires a linear map; nonlinear
     maps yield not-applicable with advisory details.
     """
-    records, unmatched, worst, all_matched, _ = _match_points(f, h, g, region, cfg, kind,
-                                                              searches)
-    for q in unmatched:
-        records.append(MatchRecord(matched=tuple(q.location), kind=q.kind,
-                                   note="target point has no preimage among mapped points"))
-    theorem_id = "t1" if kind == FIXED else "t2"
-    if kind == PERPETUAL and not h.declared_linear:
-        return TheoremCheck(theorem_id, NOT_APPLICABLE, worst, tuple(records),
-                            note="map is nonlinear; perpetual-point mapping is "
-                                 "not guaranteed, details are advisory")
-    verdict = HOLDS if all_matched else FAILS
-    return TheoremCheck(theorem_id, verdict, worst, tuple(records))
+    return _point_mapping(h, kind, *_searched_matchings(f, h, g, region, cfg, (kind,),
+                                                        searches))
 
 
 def _similarity(dh: np.ndarray, dh_inv: np.ndarray, j_src: np.ndarray,
@@ -350,6 +352,43 @@ def _similarity(dh: np.ndarray, dh_inv: np.ndarray, j_src: np.ndarray,
     pushed = dh @ j_src @ dh_inv
     denom = max(1.0, float(np.linalg.norm(pushed)))
     return float(np.linalg.norm(pushed - j_dst)) / denom
+
+
+def _spectrum_preservation(h: TransformationMap, matchings, tol: float) -> TheoremCheck:
+    """``t3``; reads ``matchings`` only for an invertible linear map."""
+    if not h.declared_linear:
+        return TheoremCheck("t3", NOT_APPLICABLE, None, (),
+                            note="map is nonlinear; eigenvalue preservation is "
+                                 "not guaranteed")
+    linear = h.linear_part
+    if linear.inverse is None:
+        return TheoremCheck("t3", NOT_APPLICABLE, None, (),
+                            note=f"map Jacobian is singular (min pivot "
+                                 f"{min_pivot(linear.matrix):.3e}); not a diffeomorphism")
+    records: list[MatchRecord] = []  # one per pair
+    worst = 0.0
+    decided, ok = False, True  # decided: a pair that was compared or failed
+    for matching in matchings:
+        for rec, p, q in matching.pairs:
+            missing = next((pt for pt in (p, q) if pt.spectrum is None), None)
+            if missing is not None:
+                records.append(replace(rec, note=f"spectra not evaluable: {missing.note}"))
+                # a pair differentiable on neither side is outside the theorem
+                if p.jacobian is not None or q.jacobian is not None:
+                    ok, decided = False, True
+                continue
+            decided = True
+            sd = spectrum_distance(p.spectrum, q.spectrum)
+            sim = _similarity(linear.matrix, linear.inverse, p.jacobian, q.jacobian)
+            worst = max(worst, sd, sim)
+            if sd > tol or sim > tol / _SIMILARITY_DIVISOR:
+                ok = False
+            records.append(replace(rec, spectrum_distance=sd, similarity_residual=sim))
+    if not decided:  # then ok is still True
+        note = ("no matched pair has a Jacobian on either side to compare" if records
+                else "no matched critical-point pairs to compare")
+        return TheoremCheck("t3", NOT_APPLICABLE, None, tuple(records), tolerance=tol, note=note)
+    return TheoremCheck("t3", HOLDS if ok else FAILS, worst, tuple(records), tolerance=tol)
 
 
 def verify_spectrum_preservation(f: VectorField, h: TransformationMap,
@@ -371,49 +410,24 @@ def verify_spectrum_preservation(f: VectorField, h: TransformationMap,
     the check is not-applicable.
 
     Requires a linear map with invertible Jacobian (diffeomorphism
-    hypothesis); anything else is not-applicable.
+    hypothesis); anything else is not-applicable, and runs no search.
     """
-    if not h.declared_linear:
-        return TheoremCheck("t3", NOT_APPLICABLE, None, (),
-                            note="map is nonlinear; eigenvalue preservation is "
-                                 "not guaranteed")
-    linear = h.linear_part
-    if linear.inverse is None:
-        return TheoremCheck("t3", NOT_APPLICABLE, None, (),
-                            note=f"map Jacobian is singular (min pivot "
-                                 f"{min_pivot(linear.matrix):.3e}); not a diffeomorphism")
-    records: list[MatchRecord] = []
-    worst_sd = 0.0
-    worst_sim = 0.0
-    any_pair = decided = False  # decided: a pair that was compared or failed
-    ok = True
-    for kind in (FIXED, PERPETUAL):
-        for rec, p, q in _match_points(f, h, g, region, cfg, kind, searches)[4]:
-            any_pair = True
-            missing = next((pt for pt in (p, q) if pt.spectrum is None), None)
-            if missing is not None:
-                records.append(replace(rec, note=f"spectra not evaluable: {missing.note}"))
-                # a pair differentiable on neither side is outside the theorem
-                if p.jacobian is not None or q.jacobian is not None:
-                    ok, decided = False, True
-                continue
-            decided = True
-            sd = spectrum_distance(p.spectrum, q.spectrum)
-            sim = _similarity(linear.matrix, linear.inverse, p.jacobian, q.jacobian)
-            worst_sd = max(worst_sd, sd)
-            worst_sim = max(worst_sim, sim)
-            if sd > tol or sim > tol / _SIMILARITY_DIVISOR:
-                ok = False
-            records.append(replace(rec, spectrum_distance=sd, similarity_residual=sim))
-    if not any_pair:
-        note = "no matched critical-point pairs to compare"
-    elif not decided:
-        note = "no matched pair has a Jacobian on either side to compare"
-    else:
-        note = ""
-    verdict = FAILS if not ok else HOLDS if decided else NOT_APPLICABLE
-    return TheoremCheck("t3", verdict, max(worst_sd, worst_sim) if decided else None,
-                        tuple(records), tolerance=tol, note=note)
+    kinds = (FIXED, PERPETUAL) if _invertible_linear(h) else ()
+    return _spectrum_preservation(h, _searched_matchings(f, h, g, region, cfg, kinds, searches),
+                                  tol)
+
+
+def _new_points(h: TransformationMap, matchings) -> TheoremCheck:
+    records = tuple(MatchRecord(matched=tuple(q.location), kind=q.kind,
+                                note=f"newly created {q.kind} point")
+                    for matching in matchings for q in matching.unmatched)
+    if not records:
+        return TheoremCheck("r1", HOLDS, 0.0, ())
+    if _invertible_linear(h):
+        return TheoremCheck("r1", FAILS, None, records,
+                            note="new critical points under an invertible linear map")
+    return TheoremCheck("r1", NOT_APPLICABLE, None, records,
+                        note="new critical points found; possible for this map")
 
 
 def detect_new_points(f: VectorField, h: TransformationMap, g: VectorField,
@@ -426,20 +440,8 @@ def detect_new_points(f: VectorField, h: TransformationMap, g: VectorField,
     invertible linear map is a failure, under anything else an advisory
     (creation is possible there, not forbidden).
     """
-    records: list[MatchRecord] = []
-    new_found = False
-    for kind in (FIXED, PERPETUAL):
-        for q in _match_points(f, h, g, region, cfg, kind, searches)[1]:
-            new_found = True
-            records.append(MatchRecord(matched=tuple(q.location), kind=q.kind,
-                                       note=f"newly created {q.kind} point"))
-    if not new_found:
-        return TheoremCheck("r1", HOLDS, 0.0, ())
-    if _invertible_linear(h):
-        return TheoremCheck("r1", FAILS, None, tuple(records),
-                            note="new critical points under an invertible linear map")
-    return TheoremCheck("r1", NOT_APPLICABLE, None, tuple(records),
-                        note="new critical points found; possible for this map")
+    return _new_points(h, _searched_matchings(f, h, g, region, cfg, (FIXED, PERPETUAL),
+                                              searches))
 
 
 # ---------------------------------------------------------------------------
@@ -464,25 +466,25 @@ def run_verification(f: VectorField, h: TransformationMap,
     check runs over [0, ``t_end``]. ``tol`` is the flow and spectrum
     tolerance, and ``tol / 10`` the similarity one (see ``tolerances``).
 
-    The point searches the checks read run first, each once, and the
-    checks share them through one ``searches`` mapping. Their Newton seeds
-    run from one queue (:func:`~critflow.points._seed_queue`) that a
+    The point searches the checks read run first, each once. Their Newton
+    seeds run from one queue (:func:`~critflow.points._seed_queue`) that a
     forked worker starts to drain at once, while this process runs the
     flow check and then drains it too; where no worker is usable (see
     :mod:`critflow.worker`), this process runs every seed. Each search is
-    then finished here from its runs in seed order, so the report is
-    byte-identical either way.
+    finished here from its runs in seed order, so the report is
+    byte-identical either way. One matching per kind searched is then
+    built, once, and the checks read it.
 
     An exception from a check or a search is raised by this process's own
-    call, with all its attributes, and the first in the order flow, f's
-    fixed and perpetual searches, g's fixed and perpetual searches: a flow
-    error as it happens, a failed Newton run through the serial loop of
-    every search, which raises the lowest failing seed's error of the
-    first failing search, and an error from planning a search
+    call, with all its attributes: the first in the order flow, f's fixed
+    and perpetual searches, g's fixed and perpetual searches. A flow error
+    is raised as it happens; a failed Newton run by the serial loop over
+    the seeds no process completed, which raises the lowest failing seed's
+    error of the first failing search (a worker whose run raised, or that
+    ended early, sends nothing); an error from planning a search
     (``image_region(h)``, say) only when the searches before it succeeded.
-    A worker whose run raised, or that ended early, sends nothing, and the
-    serial loop runs every seed here: the rule is the same with and
-    without the worker, which never outlives the call.
+    The rule is the same with and without the worker, which never
+    outlives the call.
     """
     if not theorems:
         raise ValueError("no theorem ids given: a run without checks verifies nothing")
@@ -510,27 +512,21 @@ def run_verification(f: VectorField, h: TransformationMap,
     found = _searches(plans, runs, cfg)
     if unplanned is not None:
         raise unplanned
-    searches = dict(zip([(side, kind) for side in ("f", "g") for kind in kinds], found))
-    checks: list[TheoremCheck] = []
-    for tid in THEOREM_IDS:
-        if tid not in theorems:
-            continue
-        if tid == "flow":
-            checks.append(flow)
-        elif tid in ("t1", "t2"):
-            kind = FIXED if tid == "t1" else PERPETUAL
-            checks.append(verify_point_mapping(f, h, g, region, cfg, kind, searches))
-        elif tid == "t3":
-            checks.append(verify_spectrum_preservation(f, h, g, region, cfg, tol, searches))
-        elif tid == "r1":
-            checks.append(detect_new_points(f, h, g, region, cfg, searches))
+    matchings = {kind: _matching(on_f.points, on_g.points, h, _match_tol(cfg))
+                 for kind, on_f, on_g in zip(kinds, found, found[len(kinds):])}
+    bodies = {"flow": lambda: flow,
+              "t1": lambda: _point_mapping(h, FIXED, matchings[FIXED]),
+              "t2": lambda: _point_mapping(h, PERPETUAL, matchings[PERPETUAL]),
+              "t3": lambda: _spectrum_preservation(h, matchings.values(), tol),
+              "r1": lambda: _new_points(h, matchings.values())}
+    checks = tuple(bodies[tid]() for tid in THEOREM_IDS if tid in theorems)
     report = ConjugacyReport(
         system_name=f.name,
         transformed_name=g.name,
         map_sources=h.source_strings(),
         declared_linear=h.declared_linear,
         diffeomorphic=_invertible_linear(h),
-        checks=tuple(checks),
+        checks=checks,
         tolerances={"flow": tol, "spectrum": tol, "similarity": tol / _SIMILARITY_DIVISOR,
                     "match": _match_tol(cfg)},
     )

@@ -55,9 +55,10 @@ only on its seed and the kernels, and the worker sends its runs, plain
 tuples, to the caller, which sorts them into seed order with its own and
 then finishes each search (:func:`_searches`). Where a run raises in the
 caller, or the worker sends nothing (a run raised there, or it ended
-early), the caller runs the serial loop over every search again, which
-raises the exception of the lowest failing seed of the first search with
-one. Where no worker is usable, the caller drains the queue alone.
+early), the caller runs the serial loop over the seeds no process
+completed, which raises the exception of the lowest failing seed of the
+first search with one. Where no worker is usable, the caller drains the
+queue alone.
 """
 
 from __future__ import annotations
@@ -380,10 +381,10 @@ def _seed_queue(plans: list[_Plan], cfg: SolverConfig):
     """Share the seeds of every search in ``plans`` between this process
     and a forked worker (:func:`~critflow.worker.forked`) through one
     queue of seed blocks, which the worker starts to drain at once. Yields
-    ``drain``, which drains the queue here too and returns every run
-    (:func:`_runs`) of both processes, or None where a run raised here or
-    the worker sent nothing; where no worker is usable it runs all the
-    seeds here. The block may do other work before it calls ``drain``."""
+    ``drain``, which drains the queue here too and returns the completed
+    runs (:func:`_runs`): both processes', this one's where the worker sent
+    nothing, none where a run raised here. Where no worker is usable it
+    runs all the seeds here. The block may do other work first."""
     if not plans:
         yield list
         return
@@ -404,9 +405,8 @@ def _seed_queue(plans: list[_Plan], cfg: SolverConfig):
         try:
             mine = queued()
         except Exception:
-            return None
-        theirs = their_runs()
-        return None if theirs is None else mine + theirs
+            return []
+        return mine + (their_runs() or [])
     try:
         with os.fdopen(write_fd, "wb") as queue:
             queue.write(b"".join(j.to_bytes(4, "little") for j in range(len(entries))))
@@ -451,15 +451,17 @@ def _spectrum_of(flat, n: int) -> dict:
     return dict(spectrum=spec, degenerate=is_degenerate(jac), note=note, jacobian=jac)
 
 
-def _searches(plans: list[_Plan], runs: list[tuple] | None,
+def _searches(plans: list[_Plan], runs: list[tuple],
               cfg: SolverConfig) -> list[PointSearch]:
-    """The searches of ``plans``, in that order, from their ``runs``
-    (:func:`_seed_queue`); where ``runs`` is None, from the serial loop,
-    which raises the error of the lowest failing seed of the first search
-    with one."""
-    if runs is None:
-        runs = _runs(plans, [(k, 0) for k in range(len(plans))],
-                     max(len(plan.seeds) for plan in plans), cfg)
+    """The searches of ``plans``, in that order, from their completed
+    ``runs`` (:func:`_seed_queue`) and the runs of the seeds missing from
+    them, run here in plan and seed order: the first to raise is that of
+    the lowest failing seed of the first search with one."""
+    done = {run[:2] for run in runs}
+    missing = [(k, i) for k, plan in enumerate(plans) for i in range(len(plan.seeds))
+               if (k, i) not in done]
+    if missing:
+        runs = runs + _runs(plans, missing, 1, cfg)
     per_search: list[list[tuple]] = [[] for _ in plans]
     for run in sorted(runs):  # into seed order; the indices are distinct
         per_search[run[0]].append(run)
@@ -498,7 +500,7 @@ def _finished(plan: _Plan, runs: list[tuple], cfg: SolverConfig) -> PointSearch:
 def _run_search(f: VectorField, kind: str, region: AnalysisRegion,
                 cfg: SolverConfig) -> PointSearch:
     plans = [_plan_search(f, kind, region, cfg)]
-    runs = None  # a small search runs its seeds serially
+    runs = []  # a small search runs its seeds serially
     if plans[0].solved.n_in >= _SHARED_INPUTS:
         with _seed_queue(plans, cfg) as drain:
             runs = drain()

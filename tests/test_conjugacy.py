@@ -307,17 +307,15 @@ def test_matching_takes_the_nearest_untaken_target_as_the_oracle_does():
                 kind=kind) for _ in range(count)]
         f_points, g_points = points(rng.randint(0, 8), 6), points(rng.randint(0, 6), 3)
         g_points += rng.sample(g_points, min(2, len(g_points)))  # repeated targets
-        cfg = cf.SolverConfig(dedup_tol=rng.choice((0.05, 0.1, 0.15)))
-        searches = {("f", kind): types.SimpleNamespace(points=f_points),
-                    ("g", kind): types.SimpleNamespace(points=g_points)}
-        got = critflow.conjugacy._match_points(None, h, None, REGION, cfg, kind, searches)
-        want = _matching_oracle(h, f_points, g_points, 10.0 * cfg.dedup_tol)
-        assert got[0] == want[0], trial
-        assert [id(q) for q in got[1]] == [id(q) for q in want[1]], trial
-        assert got[2:4] == want[2:], trial
+        match_tol = 10.0 * rng.choice((0.05, 0.1, 0.15))
+        got = critflow.conjugacy._matching(f_points, g_points, h, match_tol)
+        want = _matching_oracle(h, f_points, g_points, match_tol)
+        assert list(got.records) == want[0], trial
+        assert [id(q) for q in got.unmatched] == [id(q) for q in want[1]], trial
+        assert (got.worst, got.all_matched) == want[2:], trial
         # the pairs are the matched records with their two points, in source order
-        pairs = got[4]
-        assert [rec for rec, _, _ in pairs] == [r for r in got[0] if r.matched is not None]
+        pairs = got.pairs
+        assert [rec for rec, _, _ in pairs] == [r for r in got.records if r.matched is not None]
         for rec, p, q in pairs:
             assert any(p is fp for fp in f_points) and any(q is gp for gp in g_points)
             assert rec.source == tuple(p.location) and rec.matched == tuple(q.location)
@@ -543,6 +541,52 @@ def _four_searches(f, h, g, region, cfg=CFG):
             for side, fld, sub in (("f", f, f_region), ("g", g, g_region))
             for kind, search in ((cf.FIXED, cf.fixed_point_search),
                                  (cf.PERPETUAL, cf.perpetual_point_search))}
+
+
+def _coordinate_swap(region):
+    """(x1, x2) -> (x2, x1), declared linear, with its inverse."""
+    comps = [cf.parse_expression(s, {"x1", "x2"}) for s in ("x2", "x1")]
+    invs = [cf.parse_expression(s, {"y1", "y2"}) for s in ("y2", "y1")]
+    return cf.TransformationMap("swap", ["x1", "x2"], {}, comps, region, True,
+                                inverse=cf.VectorMap("swap_inv", ("y1", "y2"), {}, invs))
+
+
+@pytest.mark.parametrize("case", ["n1", "n2", "n3", "square", "swap"])
+def test_run_verification_checks_equal_the_public_entries(quad_field, case):
+    if case == "square":
+        f, h, region = quad_field, square_map_1d(), REGION
+    elif case == "swap":
+        f, _, region = _builder_case(2, 1)
+        h = _coordinate_swap(region)
+    else:
+        f, h, region = _builder_case(int(case[1]), 1)
+    report, g = cf.run_verification(f, h, region)
+    searches = _four_searches(f, h, g, region)
+    entries = {"t1": cf.verify_point_mapping(f, h, g, region, CFG, cf.FIXED, searches),
+               "t2": cf.verify_point_mapping(f, h, g, region, CFG, cf.PERPETUAL, searches),
+               "t3": cf.verify_spectrum_preservation(f, h, g, region, CFG, 1e-6, searches),
+               "r1": cf.detect_new_points(f, h, g, region, CFG, searches)}
+    for tid, check in entries.items():
+        assert report.check(tid) == check, tid
+
+
+@pytest.mark.parametrize("theorems, built", [(cf.THEOREM_IDS, 2), (("t1",), 1), (("flow",), 0)],
+                         ids=["default", "t1", "flow"])
+def test_run_verification_builds_one_matching_per_kind_searched(quad_field, monkeypatch,
+                                                                 theorems, built):
+    calls = []
+    matching = critflow.conjugacy._matching
+    monkeypatch.setattr(critflow.conjugacy, "_matching",
+                        lambda *args: calls.append(args) or matching(*args))
+
+    def searched(*args):
+        raise AssertionError("a check ran a search")
+    for name in ("fixed_point_search", "perpetual_point_search"):
+        monkeypatch.setattr(critflow.conjugacy, name, searched)
+    report, _ = cf.run_verification(quad_field, affine_map_1d(2.0, 5.0), REGION,
+                                    theorems=theorems)
+    assert report.all_accepted
+    assert len(calls) == built
 
 
 def test_spectrum_check_reuses_supplied_searches_and_adds_no_keys(affine_setup, monkeypatch):

@@ -676,6 +676,30 @@ def test_a_fixed_point_search_whose_worker_sends_a_truncated_result_gives_the_se
     assert_no_child_process()
 
 
+def test_a_lone_search_whose_worker_run_raises_runs_only_the_worker_seeds_again(
+        monkeypatch, tmp_path):
+    # the worker's first run raises, so it sends nothing; this process has
+    # run the rest of the queue and runs the worker's seeds, not all again
+    f, region = _lone_search_case()
+    _force_worker(monkeypatch, False)
+    serial = cf.perpetual_point_search(f, region, SHARED_CFG)
+    _force_worker(monkeypatch, True)
+    _worker_takes_the_first_block(monkeypatch, tmp_path / "taken", ends=False)
+    here, run, runs_here = os.getpid(), points._newton, []
+
+    def newton(*args):
+        if os.getpid() != here:
+            raise cf.DomainError("worker run")
+        runs_here.append(args)
+        return run(*args)
+    monkeypatch.setattr(points, "_newton", newton)
+    shared = cf.perpetual_point_search(f, region, SHARED_CFG)
+    assert _search_fields(shared) == _search_fields(serial)
+    assert (tmp_path / "taken").exists()
+    assert len(runs_here) == serial.seeds_used == 64
+    assert_no_child_process()
+
+
 def _failing_runs(monkeypatch, seeds, failures: dict):
     """Make the Newton run of the seed of index k raise ``failures[k]``, in
     this process and in a forked worker."""
