@@ -50,9 +50,10 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seeds", type=int, default=100, help="Newton seed count (default 100)")
     p.add_argument("--rng-seed", type=int, default=0, help="seed-lattice jitter RNG (default 0)")
     p.add_argument("--eps-v", type=float, default=1e-6,
-                   help="velocity floor separating fixed from perpetual points (default 1e-6)")
+                   help="velocity floor: a perpetual point needs ||f|| above it (default 1e-6)")
     p.add_argument("--root-tol", type=float, default=1e-10,
-                   help="residual tolerance for converged roots (default 1e-10)")
+                   help="root tolerance: a fixed point needs ||f|| at most this, a perpetual "
+                        "point ||Df f|| (default 1e-10)")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:

@@ -1,13 +1,12 @@
 """Trajectory integration for flow-conjugacy checks and portrait export.
 
-Two schemes: adaptive Runge-Kutta-Fehlberg 4(5) (default; propagates the
-4th-order solution, the embedded 5th-order one drives step control) and
-fixed-step classical RK4, the reference integrator of the convergence-order
-tests and of the acceleration tests, which compare the acceleration with
-second differences of finely sampled RK4 trajectories. Escaping
-trajectories terminate cleanly: once the state norm passes the blow-up
-threshold a :class:`BlowUpError` carrying the escape time and the partial
-trajectory is raised.
+One scheme: adaptive Runge-Kutta-Fehlberg 4(5), which propagates the
+4th-order solution while the embedded 5th-order one drives step control.
+The fixed-step classical RK4 reference, which the convergence-order and
+acceleration tests compare against, lives in the tests
+(``tests/conftest.py``). Escaping trajectories terminate cleanly: once the
+state norm passes the blow-up threshold a :class:`BlowUpError` carrying
+the escape time and the partial trajectory is raised.
 
 The RKF45 step runs on Python floats, in a function generated for each
 state dimension on first use (:func:`_step_function`): every component of
@@ -40,9 +39,6 @@ __all__ = [
     "integrate", "flow_map", "sample_times",
 ]
 
-RK4 = "rk4"
-RKF45 = "rkf45"
-
 # Fehlberg 4(5) tableau: stage i evaluates f at x + h * (A_i1 k_1 + ...);
 # B weights the propagated 4th-order solution and E the error estimate
 # (5th- minus 4th-order); the generated step leaves zero weights out
@@ -69,19 +65,15 @@ class IntegratorConfig:
     accepted when each component's error estimate is at most ``tol + tol *
     size``, size the larger magnitude of the component before and after."""
 
-    method: str = RKF45
-    step: float = 1e-2  # fixed step for rk4
     tol: float = 1e-9
     t_end: float = 1.0
     sample_count: int = 33
 
     def __post_init__(self):
-        if self.method not in (RK4, RKF45):
-            raise ValueError(f"unknown method {self.method!r}")
         if not 0.0 <= self.t_end < math.inf:
             raise ValueError("t_end must be finite and non-negative")
-        if not all(0.0 < v < math.inf for v in (self.step, self.tol)):
-            raise ValueError("step and tol must be finite and positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and positive")
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
 
@@ -120,19 +112,6 @@ class StepUnderflowError(RuntimeError):
 
 #: ``sample_times(t_end, count)``: evenly spaced times in [0, t_end]
 sample_times = functools.partial(grid_axis, 0.0)
-
-
-def _rk4_segment(f, x, t0, t1, h_target):
-    span = t1 - t0
-    substeps = max(1, round(span / h_target))
-    h = span / substeps
-    for _ in range(substeps):
-        k1 = f.value(x)
-        k2 = f.value(x + 0.5 * h * k1)
-        k3 = f.value(x + 0.5 * h * k2)
-        k4 = f.value(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x
 
 
 def _combination(weights, i: int) -> str:
@@ -227,15 +206,11 @@ def _sampled_states(f: VectorField, x0, cfg: IntegratorConfig):
     times = sample_times(cfg.t_end, cfg.sample_count)
     states = [x]
     yield x
-    h = cfg.step if cfg.method == RK4 else min(1e-3, max(_MIN_STEP, cfg.t_end / 100 or 1e-3))
+    h = min(1e-3, max(_MIN_STEP, cfg.t_end / 100 or 1e-3))
     for i in range(1, len(times)):
         t0, t1 = times[i - 1], times[i]
         if t1 != t0:
-            if cfg.method == RK4:
-                x = _rk4_segment(f, x, t0, t1, cfg.step)
-                t_escape = t1 if float(np.linalg.norm(x)) > _BLOWUP_NORM else None
-            else:
-                x, h, t_escape = _rkf45_segment(f, x, t0, t1, cfg, h)
+            x, h, t_escape = _rkf45_segment(f, x, t0, t1, cfg, h)
             if t_escape is not None:
                 partial = Trajectory(times=np.append(times[:i], t_escape),
                                      states=np.vstack(states + [x]))

@@ -38,6 +38,13 @@ the kept points. Each point keeps the solved
 map's Jacobian at its location, the matrix its spectrum and
 ``degenerate`` flag come from, for the checks to read.
 
+The searches and :func:`classify_point` accept a point by one rule and
+build it with one constructor (:func:`_critical_point`): a fixed point
+where hypot(f) <= root_tol, a perpetual point where hypot(F) <= root_tol
+and the speed is above the velocity floor, both through the compiled
+kernels. So ``classify_point`` at a point a search reports returns that
+point, bit for bit, but for ``boundary``.
+
 Every search that shares its seeds with a forked worker
 (:mod:`critflow.worker`) runs them from one queue (:func:`_seed_queue`):
 the calling process plans each search (its solved map, seeds and box,
@@ -74,8 +81,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import worker
-from .expr import DomainError
-from .fields import VectorField, VectorMap, acceleration_map
+from .fields import VectorField, VectorMap, _floats, acceleration_map
 from .linalg import (EigenConvergenceError, Spectrum, _elimination, eigenvalues,
                      is_degenerate)
 from .region import AnalysisRegion, lattice_points
@@ -110,6 +116,12 @@ _QUEUE_SLOTS = 1024
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """The searches' settings, and the one acceptance rule they and
+    :func:`classify_point` share: a fixed point has hypot(f) <= ``root_tol``,
+    a perpetual point hypot(F) <= ``root_tol``, F = Df f, and a speed ||f||
+    above ``velocity_floor``. ``dedup_tol`` merges roots closer than it;
+    ``seed_count`` Newton runs of at most ``max_newton_iters`` iterations
+    start from a lattice jittered by ``rng_seed``."""
     seed_count: int = 100
     max_newton_iters: int = 100
     root_tol: float = 1e-10
@@ -436,19 +448,32 @@ def _collect_roots(runs: list[tuple], cfg: SolverConfig,
     return kept
 
 
-def _spectrum_of(flat, n: int) -> dict:
-    """The :class:`CriticalPoint` fields that the solved map's n x n
-    Jacobian decides, from its entries ``flat`` (row-major), as its caller
-    evaluated them; None where they are not evaluable."""
+def _critical_point(kind: str, solved: VectorMap, location: list, residual: float,
+                    fx, cfg: SolverConfig, boundary: bool = False) -> CriticalPoint | None:
+    """The :class:`CriticalPoint` of ``kind`` at ``location``, a list of
+    floats, that the solved map (f, or F for a perpetual point) vanishes
+    at to ``residual``; ``fx`` is f's order-0 kernel there, as its caller
+    evaluated it. None where ``kind`` is perpetual and the speed is at most
+    the velocity floor: a zero of F that is actually a fixed point. The
+    spectrum, ``degenerate`` flag and Jacobian come from the solved map's
+    order-1 kernel; a Jacobian that is not evaluable gives no spectrum."""
+    velocity = np.full(len(location), np.nan) if fx is None else np.array(fx)
+    if kind == PERPETUAL and float(np.linalg.norm(velocity)) <= cfg.velocity_floor:
+        return None
+    flat = solved._kernel(1)(*location)
+    jac = spec = None
     if flat is None:
-        return dict(spectrum=None, degenerate=True,
-                    note="field Jacobian not evaluable at this point")
-    jac = np.array(flat).reshape(n, n)
-    try:
-        spec, note = eigenvalues(jac), ""
-    except EigenConvergenceError:
-        spec, note = None, "eigenvalue computation did not converge"
-    return dict(spectrum=spec, degenerate=is_degenerate(jac), note=note, jacobian=jac)
+        degenerate, note = True, "field Jacobian not evaluable at this point"
+    else:
+        jac = np.array(flat).reshape(len(location), len(location))
+        degenerate, note = is_degenerate(jac), ""
+        try:
+            spec = eigenvalues(jac)
+        except EigenConvergenceError:
+            note = "eigenvalue computation did not converge"
+    return CriticalPoint(kind=kind, location=np.array(location), residual=residual,
+                         velocity=velocity, spectrum=spec, degenerate=degenerate,
+                         boundary=boundary, note=note, jacobian=jac)
 
 
 def _searches(plans: list[_Plan], runs: list[tuple],
@@ -474,13 +499,10 @@ def _finished(plan: _Plan, runs: list[tuple], cfg: SolverConfig) -> PointSearch:
     roots = _collect_roots(runs, cfg, search)
     points = search.points
     for location, residual in roots:
-        fx = f._kernel(0)(*location)
-        velocity = np.full(f.dimension, np.nan) if fx is None else np.array(fx)
-        if kind == PERPETUAL and float(np.linalg.norm(velocity)) <= cfg.velocity_floor:
-            continue  # a zero of F that is actually a fixed point
-        points.append(CriticalPoint(kind=kind, location=np.array(location), residual=residual,
-                                    velocity=velocity, boundary=not region.contains(location),
-                                    **_spectrum_of(solved._kernel(1)(*location), f.dimension)))
+        point = _critical_point(kind, solved, location, residual, f._kernel(0)(*location),
+                                cfg, boundary=not region.contains(location))
+        if point is not None:
+            points.append(point)
     points.sort(key=CriticalPoint.sort_key)
     n_degenerate = sum(1 for p in points if p.degenerate)
     if n_degenerate > _CONTINUUM_THRESHOLD:
@@ -526,26 +548,24 @@ def perpetual_point_search(f: VectorField, region: AnalysisRegion,
 
 def classify_point(f: VectorField, point,
                    cfg: SolverConfig = SolverConfig()) -> CriticalPoint | None:
-    """Classify a single point as fixed, perpetual, or neither.
+    """Classify a single point as fixed, perpetual, or neither, by the rule
+    the searches accept their roots by, and build its
+    :class:`CriticalPoint` as they do (with ``boundary`` False).
 
-    Fixed: both f and F vanish there (to root_tol scale). Perpetual: only F
-    does while the speed clears the velocity floor.
+    Fixed: hypot(f) <= root_tol there. Perpetual: hypot(F) <= root_tol,
+    F from ``acceleration_map(f)``'s kernel, while the speed clears the
+    velocity floor. None otherwise, and where f or F is not evaluable.
     """
-    x = np.array(point, dtype=float)
-    try:
-        velocity, jac = f.value(x), f.jacobian(x)
-    except DomainError:
+    location = _floats(np.asarray(point, dtype=float), f.dimension)
+    fx = f._kernel(0)(*location)
+    if fx is None:
         return None
-    accel = jac @ velocity
-    speed = float(np.linalg.norm(velocity))
-    accel_norm = float(np.linalg.norm(accel))
-    accel_tol = cfg.root_tol * max(1.0, float(np.linalg.norm(jac, np.inf)))
-    if accel_norm > accel_tol:
+    residual = math.hypot(*fx)
+    if residual <= cfg.root_tol:
+        return _critical_point(FIXED, f, location, residual, fx, cfg)
+    solved = acceleration_map(f)
+    accel = solved._kernel(0)(*location)
+    residual = math.inf if accel is None else math.hypot(*accel)
+    if not residual <= cfg.root_tol:
         return None
-    if speed <= cfg.velocity_floor:
-        kind, residual, flat = FIXED, speed, jac.ravel()
-    else:
-        kind, residual = PERPETUAL, accel_norm
-        flat = acceleration_map(f)._kernel(1)(*x.tolist())
-    return CriticalPoint(kind=kind, location=x, residual=residual, velocity=velocity,
-                         boundary=False, **_spectrum_of(flat, f.dimension))
+    return _critical_point(PERPETUAL, solved, location, residual, fx, cfg)

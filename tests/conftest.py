@@ -2,8 +2,8 @@
 
 The oracles here deliberately use different machinery than the library:
 numpy.linalg for eigen/solve cross-checks, dense grid scans plus plain
-undamped Newton for root enumeration, and finite differences for
-derivatives.
+undamped Newton for root enumeration, finite differences for
+derivatives, and fixed-step RK4 for trajectories.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import critflow as cf
+from critflow.flows import sample_times
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +210,30 @@ def fd_hessian_entry(fn, x: np.ndarray, j: int, k: int, h: float = 1e-4) -> floa
     if j == k:
         return (fn(x + ej) - 2.0 * fn(x) + fn(x - ej)) / (h * h)
     return (fn(x + ej + ek) - fn(x + ej - ek) - fn(x - ej + ek) + fn(x - ej - ek)) / (4.0 * h * h)
+
+
+# ---------------------------------------------------------------------------
+# Fixed-step RK4 oracle (independent of the library's RKF45 integrator)
+
+def rk4_trajectory(f, x0, step: float, t_end: float, sample_count: int) -> cf.Trajectory:
+    """Classical RK4 on ``f.value`` from x0, sampled at
+    ``sample_times(t_end, sample_count)``; each span between samples is
+    split into ``round(span / step)`` equal substeps, at least one."""
+    times = sample_times(t_end, sample_count)
+    x = np.array(x0, dtype=float)
+    states = [x]
+    for t0, t1 in zip(times[:-1], times[1:]):
+        span = t1 - t0
+        substeps = max(1, round(span / step))
+        h = span / substeps
+        for _ in range(substeps):
+            k1 = f.value(x)
+            k2 = f.value(x + 0.5 * h * k1)
+            k3 = f.value(x + 0.5 * h * k2)
+            k4 = f.value(x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(x)
+    return cf.Trajectory(times=times, states=np.vstack(states))
 
 
 # ---------------------------------------------------------------------------

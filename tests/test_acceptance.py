@@ -23,7 +23,7 @@ from critflow.linalg import Spectrum
 from critflow.points import fixed_point_search, perpetual_point_search
 
 from conftest import (fd_gradient, grid_scan_roots, random_affine_map,
-                      random_expression_source, random_polynomial_field)
+                      random_expression_source, random_polynomial_field, rk4_trajectory)
 
 DATA = Path(__file__).parent / "data"
 
@@ -323,11 +323,9 @@ def test_criterion_5_derivative_and_field_correctness():
     while systems_done < 20:
         f = random_polynomial_field(rng, 2, degree=3)
         x0 = np.array([rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)])
-        cfg = cf.IntegratorConfig(method="rk4", step=1e-4, t_end=0.2,
-                                  sample_count=401)
         try:
-            traj = cf.integrate(f, x0, cfg)
-        except (cf.BlowUpError, cf.StepUnderflowError, cf.DomainError):
+            traj = rk4_trajectory(f, x0, step=1e-4, t_end=0.2, sample_count=401)
+        except cf.DomainError:
             continue
         if np.max(np.abs(traj.states)) > 3.0:
             continue

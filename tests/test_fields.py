@@ -19,7 +19,7 @@ from critflow.io import load_system
 from conftest import (affine_map_1d, build_counted, caches_after_import, fd_gradient,
                       fd_hessian_entry, identity_map, make_field, random_affine_map,
                       random_expression_source, random_polynomial_field,
-                      square_map_1d)
+                      rk4_trajectory, square_map_1d)
 
 DATA = Path(__file__).parent / "data"
 
@@ -148,8 +148,7 @@ def test_acceleration_matches_second_time_derivative_along_trajectory():
     # independent oracle: second difference of RK4 trajectory samples
     f = make_field("planar", ["x", "y"], {}, ["1 - x^2", "-y"])
     F = cf.acceleration_field(f)
-    cfg = cf.IntegratorConfig(method="rk4", step=1e-4, t_end=0.2, sample_count=401)
-    traj = cf.integrate(f, [0.2, 0.4], cfg)
+    traj = rk4_trajectory(f, [0.2, 0.4], step=1e-4, t_end=0.2, sample_count=401)
     delta = traj.times[1] - traj.times[0]
     worst = 0.0
     for k in range(1, len(traj) - 1):
@@ -212,8 +211,7 @@ def test_pushforward_acceleration_matches_map_second_derivative():
         [cf.parse_expression("x^2 + y", {"x", "y"}),
          cf.parse_expression("y^2 - x", {"x", "y"})],
         cf.AnalysisRegion.of((-3, 3), (-3, 3)), False)
-    cfg = cf.IntegratorConfig(method="rk4", step=1e-4, t_end=0.2, sample_count=401)
-    traj = cf.integrate(f, [0.3, 0.5], cfg)
+    traj = rk4_trajectory(f, [0.3, 0.5], step=1e-4, t_end=0.2, sample_count=401)
     delta = traj.times[1] - traj.times[0]
     images = np.array([h.value(s) for s in traj.states])
     worst = 0.0

@@ -162,6 +162,46 @@ def test_classify_point_examples(quad_field):
     assert cf.classify_point(quad_field, [0.5], CFG) is None
 
 
+def _bits(value):
+    """``value`` to the bit: an array by its dtype, shape and bytes, the
+    rest by ``repr``, which spells every float and its sign exactly."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return repr(value)
+
+
+@pytest.mark.parametrize("n, seeds", [(1, range(10)), (2, range(8)), (3, range(4))],
+                         ids=["n1", "n2", "n3"])
+def test_classify_point_returns_every_point_the_searches_report(n, seeds):
+    region = cf.AnalysisRegion.of(*[(-2, 2)] * n)
+    compared = set()
+    for seed in seeds:
+        f = random_polynomial_field(random.Random(7000 + 10 * n + seed), n)
+        for search in (cf.fixed_point_search, cf.perpetual_point_search):
+            for p in search(f, region, CFG).points:
+                got = cf.classify_point(f, p.location, CFG)
+                assert got is not None and not got.boundary
+                for name in ("kind", "location", "residual", "velocity", "spectrum",
+                             "jacobian", "degenerate", "note"):
+                    assert _bits(getattr(got, name)) == _bits(getattr(p, name)), name
+                compared.add(p.kind)
+    assert compared == {cf.FIXED, cf.PERPETUAL}
+
+
+def test_classify_point_rejects_what_the_searches_reject():
+    # x' = 1e-8 has no fixed point: |f| is 100 times root_tol everywhere,
+    # though below the velocity floor, and F = 0 there
+    f = make_field("drift", ["x"], {}, ["1e-8"])
+    for search in (cf.fixed_point_search, cf.perpetual_point_search):
+        assert search(f, REGION_1D, CFG).points == []
+    assert cf.classify_point(f, [0.0], CFG) is None
+
+
+def test_classify_point_rejects_a_point_of_the_wrong_length(quad_field):
+    with pytest.raises(ValueError, match="point has 2 coordinates, map expects 1"):
+        cf.classify_point(quad_field, [0.0, 1.0], CFG)
+
+
 def test_degenerate_continuum_nilpotent():
     nil = make_field("nilpotent", ["x", "y"], {}, ["y", "0"])
     region = cf.AnalysisRegion.of((-2, 2), (-2, 2))
@@ -505,7 +545,7 @@ def test_classify_point_evaluates_each_jacobian_once(monkeypatch, quad_field):
     point = cf.classify_point(quad_field, [0.0], CFG)  # the perpetual point
     assert point.kind == cf.PERPETUAL and point.spectrum.values == (-2.0,)
     accel = acceleration_map(quad_field).name
-    assert sorted(calls) == [(quad_field.name, 0), (quad_field.name, 1), (accel, 1)]
+    assert sorted(calls) == [(quad_field.name, 0), (accel, 0), (accel, 1)]
 
 
 # ---------------------------------------------------------------------------
